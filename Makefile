@@ -18,20 +18,19 @@ tier2: lint
 
 # Focused race gate over the concurrency-bearing packages: the parallel
 # DRC/verify engines, tile routing and layer-reassignment pass of the
-# detail stage, the global router's speculative multi-net stage and
-# ordering pool, the ordering-strategy portfolio racer, the pipeline
-# facade's Parallelism propagation (including the via-accounting
-# differential across Parallelism 1/2/4/8) and the serving layer. Faster
-# than a full tier2 run.
+# detail stage, the global router's ordering-seed pool, the
+# ordering-strategy portfolio racer, the pipeline facade's Parallelism
+# propagation (including the via-accounting differential across
+# Parallelism 1/2/4/8) and the serving layer. Faster than a full tier2
+# run.
 race-gate: lint lint-escape
 	$(GO) vet ./...
 	$(GO) test -race ./internal/detail/ ./internal/global/ ./internal/verify/ ./internal/serve/ ./internal/router/ ./internal/portfolio/
 
 # Domain-specific static analysis (internal/lint): determinism, map
-# iteration, float equality, sanctioned concurrency, the //rdl:noalloc
-# hot-path contract — propagated interprocedurally through the module
-# call graph — and the speculative read-set pairing rule in
-# internal/global. Exit 1 on any finding; see doc/LINT.md.
+# iteration, float equality, sanctioned concurrency and the //rdl:noalloc
+# hot-path contract, propagated interprocedurally through the module
+# call graph. Exit 1 on any finding; see doc/LINT.md.
 lint:
 	$(GO) run ./cmd/rdllint
 
@@ -67,10 +66,7 @@ bench-drc:
 # Routing hot path: global A*/rip-up and detailed routing per dense case,
 # plus the K=3 ordering-portfolio race end to end. Writes ns/op, allocs/op
 # and B/op to BENCH_route.json — the allocation counts are the
-# zero-allocation A* regression gate. Global entries also carry
-# speculation_hit_rate and speedup_vs_serial (default Parallelism vs the
-# serial reference; both produce byte-identical results; the speedup is
-# null with a note on 1-CPU hosts). Portfolio entries carry per-strategy
+# zero-allocation A* regression gate. Portfolio entries carry per-strategy
 # scores, the winner and beats_rudy.
 bench-route:
 	BENCH_ROUTE_OUT=$(CURDIR)/BENCH_route.json \
@@ -80,12 +76,14 @@ bench-route:
 # the routing benchmarks (allocs/op is exact even at -benchtime=1x since
 # every op runs its stage cold) checked against cmd/allocgate's pinned
 # per-stage budgets. Fails on a >10% allocs/op regression; CI's bench-smoke
-# job runs the same gate. The scratch JSON is removed first so a stale file
-# can never mask a missing row.
+# job runs the same gate. -cpu 2 fixes the default pool size the budgets
+# were pinned at: detail workers each own a scratch, so allocs/op grows with
+# the pool. The scratch JSON is removed first so a stale file can never
+# mask a missing row.
 alloc-gate:
 	rm -f $(CURDIR)/.bench_route_smoke.json
 	BENCH_ROUTE_OUT=$(CURDIR)/.bench_route_smoke.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkGlobalRoute|BenchmarkDetailRoute' -benchtime=1x .
+		$(GO) test -run '^$$' -bench 'BenchmarkGlobalRoute|BenchmarkDetailRoute' -benchtime=1x -cpu 2 .
 	$(GO) run ./cmd/allocgate -in $(CURDIR)/.bench_route_smoke.json
 
 fmt:

@@ -18,7 +18,6 @@ import (
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
 	"rdlroute/internal/global"
-	"rdlroute/internal/pool"
 	"rdlroute/internal/portfolio"
 	"rdlroute/internal/rgraph"
 	"rdlroute/internal/router"
@@ -68,9 +67,9 @@ func TestMain(m *testing.M) {
 	if path := os.Getenv("BENCH_ROUTE_OUT"); path != "" && code == 0 {
 		routeBenchResults.mu.Lock()
 		// Detail rows carry the allocation trajectory against the pinned
-		// seed, and the same single-CPU note global rows get: tile routing
-		// and assembly fan out over the same pool, so on a 1-CPU host their
-		// wall-clock is serial throughput and allocs/op is the signal.
+		// seed, and a single-CPU note: tile routing and assembly fan out over
+		// a worker pool, so on a 1-CPU host their wall-clock is serial
+		// throughput and allocs/op is the signal.
 		for _, e := range routeBenchResults.m {
 			if e["stage"] != "detail" {
 				continue
@@ -84,31 +83,6 @@ func TestMain(m *testing.M) {
 			}
 			if runtime.NumCPU() == 1 {
 				e["note"] = "single-CPU host: pool is timesliced, speedup not measurable"
-			}
-		}
-		// Pair each parallel global entry with its serial reference into a
-		// measured speedup: both runs produce byte-identical results, so
-		// the ratio is pure scheduling gain (1.0 on a single-CPU host).
-		for key, e := range routeBenchResults.m {
-			if e["stage"] != "global" || strings.HasSuffix(key, "/serial") {
-				continue
-			}
-			se, ok := routeBenchResults.m[key+"/serial"]
-			if !ok {
-				continue
-			}
-			sn, _ := se["ns_per_op"].(float64)
-			pn, _ := e["ns_per_op"].(float64)
-			if sn > 0 && pn > 0 {
-				if runtime.NumCPU() == 1 {
-					// A 1-CPU host timeslices the pool, so the ratio is
-					// scheduler noise, not parallel speedup; null keeps the
-					// column honest and the note says why.
-					e["speedup_vs_serial"] = nil
-					e["note"] = "single-CPU host: pool is timesliced, speedup not measurable"
-				} else {
-					e["speedup_vs_serial"] = sn / pn
-				}
 			}
 		}
 		out := make([]benchjson.Entry, 0, len(routeBenchResults.m))
@@ -183,39 +157,14 @@ func measureLoop(b *testing.B, name, stage, cse string, fn func()) {
 
 // BenchmarkGlobalRoute measures the global-routing stage alone: the graph is
 // prebuilt, each iteration runs a fresh router over it (RUDY ordering,
-// crossing-aware A*, rip-up rounds, diagonal refinement). Each case runs
-// twice — at the default Parallelism (GOMAXPROCS, capped at 8) and at the
-// serial reference — and the parallel entry additionally records the
-// speculation hit rate; TestMain derives speedup_vs_serial from the pair.
+// crossing-aware A*, rip-up rounds, diagonal refinement) at the default
+// Parallelism, which only sizes the ordering-seed pool.
 func BenchmarkGlobalRoute(b *testing.B) {
 	for _, name := range design.DenseNames() {
 		b.Run(name, func(b *testing.B) {
 			g := builtCase(b, name)
-			var last *global.Result
 			measureLoop(b, "global/"+name, "global", name, func() {
 				r := global.New(g, global.Options{})
-				res, err := r.Run(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Routability() == 0 {
-					b.Fatal("routed nothing")
-				}
-				last = res
-			})
-			rate := 0.0
-			if t := last.SpeculationHits + last.SpeculationMisses; t > 0 {
-				rate = float64(last.SpeculationHits) / float64(t)
-			}
-			amendRouteBench("global/"+name, benchjson.Entry{
-				"speculation_hit_rate": rate,
-				"parallelism":          pool.Default(0),
-			})
-		})
-		b.Run(name+"/serial", func(b *testing.B) {
-			g := builtCase(b, name)
-			measureLoop(b, "global/"+name+"/serial", "global", name, func() {
-				r := global.New(g, global.Options{Parallelism: 1})
 				res, err := r.Run(context.Background())
 				if err != nil {
 					b.Fatal(err)

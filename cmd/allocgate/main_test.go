@@ -78,8 +78,8 @@ func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
 		if !have["detail/"+c] {
 			t.Errorf("no detail budget for %s", c)
 		}
-		if !have["global/"+c+"/serial"] {
-			t.Errorf("no global serial budget for %s", c)
+		if !have["global/"+c] {
+			t.Errorf("no global budget for %s", c)
 		}
 	}
 }

@@ -14,7 +14,7 @@ func TestListPrintsEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run -list = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"detrand", "mapiter", "floateq", "barego", "noalloc", "transalloc", "readset"} {
+	for _, name := range []string{"detrand", "mapiter", "floateq", "barego", "noalloc", "transalloc"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}

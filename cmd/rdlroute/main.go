@@ -8,8 +8,8 @@
 //	rdlroute [-router ours|cai|aarf] [-budget 30s] [-svg out.svg -layer 0]
 //	         [-routes out.json] [-stats] [-verify off|warn|strict]
 //	         [-trace out.jsonl] [-progress] [-viacost 20]
-//	         [-ordering rudy|netlen|congestion|anneal]
-//	         [-portfolio rudy,netlen,anneal] [-ordering-profile prof.json]
+//	         [-ordering rudy|netlen|congestion]
+//	         [-portfolio rudy,netlen,congestion] [-ordering-profile prof.json]
 //	         [-cpuprofile cpu.out] [-memprofile mem.out]
 //	         [-strict] (-design file.json | -case dense1)
 //
@@ -88,8 +88,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		strict     = fs.Bool("strict", false, "fail with exit code 3 on timeout, 4 on unrouted nets")
 		workers    = fs.Int("workers", 0, "pipeline parallelism: worker-pool size for global/detail/DRC/verify (0 = GOMAXPROCS capped at 8, 1 = serial); output is identical for every value")
 		viaCost    = fs.Float64("viacost", 0, "via cost in µm of equivalent wirelength: 0 = default (4×ViaWidth), negative = free vias")
-		ordering   = fs.String("ordering", "", "net-ordering strategy: rudy, netlen, congestion or anneal (empty = rudy)")
-		portfolioF = fs.String("portfolio", "", "comma-separated strategies raced as independent route attempts; the best result wins (e.g. rudy,netlen,anneal)")
+		ordering   = fs.String("ordering", "", "net-ordering strategy: rudy, netlen or congestion (empty = rudy)")
+		portfolioF = fs.String("portfolio", "", "comma-separated strategies raced as independent route attempts; the best result wins (e.g. rudy,netlen,congestion)")
 		orderProf  = fs.String("ordering-profile", "", "JSON weight profile for the congestion ordering strategy")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")

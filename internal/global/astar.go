@@ -57,11 +57,7 @@ type heapItem struct {
 // searchScratch owns every buffer the crossing-aware A* needs, so repeated
 // route calls — the rip-up rounds and diagonal-refinement reroutes are many
 // thousands of searches on dense designs — allocate nothing beyond the
-// result path itself. A scratch is single-owner state: the router's
-// canonical scratch serves the serial reference path, and the speculative
-// parallel stage gives each pool worker its own, which is what lets
-// searches for different nets run concurrently against the shared
-// (frozen) router state without any locking.
+// result path itself.
 //
 // The best-cost scoreboard is dense: every reachable state key maps to a
 // fixed slot (via nodes get two slots, one per viaArrive flavour; edge nodes
@@ -70,18 +66,11 @@ type heapItem struct {
 // counter stamps slot validity so clearing the scoreboard between searches
 // is one integer increment, not an O(slots) wipe.
 //
-// Beyond the A* buffers the scratch records two resource sets per search,
-// both stamp-deduplicated against the per-search serial:
-//
-//   - the blocked set — nodes, links and tiles where a capacity or crossing
-//     check rejected an expansion; on failure the caller folds it into the
-//     round-level sets that seed incremental rip-up;
-//   - the read set — every node, link and tile whose *mutable* state
-//     (usage, net-sequence list, passage list) the search consulted. The
-//     search is a deterministic function of those reads, so a speculative
-//     result is exactly what the serial search would have produced if and
-//     only if none of the read resources changed in the meantime. That is
-//     the validation test the speculative commit path applies.
+// Beyond the A* buffers the scratch records the search's blocked set —
+// nodes, links and tiles where a capacity or crossing check rejected an
+// expansion, stamp-deduplicated against the per-search serial. On failure
+// the caller folds it into the round-level sets that seed incremental
+// rip-up.
 type searchScratch struct {
 	slotBase []int32 // per node: first scoreboard slot
 	bestG    []float64
@@ -108,18 +97,15 @@ type searchScratch struct {
 	pcBuf []chordCoords
 
 	// tileBase maps tileKey{layer, tri} to the dense tile index
-	// tileBase[layer]+tri used by the per-tile stamp arrays.
+	// tileBase[layer]+tri used by blkTileStamp.
 	tileBase []int32
 
-	// Per-search work counters, reset by begin. The caller folds them into
-	// the router totals (serial path) or the speculation ledger (parallel
-	// path), so the router's reported totals stay byte-identical to the
-	// serial reference for any worker count.
+	// Per-search work counters, reset by begin; the caller folds them into
+	// the router totals.
 	expansions int
 	heapPushes int
 
-	// serial stamps one search; the blocked and read recorders dedup
-	// against it.
+	// serial stamps one search; the blocked recorder dedups against it.
 	serial int64
 
 	// Blocked-resource recording (see type comment).
@@ -129,46 +115,25 @@ type searchScratch struct {
 	blkNodes     []rgraph.NodeID
 	blkLinks     []int
 	blkTiles     []tileKey
-
-	// Read-set recording (see type comment).
-	rdNodeStamp []int64
-	rdLinkStamp []int64
-	rdTileStamp []int64
-	rdNodes     []rgraph.NodeID
-	rdLinks     []int
-	rdTiles     []tileKey
-}
-
-// graphTileBase computes the dense tile indexing shared by the router's
-// tile change-stamps and every scratch: tile (layer, tri) lives at
-// base[layer]+tri, and base[len(layers)] is the total tile count.
-func graphTileBase(g *rgraph.Graph) []int32 {
-	base := make([]int32, len(g.Layers)+1)
-	var total int32
-	for li := range g.Layers {
-		base[li] = total
-		total += int32(len(g.Layers[li].Mesh.Tris))
-	}
-	base[len(g.Layers)] = total
-	return base
 }
 
 // newSearchScratch sizes the scoreboard and recorder arrays for a graph.
 func newSearchScratch(g *rgraph.Graph) *searchScratch {
-	tb := graphTileBase(g)
-	nTiles := int(tb[len(g.Layers)])
+	tileBase := make([]int32, len(g.Layers))
+	var nTiles int32
+	for li := range g.Layers {
+		tileBase[li] = nTiles
+		nTiles += int32(len(g.Layers[li].Mesh.Tris))
+	}
 	s := &searchScratch{
 		slotBase: make([]int32, len(g.Nodes)+1),
 		seen:     make([]uint32, len(g.Nodes)),
 		open:     pq.New(func(a, b heapItem) bool { return a.f < b.f }),
-		tileBase: tb,
+		tileBase: tileBase,
 
 		blkNodeStamp: make([]int64, len(g.Nodes)),
 		blkLinkStamp: make([]int64, len(g.Links)),
 		blkTileStamp: make([]int64, nTiles),
-		rdNodeStamp:  make([]int64, len(g.Nodes)),
-		rdLinkStamp:  make([]int64, len(g.Links)),
-		rdTileStamp:  make([]int64, nTiles),
 	}
 	var slots int32
 	for id := range g.Nodes {
@@ -210,8 +175,8 @@ func (s *searchScratch) tileIndex(k tileKey) int32 {
 }
 
 // begin readies the scratch for one search: new scoreboard generation, new
-// recording serial, empty arena, open list, blocked and read sets, zeroed
-// work counters.
+// recording serial, empty arena, open list and blocked set, zeroed work
+// counters.
 //
 //rdl:noalloc
 func (s *searchScratch) begin(dstPos geom.Point) {
@@ -231,40 +196,6 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 	s.blkNodes = s.blkNodes[:0]
 	s.blkLinks = s.blkLinks[:0]
 	s.blkTiles = s.blkTiles[:0]
-	s.rdNodes = s.rdNodes[:0]
-	s.rdLinks = s.rdLinks[:0]
-	s.rdTiles = s.rdTiles[:0]
-}
-
-// readNode records that the search consulted node id's mutable state (its
-// usage count or net-sequence list), deduplicated per search by stamp.
-//
-//rdl:noalloc
-func (s *searchScratch) readNode(id rgraph.NodeID) {
-	if s.rdNodeStamp[id] != s.serial {
-		s.rdNodeStamp[id] = s.serial
-		s.rdNodes = append(s.rdNodes, id)
-	}
-}
-
-// readLink records that the search consulted link id's usage.
-//
-//rdl:noalloc
-func (s *searchScratch) readLink(id int) {
-	if s.rdLinkStamp[id] != s.serial {
-		s.rdLinkStamp[id] = s.serial
-		s.rdLinks = append(s.rdLinks, id)
-	}
-}
-
-// readTile records that the search consulted a tile's passage list.
-//
-//rdl:noalloc
-func (s *searchScratch) readTile(key tileKey) {
-	if i := s.tileIndex(key); s.rdTileStamp[i] != s.serial {
-		s.rdTileStamp[i] = s.serial
-		s.rdTiles = append(s.rdTiles, key)
-	}
 }
 
 // blockNode records a node whose capacity rejected an expansion of the
@@ -317,10 +248,8 @@ func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link i
 
 // route runs crossing-aware A* for one net on the given scratch and returns
 // an uncommitted guide. It mutates only the scratch — router state is read
-// but never written — so searches on distinct scratches may run
-// concurrently as long as nothing commits meanwhile. On failure the
-// caller decides whether to fold the scratch's blocked set into the
-// round-level sets (noteSearchFailed); route itself no longer does.
+// but never written. On failure the caller decides whether to fold the
+// scratch's blocked set into the round-level sets (noteSearchFailed).
 //
 //rdl:noalloc
 func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error) {
@@ -382,17 +311,14 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !isStart && arrivedCross {
 				continue // no double layer hop through one via pair
 			}
-			// Per-net layer constraint: a static design property, checked
-			// before the capacity reads so it never enters the read set.
+			// Per-net layer constraint: a static design property.
 			if !r.G.LayerAllowed(net, r.G.Node(adj.To).Layer) {
 				continue
 			}
-			sc.readLink(adj.Link)
 			if r.linkUse[adj.Link] >= link.Cap {
 				sc.blockLink(adj.Link)
 				continue
 			}
-			sc.readNode(adj.To)
 			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
 				sc.blockNode(adj.To)
 				continue
@@ -402,7 +328,6 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !isStart && !arrivedCross {
 				continue // entered by wire; must take the via down/up
 			}
-			sc.readLink(adj.Link)
 			if r.linkUse[adj.Link] >= link.Cap {
 				sc.blockLink(adj.Link)
 				continue
@@ -419,7 +344,6 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int, dst rgraph.NodeID) {
 	for _, adj := range r.G.Adj[st.key.node] {
 		link := r.G.Link(adj.Link)
-		sc.readLink(adj.Link)
 		if r.linkUse[adj.Link] >= link.Cap {
 			sc.blockLink(adj.Link)
 			continue
@@ -433,7 +357,6 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 		switch link.Kind {
 		case rgraph.AccessVia:
 			// adj.To is the via node (link.A is always the via end).
-			sc.readNode(adj.To)
 			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
 				sc.blockNode(adj.To)
 				continue
@@ -454,7 +377,6 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, int32(adj.Link))
 		case rgraph.CrossTile:
 			units := r.edgeUnits(net)
-			sc.readNode(adj.To)
 			if r.nodeUse[adj.To]+units > r.nodeCap(adj.To) {
 				sc.blockNode(adj.To)
 				continue
@@ -469,9 +391,9 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 			}
 			m := len(r.seqs[adj.To])
 			r.passageCoords(sc, net, tile)
-			q1 := r.coord(sc, tile, from)
+			q1 := r.coord(tile, from)
 			for g2 := 0; g2 <= m; g2++ {
-				if !chordAllowedCoords(q1, r.coord(sc, tile, gapEnd(toOrd, g2)), sc.pcBuf) {
+				if !chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), sc.pcBuf) {
 					sc.blockTile(tileKey{link.Layer, link.Tile})
 					continue
 				}
@@ -487,7 +409,6 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 //rdl:noalloc
 func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, net int,
 	adj rgraph.Adjacent, link *rgraph.Link) {
-	sc.readNode(adj.To)
 	if r.nodeUse[adj.To]+r.edgeUnits(net) > r.nodeCap(adj.To) {
 		sc.blockNode(adj.To)
 		return
@@ -500,9 +421,9 @@ func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, ne
 	}
 	m := len(r.seqs[adj.To])
 	r.passageCoords(sc, net, tile)
-	q1 := r.coord(sc, tile, vertexEnd(vOrd))
+	q1 := r.coord(tile, vertexEnd(vOrd))
 	for g2 := 0; g2 <= m; g2++ {
-		if !chordAllowedCoords(q1, r.coord(sc, tile, gapEnd(eOrd, g2)), sc.pcBuf) {
+		if !chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), sc.pcBuf) {
 			sc.blockTile(tileKey{link.Layer, link.Tile})
 			continue
 		}

@@ -51,19 +51,12 @@ func gapEnd(edgeOrdinal, gap int) boundaryEnd {
 // vertex i sits at 2i, and positions on edge i spread strictly inside
 // (2i, 2i+2). Items map to (j+1)/(m+1) fractions and gaps to half-offsets
 // between them, so a gap coordinate never equals an item coordinate.
-//
-// Reading len(seqs[en]) is a read of the edge node's mutable state, so it
-// is recorded in the scratch read set: a commit through the node shifts
-// every coordinate on that edge even when this tile's passage list is
-// untouched (the commit stamps only the tiles it adds passages to, and an
-// edge borders two tiles).
-func (r *Router) coord(sc *searchScratch, tile *rgraph.Tile, e boundaryEnd) float64 {
+func (r *Router) coord(tile *rgraph.Tile, e boundaryEnd) float64 {
 	if e.vertex >= 0 {
 		return float64(2 * e.vertex)
 	}
 	en := tile.EdgeNodes[e.edge]
 	node := r.G.Node(en)
-	sc.readNode(en)
 	m := len(r.seqs[en])
 	// Storage order runs EndA→EndB where Edge.A < Edge.B. The boundary
 	// traversal runs Verts[e.edge] → Verts[(e.edge+1)%3]; flip when the
@@ -123,15 +116,12 @@ type passageEnd struct {
 }
 
 // resolve converts a stored passage endpoint to a boundaryEnd with the
-// net's current sequence position filled in. The sequence walk is a read of
-// the edge node's mutable state and lands in the scratch read set (see
-// coord).
-func (r *Router) resolve(sc *searchScratch, tile *rgraph.Tile, pe passageEnd, net int) (boundaryEnd, bool) {
+// net's current sequence position filled in.
+func (r *Router) resolve(tile *rgraph.Tile, pe passageEnd, net int) (boundaryEnd, bool) {
 	if pe.vertex >= 0 {
 		return vertexEnd(pe.vertex), true
 	}
 	en := tile.EdgeNodes[pe.edge]
-	sc.readNode(en)
 	for j, n := range r.seqs[en] {
 		if n == net {
 			return itemEnd(pe.edge, j), true
@@ -150,24 +140,22 @@ type chordCoords struct{ c1, c2 float64 }
 // to an electrically different net into boundary coordinates, into the
 // scratch pcBuf. The search hoists this out of its per-gap loops: resolving
 // a passage walks its edge sequences, which would otherwise repeat for
-// every candidate gap. The tile's passage list is mutable state, so the
-// tile lands in the scratch read set.
+// every candidate gap.
 //
 //rdl:noalloc
 func (r *Router) passageCoords(sc *searchScratch, net int, tile *rgraph.Tile) {
 	sc.pcBuf = sc.pcBuf[:0]
-	sc.readTile(tileKey{tile.Layer, tile.Tri})
 	ps := r.passages[tileKey{tile.Layer, tile.Tri}]
 	for _, p := range ps {
 		if r.G.Design.SameGroup(p.net, net) {
 			continue
 		}
-		c1, ok1 := r.resolve(sc, tile, p.e1, p.net)
-		c2, ok2 := r.resolve(sc, tile, p.e2, p.net)
+		c1, ok1 := r.resolve(tile, p.e1, p.net)
+		c2, ok2 := r.resolve(tile, p.e2, p.net)
 		if !ok1 || !ok2 {
 			continue // stale passage; defensive, should not happen
 		}
-		sc.pcBuf = append(sc.pcBuf, chordCoords{r.coord(sc, tile, c1), r.coord(sc, tile, c2)})
+		sc.pcBuf = append(sc.pcBuf, chordCoords{r.coord(tile, c1), r.coord(tile, c2)})
 	}
 }
 
@@ -195,7 +183,7 @@ func (r *Router) chordAllowed(sc *searchScratch, net int, tile *rgraph.Tile, fro
 	if len(sc.pcBuf) == 0 {
 		return true
 	}
-	return chordAllowedCoords(r.coord(sc, tile, from), r.coord(sc, tile, to), sc.pcBuf)
+	return chordAllowedCoords(r.coord(tile, from), r.coord(tile, to), sc.pcBuf)
 }
 
 // vertexOrdinal returns the ordinal (0..2) of the mesh vertex v within the

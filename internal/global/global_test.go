@@ -70,22 +70,22 @@ func TestGuidesDoNotCross(t *testing.T) {
 	for key, ps := range r.passages {
 		tile := r.G.TileOf(key.layer, key.tri)
 		for i := 0; i < len(ps); i++ {
-			e1a, ok1 := r.resolve(r.scr, tile, ps[i].e1, ps[i].net)
-			e1b, ok2 := r.resolve(r.scr, tile, ps[i].e2, ps[i].net)
+			e1a, ok1 := r.resolve(tile, ps[i].e1, ps[i].net)
+			e1b, ok2 := r.resolve(tile, ps[i].e2, ps[i].net)
 			if !ok1 || !ok2 {
 				t.Fatalf("tile %v: passage %d unresolvable", key, i)
 			}
-			a1, a2 := r.coord(r.scr, tile, e1a), r.coord(r.scr, tile, e1b)
+			a1, a2 := r.coord(tile, e1a), r.coord(tile, e1b)
 			for j := i + 1; j < len(ps); j++ {
 				if ps[j].net == ps[i].net {
 					continue // same-net crossings are legal (no spacing rule)
 				}
-				e2a, ok3 := r.resolve(r.scr, tile, ps[j].e1, ps[j].net)
-				e2b, ok4 := r.resolve(r.scr, tile, ps[j].e2, ps[j].net)
+				e2a, ok3 := r.resolve(tile, ps[j].e1, ps[j].net)
+				e2b, ok4 := r.resolve(tile, ps[j].e2, ps[j].net)
 				if !ok3 || !ok4 {
 					t.Fatalf("tile %v: passage %d unresolvable", key, j)
 				}
-				b1, b2 := r.coord(r.scr, tile, e2a), r.coord(r.scr, tile, e2b)
+				b1, b2 := r.coord(tile, e2a), r.coord(tile, e2b)
 				if chordsCross(a1, a2, b1, b2) {
 					t.Fatalf("tile %v: nets %d and %d cross (coords %v-%v vs %v-%v)",
 						key, ps[i].net, ps[j].net, a1, a2, b1, b2)

@@ -61,9 +61,9 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 	}
 	pool.Run(units, r.Opt.parallelism())
 
-	// RUDY accumulation. The per-net tile footprints also persist on the
-	// router (predTiles): the speculative round driver partitions nets into
-	// interference groups by which standalone seed paths share tiles.
+	// RUDY accumulation, keeping each net's tile footprint for the
+	// congestion features below.
+	predTiles := make([][]tileKey, n)
 	density := make(map[tileKey]float64)
 	area := make(map[tileKey]float64)
 	pitch := r.G.Design.Rules.Pitch()
@@ -83,13 +83,13 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 			}
 			chord := r.G.Node(path.nodes[i]).Pos.Dist(r.G.Node(path.nodes[i+1]).Pos)
 			density[key] += chord * pitch / area[key]
-			r.predTiles[ni] = append(r.predTiles[ni], key)
+			predTiles[ni] = append(predTiles[ni], key)
 		}
 	}
 
 	congested := make([]int, n)
-	for ni := range r.predTiles {
-		for _, key := range r.predTiles[ni] {
+	for ni, tiles := range predTiles {
+		for _, key := range tiles {
 			if density[key] > r.Opt.CongestionThreshold {
 				congested[ni]++
 			}
@@ -110,7 +110,7 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 	} else {
 		// The pairwise interaction signal is only built for configured
 		// strategies; RUDY never reads it.
-		m.Conflicts = r.conflictPairs(density)
+		m.Conflicts = r.conflictPairs(predTiles, density)
 	}
 	order = strat.Order(ctx, m)
 	if !portfolio.ValidOrder(order, n) {
@@ -121,18 +121,19 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 	return order
 }
 
-// conflictPairs lists net pairs whose standalone seed paths share congested
-// tiles, sorted by (A, B). Per-tile net lists are built in ascending net
-// order (so A < B holds by construction) and capped: a pathological tile
-// crossed by hundreds of seed paths would otherwise cost O(k²) pairs while
-// adding no ordering signal beyond its first couple dozen nets.
-func (r *Router) conflictPairs(density map[tileKey]float64) []portfolio.Conflict {
+// conflictPairs lists net pairs whose standalone seed paths (predTiles, the
+// per-net tile footprints) share congested tiles, sorted by (A, B).
+// Per-tile net lists are built in ascending net order (so A < B holds by
+// construction) and capped: a pathological tile crossed by hundreds of seed
+// paths would otherwise cost O(k²) pairs while adding no ordering signal
+// beyond its first couple dozen nets.
+func (r *Router) conflictPairs(predTiles [][]tileKey, density map[tileKey]float64) []portfolio.Conflict {
 	const maxTileNets = 24
 	tileNets := make(map[tileKey][]int)
 	seen := make(map[tileKey]struct{})
-	for ni := range r.predTiles {
+	for ni, tiles := range predTiles {
 		clear(seen)
-		for _, key := range r.predTiles[ni] {
+		for _, key := range tiles {
 			if density[key] <= r.Opt.CongestionThreshold {
 				continue
 			}

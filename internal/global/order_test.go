@@ -73,7 +73,7 @@ func TestBrokenStrategyFallsBackToRUDY(t *testing.T) {
 }
 
 func TestConfiguredStrategyStillRoutes(t *testing.T) {
-	for _, name := range []string{"netlen", "congestion", "anneal"} {
+	for _, name := range []string{"netlen", "congestion"} {
 		strat, err := portfolio.New(name, portfolio.Profile{})
 		if err != nil {
 			t.Fatal(err)

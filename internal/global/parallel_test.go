@@ -30,9 +30,9 @@ func fingerprintGlobal(res *Result) string {
 }
 
 // compareGlobalParallelism routes the design at Parallelism 1, 2, 4 and 8
-// and demands byte-identical results: the speculative driver must reproduce
-// the serial reference exactly, including the failure bookkeeping and the
-// expansion counters credited to the committed result.
+// and demands byte-identical results: the ordering-seed pool fans out over
+// the workers, and the order it feeds the round loop must not depend on how
+// many there are — down to the failure bookkeeping and expansion counters.
 func compareGlobalParallelism(t *testing.T, d *design.Design) {
 	t.Helper()
 	plan, err := viaplan.Build(d, viaplan.Options{})
@@ -48,10 +48,6 @@ func compareGlobalParallelism(t *testing.T, d *design.Design) {
 	serial, err := serialRouter.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if serial.SpeculationHits != 0 || serial.SpeculationMisses != 0 {
-		t.Fatalf("serial run reported speculation: hits=%d misses=%d",
-			serial.SpeculationHits, serial.SpeculationMisses)
 	}
 	ref := fingerprintGlobal(serial)
 
@@ -101,10 +97,10 @@ func TestGlobalParallelismMatchesSerialRandom(t *testing.T) {
 	}
 }
 
-// TestGlobalParallelismMergedDense exercises the speculative path on the
-// congested merged design that drives the incremental rip-up tests: rounds
-// with failures, blocked-set folding and incremental rip-up must all stay
-// byte-identical across pool sizes.
+// TestGlobalParallelismMergedDense runs the congested merged design that
+// drives the incremental rip-up tests: rounds with failures, blocked-set
+// folding and incremental rip-up must all stay byte-identical across pool
+// sizes.
 func TestGlobalParallelismMergedDense(t *testing.T) {
 	d := mergeSideBySide(t, "dense2", "dense1", 400)
 	plan, err := viaplan.Build(d, viaplan.Options{})
@@ -130,25 +126,5 @@ func TestGlobalParallelismMergedDense(t *testing.T) {
 		if got := fingerprintGlobal(res); got != ref {
 			t.Fatalf("parallelism=%d: result not byte-identical to serial", workers)
 		}
-	}
-}
-
-// TestSpeculationLedger checks the speculative counters are consistent: a
-// parallel run on a routable design reports hits, and hits + misses covers
-// every net the driver speculated on.
-func TestSpeculationLedger(t *testing.T) {
-	r := buildRouter(t, "dense3", rgraph.Options{}, Options{Parallelism: 4})
-	res, err := r.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SpeculationHits == 0 {
-		t.Fatal("parallel run on dense3 reported zero speculation hits")
-	}
-	if res.SpeculationMisses == 0 && res.WastedExpansions != 0 {
-		t.Fatalf("wasted expansions %d without misses", res.WastedExpansions)
-	}
-	if res.WastedExpansions < 0 || res.SpeculationMisses < 0 {
-		t.Fatalf("negative speculation counters: %+v", res)
 	}
 }

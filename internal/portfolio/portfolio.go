@@ -14,9 +14,8 @@
 // the chosen result does not depend on worker count or completion order.
 //
 // Every Strategy must be pure and deterministic: Order is a function of the
-// Model alone (the anneal strategy draws from an RNG seeded by a package
-// constant, so it too maps equal models to equal orders). The package is in
-// rdllint's deterministic scope, which enforces this at the source level.
+// Model alone. The package is in rdllint's deterministic scope, which
+// enforces this at the source level.
 package portfolio
 
 import (
@@ -41,7 +40,7 @@ type Model struct {
 	PinDist []float64
 	// Conflicts lists net pairs whose seed paths share congested tiles,
 	// sorted by (A, B) with A < B. It is the pairwise interaction signal
-	// the anneal and congestion strategies use.
+	// the congestion strategy uses.
 	Conflicts []Conflict
 	// Fail[i] is net i's failure count from earlier routing runs (the obs
 	// counter trail); nil when no history is available, e.g. a fresh run.
@@ -84,16 +83,16 @@ func (m *Model) failOf(i int) int {
 
 // Strategy is one net-ordering policy. Order must return a permutation of
 // [0, m.Nets) and must be pure: equal models give equal orders, for any
-// call count or interleaving. ctx is advisory — a strategy doing real work
-// (anneal) stops early when ctx is cancelled and returns its best order so
-// far, matching the pipeline's report-best-so-far semantics.
+// call count or interleaving. ctx is advisory: a strategy doing real work
+// should stop early when ctx is cancelled and return its best order so far,
+// matching the pipeline's report-best-so-far semantics.
 type Strategy interface {
 	Name() string
 	Order(ctx context.Context, m *Model) []int
 }
 
 // Names lists the built-in strategy names in canonical order.
-func Names() []string { return []string{"rudy", "netlen", "congestion", "anneal"} }
+func Names() []string { return []string{"rudy", "netlen", "congestion"} }
 
 // Known reports whether name is a built-in strategy.
 func Known(name string) bool {
@@ -116,8 +115,6 @@ func New(name string, prof Profile) (Strategy, error) {
 		return NetLen{}, nil
 	case "congestion":
 		return Congestion{Profile: prof}, nil
-	case "anneal":
-		return Anneal{}, nil
 	}
 	return nil, fmt.Errorf("portfolio: unknown ordering strategy %q (have %v)", name, Names())
 }

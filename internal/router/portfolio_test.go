@@ -26,7 +26,7 @@ func fingerprintPortfolio(out *Output) string {
 
 // portfolioOfSize returns the canonical test portfolio of K strategies.
 func portfolioOfSize(k int) []string {
-	all := []string{"rudy", "netlen", "congestion", "anneal"}
+	all := []string{"rudy", "netlen", "congestion"}
 	return all[:k]
 }
 
@@ -50,7 +50,7 @@ func TestPortfolioByteIdenticalAcrossParallelism(t *testing.T) {
 		sizes []int
 		pars  []int
 	}
-	full := matrix{sizes: []int{1, 2, 4}, pars: []int{1, 2, 4, 8}}
+	full := matrix{sizes: []int{1, 2, 3}, pars: []int{1, 2, 4, 8}}
 	cases := []struct {
 		name string
 		m    matrix
@@ -81,7 +81,7 @@ func TestPortfolioByteIdenticalAcrossParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run("random", func(t *testing.T) {
-			comparePortfolioParallelism(t, d, []int{1, 2, 4}, []int{1, 2, 4, 8})
+			comparePortfolioParallelism(t, d, []int{1, 2, 3}, []int{1, 2, 4, 8})
 		})
 	}
 }
@@ -110,12 +110,12 @@ func TestPortfolioSubmissionOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := fingerprintPortfolio(routePortfolioCase(t, d, []string{"rudy", "netlen", "anneal"}, 4))
-	b := fingerprintPortfolio(routePortfolioCase(t, d, []string{"anneal", "netlen", "rudy"}, 4))
+	a := fingerprintPortfolio(routePortfolioCase(t, d, []string{"rudy", "netlen", "congestion"}, 4))
+	b := fingerprintPortfolio(routePortfolioCase(t, d, []string{"congestion", "netlen", "rudy"}, 4))
 	if a != b {
 		t.Fatal("portfolio output depends on strategy submission order")
 	}
-	c := fingerprintPortfolio(routePortfolioCase(t, d, []string{"netlen", "anneal", "rudy", "netlen"}, 4))
+	c := fingerprintPortfolio(routePortfolioCase(t, d, []string{"netlen", "congestion", "rudy", "netlen"}, 4))
 	if a != c {
 		t.Fatal("duplicate strategy names change portfolio output")
 	}
@@ -158,9 +158,9 @@ func TestPortfolioOutputConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := routePortfolioCase(t, d, []string{"anneal", "congestion", "netlen", "rudy"}, 0)
-	if len(out.Portfolio) != 4 {
-		t.Fatalf("%d attempts, want 4", len(out.Portfolio))
+	out := routePortfolioCase(t, d, []string{"congestion", "netlen", "rudy"}, 0)
+	if len(out.Portfolio) != 3 {
+		t.Fatalf("%d attempts, want 3", len(out.Portfolio))
 	}
 	for i, o := range out.Portfolio {
 		if want := portfolio.Names()[i]; o.Strategy != want {
@@ -215,11 +215,11 @@ func TestOrderingValidation(t *testing.T) {
 // strategy selection are part of the key, and Validate rejects what Route
 // would reject.
 func TestSpecPortfolioCanonicalization(t *testing.T) {
-	a := OptionsSpec{Portfolio: []string{"anneal", "rudy", "anneal"}}
+	a := OptionsSpec{Portfolio: []string{"netlen", "rudy", "netlen"}}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	b := OptionsSpec{Portfolio: []string{"rudy", "anneal"}}
+	b := OptionsSpec{Portfolio: []string{"rudy", "netlen"}}
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,12 @@ type Options struct {
 	Global global.Options
 	Detail detail.Options
 	// Parallelism is the pipeline's one concurrency knob: it sizes the
-	// worker pools of global routing (speculative multi-net search and
-	// ordering seeds), detailed routing, the DRC stage and the
-	// verification gate. Zero selects GOMAXPROCS capped at 8; 1 forces the
-	// serial reference path everywhere. Results are byte-identical for
-	// every value. A stage-level override (Global.Parallelism,
-	// Detail.Workers) or the deprecated VerifyWorkers alias wins over this
-	// knob for its own stage when non-zero.
+	// worker pools of the global stage's ordering seeds, detailed routing,
+	// the DRC stage and the verification gate. Zero selects GOMAXPROCS
+	// capped at 8; 1 forces the serial reference path everywhere. Results
+	// are byte-identical for every value. A stage-level override
+	// (Global.Parallelism, Detail.Workers) or the deprecated VerifyWorkers
+	// alias wins over this knob for its own stage when non-zero.
 	Parallelism int
 	// TimeBudget aborts routing when exceeded (the paper caps every run at
 	// one hour and reports the best result so far). Zero means no limit.
@@ -65,7 +64,7 @@ type Options struct {
 	// Parallelism there when non-zero.
 	VerifyWorkers int
 	// Ordering selects the global stage's net-ordering strategy by name
-	// ("rudy", "netlen", "congestion", "anneal"; see internal/portfolio).
+	// ("rudy", "netlen", "congestion"; see internal/portfolio).
 	// Empty selects the legacy RUDY path — byte-identical output and
 	// unchanged cache keys. Mutually exclusive with Portfolio.
 	Ordering string

@@ -62,18 +62,18 @@ func TestHTTPOrderingPortfolioFields(t *testing.T) {
 		t.Fatalf("top-level portfolio: code = %d", code)
 	}
 	// The shorthands win over the options fields when both are set.
-	if code := post(fmt.Sprintf(`{"design": %s, "options": {"ordering": "rudy"}, "ordering": "anneal"}`, dj(3))); code != http.StatusOK {
+	if code := post(fmt.Sprintf(`{"design": %s, "options": {"ordering": "rudy"}, "ordering": "congestion"}`, dj(3))); code != http.StatusOK {
 		t.Fatalf("both ordering fields: code = %d", code)
 	}
-	if code := post(fmt.Sprintf(`{"design": %s, "options": {"portfolio": ["rudy"]}, "portfolio": ["anneal", "congestion"]}`, dj(4))); code != http.StatusOK {
+	if code := post(fmt.Sprintf(`{"design": %s, "options": {"portfolio": ["rudy"]}, "portfolio": ["congestion", "netlen"]}`, dj(4))); code != http.StatusOK {
 		t.Fatalf("both portfolio fields: code = %d", code)
 	}
 
 	want := []seenOpt{
 		{ordering: "netlen"},
 		{portfolio: []string{"rudy", "netlen"}},
-		{ordering: "anneal"},
-		{portfolio: []string{"congestion", "anneal"}},
+		{ordering: "congestion"},
+		{portfolio: []string{"netlen", "congestion"}},
 	}
 	if len(seen) != len(want) {
 		t.Fatalf("router ran %d times, want %d", len(seen), len(want))
@@ -107,7 +107,7 @@ func TestHTTPPortfolioResult(t *testing.T) {
 		out.Portfolio = []portfolio.Outcome{
 			{Strategy: "rudy", OK: true, Routability: 0.9, Wirelength: 1200, Vias: 8},
 			{Strategy: "netlen", OK: true, Routability: 1, Wirelength: 1100, Vias: 7},
-			{Strategy: "anneal", Err: errors.New("attempt exploded")},
+			{Strategy: "congestion", Err: errors.New("attempt exploded")},
 		}
 		return out, nil
 	}})
@@ -126,7 +126,7 @@ func TestHTTPPortfolioResult(t *testing.T) {
 	if len(res.Portfolio) != 3 {
 		t.Fatalf("%d portfolio rows, want 3", len(res.Portfolio))
 	}
-	for i, want := range []string{"rudy", "netlen", "anneal"} {
+	for i, want := range []string{"rudy", "netlen", "congestion"} {
 		if res.Portfolio[i].Strategy != want {
 			t.Errorf("row %d is %q, want %q", i, res.Portfolio[i].Strategy, want)
 		}
@@ -139,41 +139,5 @@ func TestHTTPPortfolioResult(t *testing.T) {
 	}
 	if res.Portfolio[1].Routability != 1 || res.Portfolio[1].Wirelength != 1100 || res.Portfolio[1].Vias != 7 {
 		t.Errorf("winner row score wrong: %+v", res.Portfolio[1])
-	}
-}
-
-// TestHTTPSpeculationHitRate pins the /metricsz derivation: absent while
-// the speculation counters are zero, hits/(hits+misses) once the global
-// stage has recorded activity.
-func TestHTTPSpeculationHitRate(t *testing.T) {
-	e := New(Config{Workers: 1, Route: func(ctx context.Context, d *design.Design, opt router.Options) (*router.Output, error) {
-		opt.Rec.Count("global.spec.hits", 3)
-		opt.Rec.Count("global.spec.misses", 1)
-		return stubRoute(nil)(ctx, d, opt)
-	}})
-	defer e.Close()
-	ts := httptest.NewServer(NewHandler(e))
-	defer ts.Close()
-
-	var before Stats
-	if code := getJSON(t, ts.URL+"/metricsz", &before); code != http.StatusOK {
-		t.Fatalf("metricsz: code = %d", code)
-	}
-	if before.SpeculationHitRate != nil {
-		t.Errorf("speculation_hit_rate before any job: %v, want absent", *before.SpeculationHitRate)
-	}
-
-	if _, code := postDesign(t, ts, testDesign(1), "?wait=1"); code != http.StatusOK {
-		t.Fatalf("submit: code = %d", code)
-	}
-	var after Stats
-	if code := getJSON(t, ts.URL+"/metricsz", &after); code != http.StatusOK {
-		t.Fatalf("metricsz: code = %d", code)
-	}
-	if after.SpeculationHitRate == nil {
-		t.Fatal("speculation_hit_rate absent after speculative activity")
-	}
-	if got := *after.SpeculationHitRate; got != 0.75 {
-		t.Errorf("speculation_hit_rate = %v, want 0.75", got)
 	}
 }
