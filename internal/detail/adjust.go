@@ -35,9 +35,9 @@ func (d *Detailer) AdjustAccessPoints(ctx context.Context) int {
 	d.refreshAllRanges()
 
 	// Build partial nets: maximal runs of movable APs per chain. The typed
-	// max-heap (longest run first) stores the runs by value — no boxing, no
-	// per-run pointer.
-	h := pq.New(func(a, b partialNet) bool { return a.length > b.length })
+	// heap stores the runs by value — no boxing, no per-run pointer — keyed
+	// by the negated length, so the longest run pops first (exact for ints).
+	var h pq.Heap[partialNet]
 	for net, ch := range d.Chains {
 		if ch == nil {
 			continue
@@ -52,7 +52,7 @@ func (d *Detailer) AdjustAccessPoints(ctx context.Context) int {
 			for j < len(ch.Elems) && ch.Elems[j].Kind == ElemAP && !d.APs[ch.Elems[j].AP].Fixed {
 				j++
 			}
-			h.Push(partialNet{net: net, startElem: i, length: j - i})
+			h.Push(-float64(j-i), partialNet{net: net, startElem: i, length: j - i})
 			d.dpHeapOps++
 			i = j
 		}

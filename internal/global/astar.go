@@ -40,18 +40,9 @@ type stateKey struct {
 
 type searchState struct {
 	key    stateKey
-	g, f   float64
+	g      float64
 	parent int32 // arena index of predecessor, -1 for start
 	link   int32 // link traversed to arrive, -1 for start
-}
-
-// heapItem is one open-list entry: the f value is stored inline so the heap
-// comparator never chases the arena, and the index is a plain int32 so
-// pushes and pops do not box through interface{} the way container/heap
-// does.
-type heapItem struct {
-	f   float64
-	idx int32
 }
 
 // searchScratch owns every buffer the crossing-aware A* needs, so repeated
@@ -64,13 +55,19 @@ type heapItem struct {
 // get Cap+1 slots, one per insertion gap, because a sequence of length m
 // needs gaps 0..m and m never exceeds the node capacity). A generation
 // counter stamps slot validity so clearing the scoreboard between searches
-// is one integer increment, not an O(slots) wipe.
+// is one integer increment, not an O(slots) wipe. The same generation
+// stamps the chord memo and the blocked recorder below, so one increment
+// starts a search.
+//
+// Router state is frozen while a search runs, so the resolved passage
+// coordinates of a tile cannot change within one search: the chord memo
+// resolves each tile the search touches once, into the chords arena, and
+// every later expansion and gap through that tile reuses the slice.
 //
 // Beyond the A* buffers the scratch records the search's blocked set —
 // nodes, links and tiles where a capacity or crossing check rejected an
-// expansion, stamp-deduplicated against the per-search serial. On failure
-// the caller folds it into the round-level sets that seed incremental
-// rip-up.
+// expansion, stamp-deduplicated per search. On failure the caller folds it
+// into the round-level sets that seed incremental rip-up.
 type searchScratch struct {
 	slotBase []int32 // per node: first scoreboard slot
 	bestG    []float64
@@ -78,7 +75,8 @@ type searchScratch struct {
 	gen      uint32
 
 	arena []searchState
-	open  *pq.Heap[heapItem]
+	// open holds arena indices keyed by f.
+	open pq.Heap[int32]
 
 	// seen and seenGen implement reconstruct's node-revisit check without a
 	// per-call map.
@@ -92,48 +90,43 @@ type searchScratch struct {
 	// dstPos is the heuristic target of the search in flight.
 	dstPos geom.Point
 
-	// pcBuf is a scratch buffer for resolved passage coordinates, reused
-	// across search expansions.
-	pcBuf []chordCoords
-
-	// tileBase maps tileKey{layer, tri} to the dense tile index
-	// tileBase[layer]+tri used by blkTileStamp.
-	tileBase []int32
+	// Chord memo (see type comment), indexed by the dense tile index.
+	memo   []tileMemo
+	chords []chordCoords
 
 	// Per-search work counters, reset by begin; the caller folds them into
 	// the router totals.
 	expansions int
 	heapPushes int
 
-	// serial stamps one search; the blocked recorder dedups against it.
-	serial int64
-
-	// Blocked-resource recording (see type comment).
-	blkNodeStamp []int64
-	blkLinkStamp []int64
-	blkTileStamp []int64
+	// Blocked-resource recording (see type comment); blkTiles holds dense
+	// tile indices.
+	blkNodeStamp []uint32
+	blkLinkStamp []uint32
+	blkTileStamp []uint32
 	blkNodes     []rgraph.NodeID
 	blkLinks     []int
-	blkTiles     []tileKey
+	blkTiles     []int32
 }
 
-// newSearchScratch sizes the scoreboard and recorder arrays for a graph.
-func newSearchScratch(g *rgraph.Graph) *searchScratch {
-	tileBase := make([]int32, len(g.Layers))
-	var nTiles int32
-	for li := range g.Layers {
-		tileBase[li] = nTiles
-		nTiles += int32(len(g.Layers[li].Mesh.Tris))
-	}
+// tileMemo locates one tile's resolved chords in the scratch chords arena;
+// it is valid while gen matches the scratch generation.
+type tileMemo struct {
+	gen   uint32
+	lo, n uint32
+}
+
+// newSearchScratch sizes the scoreboard, memo and recorder arrays for a
+// graph with nTiles tiles over all layers.
+func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
 	s := &searchScratch{
 		slotBase: make([]int32, len(g.Nodes)+1),
 		seen:     make([]uint32, len(g.Nodes)),
-		open:     pq.New(func(a, b heapItem) bool { return a.f < b.f }),
-		tileBase: tileBase,
+		memo:     make([]tileMemo, nTiles),
 
-		blkNodeStamp: make([]int64, len(g.Nodes)),
-		blkLinkStamp: make([]int64, len(g.Links)),
-		blkTileStamp: make([]int64, nTiles),
+		blkNodeStamp: make([]uint32, len(g.Nodes)),
+		blkLinkStamp: make([]uint32, len(g.Links)),
+		blkTileStamp: make([]uint32, nTiles),
 	}
 	var slots int32
 	for id := range g.Nodes {
@@ -167,32 +160,27 @@ func (s *searchScratch) slot(key stateKey) int32 {
 	return base
 }
 
-// tileIndex maps a tile key to its dense index.
-//
-//rdl:noalloc
-func (s *searchScratch) tileIndex(k tileKey) int32 {
-	return s.tileBase[k.layer] + int32(k.tri)
-}
-
-// begin readies the scratch for one search: new scoreboard generation, new
-// recording serial, empty arena, open list and blocked set, zeroed work
-// counters.
+// begin readies the scratch for one search: new generation (fresh
+// scoreboard, chord memo and blocked stamps), empty arena, open list, chord
+// arena and blocked set, zeroed work counters.
 //
 //rdl:noalloc
 func (s *searchScratch) begin(dstPos geom.Point) {
 	s.gen++
 	if s.gen == 0 { // generation counter wrapped: invalidate explicitly
-		for i := range s.bestGen {
-			s.bestGen[i] = 0
-		}
+		clear(s.bestGen)
+		clear(s.memo)
+		clear(s.blkNodeStamp)
+		clear(s.blkLinkStamp)
+		clear(s.blkTileStamp)
 		s.gen = 1
 	}
 	s.arena = s.arena[:0]
 	s.open.Reset()
+	s.chords = s.chords[:0]
 	s.dstPos = dstPos
 	s.expansions = 0
 	s.heapPushes = 0
-	s.serial++
 	s.blkNodes = s.blkNodes[:0]
 	s.blkLinks = s.blkLinks[:0]
 	s.blkTiles = s.blkTiles[:0]
@@ -203,8 +191,8 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 //
 //rdl:noalloc
 func (s *searchScratch) blockNode(id rgraph.NodeID) {
-	if s.blkNodeStamp[id] != s.serial {
-		s.blkNodeStamp[id] = s.serial
+	if s.blkNodeStamp[id] != s.gen {
+		s.blkNodeStamp[id] = s.gen
 		s.blkNodes = append(s.blkNodes, id)
 	}
 }
@@ -213,19 +201,20 @@ func (s *searchScratch) blockNode(id rgraph.NodeID) {
 //
 //rdl:noalloc
 func (s *searchScratch) blockLink(id int) {
-	if s.blkLinkStamp[id] != s.serial {
-		s.blkLinkStamp[id] = s.serial
+	if s.blkLinkStamp[id] != s.gen {
+		s.blkLinkStamp[id] = s.gen
 		s.blkLinks = append(s.blkLinks, id)
 	}
 }
 
-// blockTile records a tile where a crossing check rejected a chord.
+// blockTile records a tile, by dense index, where a crossing check
+// rejected a chord.
 //
 //rdl:noalloc
-func (s *searchScratch) blockTile(key tileKey) {
-	if i := s.tileIndex(key); s.blkTileStamp[i] != s.serial {
-		s.blkTileStamp[i] = s.serial
-		s.blkTiles = append(s.blkTiles, key)
+func (s *searchScratch) blockTile(ti int32) {
+	if s.blkTileStamp[ti] != s.gen {
+		s.blkTileStamp[ti] = s.gen
+		s.blkTiles = append(s.blkTiles, ti)
 	}
 }
 
@@ -241,8 +230,8 @@ func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link i
 	sc.bestGen[slot] = sc.gen
 	sc.bestG[slot] = g
 	f := g + r.G.Node(key.node).Pos.Dist(sc.dstPos)
-	sc.arena = append(sc.arena, searchState{key: key, g: g, f: f, parent: parent, link: link})
-	sc.open.Push(heapItem{f: f, idx: int32(len(sc.arena) - 1)})
+	sc.arena = append(sc.arena, searchState{key: key, g: g, parent: parent, link: link})
+	sc.open.Push(f, int32(len(sc.arena)-1))
 	sc.heapPushes++
 }
 
@@ -266,7 +255,7 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 
 	expanded := 0
 	for sc.open.Len() > 0 {
-		si := sc.open.Pop().idx
+		si := sc.open.Pop()
 		st := sc.arena[si]
 		if st.g > sc.bestG[sc.slot(st.key)] {
 			continue // stale heap entry
@@ -371,7 +360,7 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 				continue
 			}
 			if !r.chordAllowed(sc, net, tile, from, vertexEnd(vOrd)) {
-				sc.blockTile(tileKey{link.Layer, link.Tile})
+				sc.blockTile(r.tileIndex(link.Layer, link.Tile))
 				continue
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, int32(adj.Link))
@@ -390,11 +379,11 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 				continue
 			}
 			m := len(r.seqs[adj.To])
-			r.passageCoords(sc, net, tile)
+			pcs := r.passageCoords(sc, net, tile)
 			q1 := r.coord(tile, from)
 			for g2 := 0; g2 <= m; g2++ {
-				if !chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), sc.pcBuf) {
-					sc.blockTile(tileKey{link.Layer, link.Tile})
+				if !chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), pcs) {
+					sc.blockTile(r.tileIndex(link.Layer, link.Tile))
 					continue
 				}
 				r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
@@ -420,11 +409,11 @@ func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, ne
 		return
 	}
 	m := len(r.seqs[adj.To])
-	r.passageCoords(sc, net, tile)
+	pcs := r.passageCoords(sc, net, tile)
 	q1 := r.coord(tile, vertexEnd(vOrd))
 	for g2 := 0; g2 <= m; g2++ {
-		if !chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), sc.pcBuf) {
-			sc.blockTile(tileKey{link.Layer, link.Tile})
+		if !chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), pcs) {
+			sc.blockTile(r.tileIndex(link.Layer, link.Tile))
 			continue
 		}
 		r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))

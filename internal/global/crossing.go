@@ -136,17 +136,22 @@ type tileKey struct{ layer, tri int }
 // chordCoords is the resolved coordinate pair of one committed passage.
 type chordCoords struct{ c1, c2 float64 }
 
-// passageCoords resolves every committed passage of the tile that belongs
-// to an electrically different net into boundary coordinates, into the
-// scratch pcBuf. The search hoists this out of its per-gap loops: resolving
-// a passage walks its edge sequences, which would otherwise repeat for
-// every candidate gap.
+// passageCoords returns the boundary coordinates of every committed passage
+// of the tile that belongs to a net electrically different from the
+// searched one. Resolving a passage walks its edge sequences, and a search
+// asks for the same tile from many expansions and gaps, so the result is
+// memoized in the scratch for the rest of the search (router state is
+// frozen while it runs); the returned slice stays valid until the scratch's
+// next search begins.
 //
 //rdl:noalloc
-func (r *Router) passageCoords(sc *searchScratch, net int, tile *rgraph.Tile) {
-	sc.pcBuf = sc.pcBuf[:0]
-	ps := r.passages[tileKey{tile.Layer, tile.Tri}]
-	for _, p := range ps {
+func (r *Router) passageCoords(sc *searchScratch, net int, tile *rgraph.Tile) []chordCoords {
+	ti := r.tileIndex(tile.Layer, tile.Tri)
+	if m := sc.memo[ti]; m.gen == sc.gen {
+		return sc.chords[m.lo : m.lo+m.n]
+	}
+	lo := len(sc.chords)
+	for _, p := range r.passages[ti] {
 		if r.G.Design.SameGroup(p.net, net) {
 			continue
 		}
@@ -155,8 +160,10 @@ func (r *Router) passageCoords(sc *searchScratch, net int, tile *rgraph.Tile) {
 		if !ok1 || !ok2 {
 			continue // stale passage; defensive, should not happen
 		}
-		sc.pcBuf = append(sc.pcBuf, chordCoords{r.coord(tile, c1), r.coord(tile, c2)})
+		sc.chords = append(sc.chords, chordCoords{r.coord(tile, c1), r.coord(tile, c2)})
 	}
+	sc.memo[ti] = tileMemo{gen: sc.gen, lo: uint32(lo), n: uint32(len(sc.chords) - lo)}
+	return sc.chords[lo:]
 }
 
 // chordAllowedCoords reports whether the query chord (q1, q2) crosses any of
@@ -179,11 +186,11 @@ func chordAllowedCoords(q1, q2 float64, pcs []chordCoords) bool {
 //
 //rdl:noalloc
 func (r *Router) chordAllowed(sc *searchScratch, net int, tile *rgraph.Tile, from, to boundaryEnd) bool {
-	r.passageCoords(sc, net, tile)
-	if len(sc.pcBuf) == 0 {
+	pcs := r.passageCoords(sc, net, tile)
+	if len(pcs) == 0 {
 		return true
 	}
-	return chordAllowedCoords(r.coord(tile, from), r.coord(tile, to), sc.pcBuf)
+	return chordAllowedCoords(r.coord(tile, from), r.coord(tile, to), pcs)
 }
 
 // vertexOrdinal returns the ordinal (0..2) of the mesh vertex v within the

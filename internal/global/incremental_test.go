@@ -223,13 +223,15 @@ func TestFullRipUpInvariantsPerRound(t *testing.T) {
 // TestRouteSearchDoesNotAllocate pins the zero-allocation property of the
 // A* hot path: after a warm-up run that sizes the scratch buffers, routing a
 // net and ripping it back up must stay allocation-free except for the
-// returned guide itself (its node and link slices). The bound of 4 covers
-// guide + nodes + links + the passages map append slack.
+// returned guide itself. The bound of 4 covers the result's node and link
+// slices, the search result header and the committed Guide header. The
+// per-tile passage lists keep their capacity across commit and rip-up, and
+// the chord memo and open list are reused scratch, so none may allocate.
 func TestRouteSearchDoesNotAllocate(t *testing.T) {
 	r := buildRouter(t, "dense1", rgraph.Options{}, Options{})
 	net := r.G.Design.Nets[0]
 	// Warm-up: grows arena, heap and gap buffers to steady state.
-	g, err := r.route(r.scr, net)
+	g, err := r.route(r.scratch(), net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestRouteSearchDoesNotAllocate(t *testing.T) {
 	r.ripUp(r.guides[g.net])
 
 	allocs := testing.AllocsPerRun(50, func() {
-		g, err := r.route(r.scr, net)
+		g, err := r.route(r.scratch(), net)
 		if err != nil {
 			t.Fatal(err)
 		}

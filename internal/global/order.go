@@ -191,7 +191,7 @@ type plainState struct {
 
 type plainItem struct {
 	st     plainState
-	g, f   float64
+	g      float64
 	parent int
 	link   int
 }
@@ -205,14 +205,13 @@ type plainScratch struct {
 	bestGen []uint32
 	gen     uint32
 	arena   []plainItem
-	open    *pq.Heap[heapItem]
+	open    pq.Heap[int32] // arena indices keyed by f
 }
 
 func newPlainScratch(g *rgraph.Graph) *plainScratch {
 	return &plainScratch{
 		bestG:   make([]float64, 2*len(g.Nodes)),
 		bestGen: make([]uint32, 2*len(g.Nodes)),
-		open:    pq.New(func(a, b heapItem) bool { return a.f < b.f }),
 	}
 }
 
@@ -258,14 +257,14 @@ func (r *Router) routePlain(ni int, s *plainScratch) *plainPath {
 		}
 		s.bestGen[slot] = s.gen
 		s.bestG[slot] = g
-		s.arena = append(s.arena, plainItem{st: st, g: g,
-			f: g + r.G.Node(st.node).Pos.Dist(dstPos), parent: parent, link: link})
-		s.open.Push(heapItem{f: s.arena[len(s.arena)-1].f, idx: int32(len(s.arena) - 1)})
+		f := g + r.G.Node(st.node).Pos.Dist(dstPos)
+		s.arena = append(s.arena, plainItem{st: st, g: g, parent: parent, link: link})
+		s.open.Push(f, int32(len(s.arena)-1))
 	}
 	push(plainState{node: src}, 0, -1, -1)
 
 	for s.open.Len() > 0 {
-		si := int(s.open.Pop().idx)
+		si := int(s.open.Pop())
 		it := s.arena[si]
 		if it.g > s.bestG[plainSlot(it.st)] {
 			continue

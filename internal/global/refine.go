@@ -75,9 +75,9 @@ func (r *Router) refineDiagonal(ctx context.Context) int {
 			r.ripUp(r.guides[ni])
 		}
 		for _, ni := range victims {
-			sr, err := r.route(r.scr, r.G.Design.Nets[ni])
-			r.expansions += r.scr.expansions
-			r.heapPushes += r.scr.heapPushes
+			sc := r.scratch()
+			sr, err := r.route(sc, r.G.Design.Nets[ni])
+			r.foldSearch(sc, err)
 			if err != nil {
 				continue // stays unrouted; reported by the caller
 			}

@@ -151,8 +151,10 @@ type Router struct {
 	// seqs holds, for each edge node, the ordered net IDs crossing it
 	// (storage order: from Edge.A's position toward Edge.B's).
 	seqs [][]int
-	// passages holds the committed chords per tile.
-	passages map[tileKey][]passage
+	// passages holds the committed chords per tile, indexed by the dense
+	// tile index tileBase[layer]+tri (see tileIndex).
+	passages [][]passage
+	tileBase []int32
 
 	guides     []*Guide
 	routed     int // committed-guide count, maintained by commit/ripUp
@@ -161,7 +163,9 @@ type Router struct {
 	ripUps     int
 	kept       int
 	// scr is the A* scratch every search of the round loop and diagonal
-	// refinement reuses across route calls.
+	// refinement reuses across route calls. It is created by the first
+	// search (see scratch) and dropped when Run returns: pipeline results
+	// keep the router alive, and the scratch is the largest thing it owns.
 	scr *searchScratch
 
 	// Change clock: advances on every commit and rip-up; nodeStamp and
@@ -183,7 +187,7 @@ type Router struct {
 	// alone would never select them.
 	roundBlkNodes map[rgraph.NodeID]struct{}
 	roundBlkLinks map[int]struct{}
-	roundBlkTiles map[tileKey]struct{}
+	roundBlkTiles map[int32]struct{} // dense tile indices
 
 	// orderModel is the feature model initialOrder built for the ordering
 	// strategy (nil until initialOrder runs, or with DisableRUDYOrder).
@@ -200,17 +204,22 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		linkUse:       make([]int, len(g.Links)),
 		capOverride:   make(map[rgraph.NodeID]int),
 		seqs:          make([][]int, len(g.Nodes)),
-		passages:      make(map[tileKey][]passage),
+		tileBase:      make([]int32, len(g.Layers)),
 		guides:        make([]*Guide, len(g.Design.Nets)),
-		scr:           newSearchScratch(g),
 		nodeStamp:     make([]int64, len(g.Nodes)),
 		linkStamp:     make([]int64, len(g.Links)),
 		diagCheckedAt: make([]int64, len(g.Nodes)),
 
 		roundBlkNodes: make(map[rgraph.NodeID]struct{}),
 		roundBlkLinks: make(map[int]struct{}),
-		roundBlkTiles: make(map[tileKey]struct{}),
+		roundBlkTiles: make(map[int32]struct{}),
 	}
+	var nTiles int32
+	for li := range g.Layers {
+		r.tileBase[li] = nTiles
+		nTiles += int32(len(g.Layers[li].Tiles))
+	}
+	r.passages = make([][]passage, nTiles)
 	// Pre-size the sequence lists from edge capacity: a sequence entry
 	// consumes at least one capacity unit, so Cap bounds the list length
 	// and the commit-time insertions below never reallocate. All lists
@@ -238,6 +247,22 @@ func New(g *rgraph.Graph, opt Options) *Router {
 // per-net usage factor.
 func (r *Router) edgeUnits(net int) int {
 	return r.G.Design.TrackUnits(net) * r.Opt.EdgeUsePerNet
+}
+
+// tileIndex returns the dense index of a tile over all layers, which
+// indexes passages and the scratch's per-tile arrays.
+//
+//rdl:noalloc
+func (r *Router) tileIndex(layer, tri int) int32 {
+	return r.tileBase[layer] + int32(tri)
+}
+
+// scratch returns the A* scratch, creating it on first use.
+func (r *Router) scratch() *searchScratch {
+	if r.scr == nil {
+		r.scr = newSearchScratch(r.G, len(r.passages))
+	}
+	return r.scr
 }
 
 // nodeCap returns the effective capacity of a node, honouring diagonal
@@ -268,6 +293,7 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	progress := r.rec.Enabled()
 	var lastFailed []int
 	for round := 0; round < r.Opt.MaxOrderRounds; round++ {
+		roundSpan := obs.StartSpan(r.rec, "global.round")
 		res.OrderRounds = round + 1
 		lastFailed = lastFailed[:0]
 		stopped := r.routeRoundSerial(ctx, order, failCount, &lastFailed, progress)
@@ -290,6 +316,7 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 				reorderByFailures(order, failCount)
 			}
 		}
+		roundSpan.End()
 		if r.Opt.AfterRound != nil {
 			r.Opt.AfterRound(round)
 		}
@@ -304,6 +331,7 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 		res.DiagonalReductions = r.refineDiagonal(ctx)
 		refineSpan.End()
 	}
+	r.scr = nil
 
 	res.Guides = append([]*Guide(nil), r.guides...)
 	for ni, g := range r.guides {
@@ -362,11 +390,11 @@ func (r *Router) routeRoundSerial(ctx context.Context, order, failCount []int,
 // counters, then commit or record the failure.
 func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress bool) {
 	nets := r.G.Design.Nets
-	g, err := r.route(r.scr, nets[ni])
-	r.expansions += r.scr.expansions
-	r.heapPushes += r.scr.heapPushes
+	sc := r.scratch()
+	g, err := r.route(sc, nets[ni])
+	r.foldSearch(sc, err)
 	if err != nil {
-		r.noteSearchFailed(r.scr)
+		r.noteSearchFailed(sc)
 		failCount[ni]++
 		*lastFailed = append(*lastFailed, ni)
 		return
@@ -377,6 +405,18 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 	}
 	if progress {
 		r.rec.Progress("global", r.routed, len(nets))
+	}
+}
+
+// foldSearch adds a finished search's work counters to the router totals.
+// A failed search also reports its cost on the failure counters, once per
+// search, so a trace attributes every failure to the round span it ran in.
+func (r *Router) foldSearch(sc *searchScratch, err error) {
+	r.expansions += sc.expansions
+	r.heapPushes += sc.heapPushes
+	if err != nil {
+		r.rec.Count("global.astar.failed_searches", 1)
+		r.rec.Count("global.astar.failed_expansions", int64(sc.expansions))
 	}
 }
 
@@ -427,8 +467,8 @@ func (r *Router) commit(g *searchResult) {
 		p := passage{net: g.net}
 		p.e1 = r.passageEndFor(tile, g.nodes[i])
 		p.e2 = r.passageEndFor(tile, g.nodes[i+1])
-		key := tileKey{link.Layer, link.Tile}
-		r.passages[key] = append(r.passages[key], p)
+		ti := r.tileIndex(link.Layer, link.Tile)
+		r.passages[ti] = append(r.passages[ti], p)
 	}
 	r.guides[g.net] = guide
 	r.routed++
@@ -478,11 +518,11 @@ func (r *Router) ripUp(guide *Guide) {
 		if link.Kind == rgraph.CrossVia {
 			continue
 		}
-		key := tileKey{link.Layer, link.Tile}
-		ps := r.passages[key]
+		ti := r.tileIndex(link.Layer, link.Tile)
+		ps := r.passages[ti]
 		for j := range ps {
 			if ps[j].net == guide.Net {
-				r.passages[key] = append(ps[:j], ps[j+1:]...)
+				r.passages[ti] = append(ps[:j], ps[j+1:]...)
 				break
 			}
 		}
@@ -501,8 +541,8 @@ func (r *Router) noteSearchFailed(sc *searchScratch) {
 	for _, l := range sc.blkLinks {
 		r.roundBlkLinks[l] = struct{}{}
 	}
-	for _, key := range sc.blkTiles {
-		r.roundBlkTiles[key] = struct{}{}
+	for _, ti := range sc.blkTiles {
+		r.roundBlkTiles[ti] = struct{}{}
 	}
 }
 
@@ -527,12 +567,8 @@ func (r *Router) dirtyClosure() []bool {
 	nNets := len(r.guides)
 	nodeBase := nNets
 	linkBase := nodeBase + len(r.G.Nodes)
-	tileBase := linkBase + len(r.G.Links)
-	tileIdx := make(map[tileKey]int, len(r.passages))
-	for key := range r.passages {
-		tileIdx[key] = tileBase + len(tileIdx)
-	}
-	parent := make([]int32, tileBase+len(tileIdx))
+	tileOff := linkBase + len(r.G.Links)
+	parent := make([]int32, tileOff+len(r.passages))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -560,7 +596,7 @@ func (r *Router) dirtyClosure() []bool {
 			union(int32(net), int32(linkBase+l))
 			link := r.G.Link(l)
 			if link.Kind != rgraph.CrossVia {
-				union(int32(net), int32(tileIdx[tileKey{link.Layer, link.Tile}]))
+				union(int32(net), int32(tileOff)+r.tileIndex(link.Layer, link.Tile))
 			}
 		}
 	}
@@ -589,8 +625,8 @@ func (r *Router) dirtyClosure() []bool {
 			mark(net)
 		}
 	}
-	for key := range r.roundBlkTiles {
-		for _, p := range r.passages[key] {
+	for ti := range r.roundBlkTiles {
+		for _, p := range r.passages[ti] {
 			mark(p.net)
 		}
 	}

@@ -1,23 +1,28 @@
-// Package pq provides a typed binary min-heap. It replaces container/heap
-// on the routing hot paths: container/heap moves elements through
-// interface{} values, so every Push and Pop of a non-pointer element
-// allocates to box it. Heap[T] stores elements in a flat slice of their
-// concrete type — Push amortizes to zero allocations (slice growth only) and
-// Pop never allocates — and Reset keeps the backing array so one heap can be
-// reused across many searches.
+// Package pq provides a typed binary min-heap keyed by float64. It replaces
+// container/heap on the routing hot paths: container/heap moves elements
+// through interface{} values, so every Push and Pop of a non-pointer element
+// allocates to box it, and a func-valued comparator costs an indirect call
+// per sift step. Heap[T] stores each payload beside its key in a flat slice
+// and compares the keys inline — Push amortizes to zero allocations (slice
+// growth only) and Pop never allocates — and Reset keeps the backing array
+// so one heap can be reused across many searches.
+//
+// The sift steps mirror container/heap's exactly, so a Heap pops the same
+// payload sequence, ties included, as container/heap over the same
+// interleaving of pushes and pops with a "key < key" Less. A max-heap is a
+// min-heap over negated keys.
 package pq
 
-// Heap is a binary min-heap over T ordered by the less function given to
-// New. The zero value is not usable; call New.
-type Heap[T any] struct {
-	less func(a, b T) bool
-	data []T
+// entry is one heap element: the ordering key stored beside its payload.
+type entry[T any] struct {
+	key float64
+	v   T
 }
 
-// New returns an empty heap ordered by less (a min-heap when less is
-// "a < b").
-func New[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+// Heap is a binary min-heap of T payloads ordered by their float64 keys.
+// The zero value is an empty heap ready to use.
+type Heap[T any] struct {
+	data []entry[T]
 }
 
 // Len returns the number of elements in the heap.
@@ -25,39 +30,27 @@ func (h *Heap[T]) Len() int { return len(h.data) }
 
 // Reset empties the heap but keeps the backing array for reuse.
 func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.data {
-		h.data[i] = zero // release references held by pointer-carrying types
-	}
+	clear(h.data) // release references held by pointer-carrying payloads
 	h.data = h.data[:0]
 }
 
-// Grow ensures capacity for at least n additional elements.
-func (h *Heap[T]) Grow(n int) {
-	if need := len(h.data) + n; need > cap(h.data) {
-		data := make([]T, len(h.data), need)
-		copy(data, h.data)
-		h.data = data
-	}
-}
-
-// Push adds x to the heap.
+// Push adds v with the given key.
 //
 //rdl:noalloc
-func (h *Heap[T]) Push(x T) {
-	h.data = append(h.data, x)
+func (h *Heap[T]) Push(key float64, v T) {
+	h.data = append(h.data, entry[T]{key: key, v: v})
 	h.up(len(h.data) - 1)
 }
 
-// Pop removes and returns the minimum element. It panics on an empty heap.
+// Pop removes and returns the payload with the smallest key. It panics on
+// an empty heap.
 //
 //rdl:noalloc
 func (h *Heap[T]) Pop() T {
 	n := len(h.data) - 1
-	top := h.data[0]
+	top := h.data[0].v
 	h.data[0] = h.data[n]
-	var zero T
-	h.data[n] = zero
+	h.data[n] = entry[T]{}
 	h.data = h.data[:n]
 	if n > 0 {
 		h.down(0)
@@ -69,8 +62,7 @@ func (h *Heap[T]) Pop() T {
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		//rdl:allow transalloc less is bound once at New and never reassigned; the routing comparators compare scalar keys and cannot allocate
-		if !h.less(h.data[i], h.data[parent]) {
+		if !(h.data[i].key < h.data[parent].key) {
 			return
 		}
 		h.data[i], h.data[parent] = h.data[parent], h.data[i]
@@ -87,12 +79,10 @@ func (h *Heap[T]) down(i int) {
 			return
 		}
 		m := l
-		//rdl:allow transalloc less is bound once at New and never reassigned; the routing comparators compare scalar keys and cannot allocate
-		if r := l + 1; r < n && h.less(h.data[r], h.data[l]) {
+		if r := l + 1; r < n && h.data[r].key < h.data[l].key {
 			m = r
 		}
-		//rdl:allow transalloc less is bound once at New and never reassigned; the routing comparators compare scalar keys and cannot allocate
-		if !h.less(h.data[m], h.data[i]) {
+		if !(h.data[m].key < h.data[i].key) {
 			return
 		}
 		h.data[i], h.data[m] = h.data[m], h.data[i]

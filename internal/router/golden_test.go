@@ -2,6 +2,7 @@ package router
 
 import (
 	"context"
+	"maps"
 	"math"
 	"testing"
 
@@ -15,7 +16,9 @@ import (
 // behavioural change). The DRC, via and verify counts are exact: they form
 // a ratchet, and a change that lowers one updates its pin. verifyOwn counts
 // the verifier's own findings, those other than the DRC rule findings it
-// re-reports.
+// re-reports. drcKinds and verifyKinds split the same ratchet by kind name
+// (detail.ViolationKind over Output.Violations, and VerifyReport.Counts());
+// kinds with no findings are omitted.
 var golden = []struct {
 	name        string
 	wirelength  float64 // µm, ±2%
@@ -23,12 +26,24 @@ var golden = []struct {
 	vias        int
 	verifyOwn   int
 	routability float64
+	drcKinds    map[string]int
+	verifyKinds map[string]int
 }{
-	{name: "dense1", wirelength: 18740, drc: 34, vias: 32, verifyOwn: 0, routability: 1},
-	{name: "dense2", wirelength: 51742, drc: 48, vias: 52, verifyOwn: 0, routability: 1},
-	{name: "dense3", wirelength: 79930, drc: 39, vias: 102, verifyOwn: 1, routability: 1},
-	{name: "dense4", wirelength: 120131, drc: 130, vias: 204, verifyOwn: 0, routability: 1},
-	{name: "dense5", wirelength: 321335, drc: 548, vias: 542, verifyOwn: 5, routability: 1},
+	{name: "dense1", wirelength: 18740, drc: 34, vias: 32, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 28, "turn-distance": 6},
+		verifyKinds: map[string]int{"rule": 34}},
+	{name: "dense2", wirelength: 51742, drc: 48, vias: 52, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 43, "angle": 4, "turn-distance": 1},
+		verifyKinds: map[string]int{"rule": 48}},
+	{name: "dense3", wirelength: 79930, drc: 39, vias: 102, verifyOwn: 1, routability: 1,
+		drcKinds:    map[string]int{"spacing": 33, "angle": 1, "turn-distance": 5},
+		verifyKinds: map[string]int{"rule": 39, "via-wire-spacing": 1}},
+	{name: "dense4", wirelength: 120131, drc: 130, vias: 204, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 95, "angle": 8, "turn-distance": 27},
+		verifyKinds: map[string]int{"rule": 130}},
+	{name: "dense5", wirelength: 321335, drc: 548, vias: 542, verifyOwn: 5, routability: 1,
+		drcKinds:    map[string]int{"spacing": 443, "angle": 26, "turn-distance": 79},
+		verifyKinds: map[string]int{"rule": 548, "via-wire-spacing": 5}},
 }
 
 func TestGoldenMetrics(t *testing.T) {
@@ -60,6 +75,16 @@ func TestGoldenMetrics(t *testing.T) {
 		if own := m.VerifyFindings - out.VerifyReport.Count(verify.RuleViolation); own != g.verifyOwn {
 			t.Errorf("%s: verify findings beyond DRC = %d, pinned %d (%v)",
 				g.name, own, g.verifyOwn, out.VerifyReport.Counts())
+		}
+		drcKinds := make(map[string]int)
+		for _, v := range out.Violations {
+			drcKinds[v.Kind.String()]++
+		}
+		if !maps.Equal(drcKinds, g.drcKinds) {
+			t.Errorf("%s: DRC by kind = %v, pinned %v", g.name, drcKinds, g.drcKinds)
+		}
+		if got := out.VerifyReport.Counts(); !maps.Equal(got, g.verifyKinds) {
+			t.Errorf("%s: verify by kind = %v, pinned %v", g.name, got, g.verifyKinds)
 		}
 	}
 }
