@@ -112,7 +112,7 @@ func RunCai(ctx context.Context, name string, budget time.Duration) (*CaseRun, e
 	if err != nil {
 		return nil, err
 	}
-	vs := detail.CheckDRC(res.DetailResult.Routes, d.Rules, d.WireLayers)
+	vs := detail.CheckDRCParallel(res.DetailResult.Routes, d, detail.DRCOptions{})
 	return &CaseRun{
 		StageSeconds:       col.StageSeconds(),
 		StageOrder:         col.StageOrder(),
@@ -143,7 +143,7 @@ func RunAARF(ctx context.Context, name string, budget time.Duration) (*CaseRun, 
 	if err != nil {
 		return nil, err
 	}
-	vs := detail.CheckDRC(res.DetailResult.Routes, d.Rules, d.WireLayers)
+	vs := detail.CheckDRCParallel(res.DetailResult.Routes, d, detail.DRCOptions{})
 	return &CaseRun{
 		StageSeconds:       col.StageSeconds(),
 		StageOrder:         col.StageOrder(),

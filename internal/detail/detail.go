@@ -118,8 +118,6 @@ type Result struct {
 	// before detailed routing finished; the geometry of passages not
 	// reached falls back to straight chain hops.
 	Stopped bool
-
-	failedNets []int // net of each fit-failed passage (diagnostics)
 }
 
 // Run executes detailed routing for the guides committed in the global
@@ -167,17 +165,15 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 		AdjustedPartialNets: d.processed,
 		Stopped:             obs.Stopped(ctx),
 	}
-	for _, f := range failures {
-		out.failedNets = append(out.failedNets, f.net)
-	}
 	// Assembly fans out over fixed net chunks; each unit writes its own
 	// disjoint out.Routes slots, so the merged result is independent of the
 	// pool size, and the first error in chunk order matches the error the
 	// serial loop would have hit first.
+	asm := obs.StartSpan(d.rec, "detail.assemble")
 	const assembleChunk = 32
 	var units []func() error
 	for lo := 0; lo < len(d.Chains); lo += assembleChunk {
-		lo, hi := lo, minInt(lo+assembleChunk, len(d.Chains))
+		lo, hi := lo, min(lo+assembleChunk, len(d.Chains))
 		units = append(units, func() error {
 			// One stitch buffer per chunk: assemble reuses it across the
 			// chunk's nets and copies only the final simplified geometry out.
@@ -196,15 +192,21 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 			return nil
 		})
 	}
-	for _, err := range pool.Run(units, d.Opt.workers()) {
+	errs := pool.Run(units, d.Opt.workers())
+	asm.End()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	if !d.Opt.SkipReassign {
+		ra := obs.StartSpan(d.rec, "detail.reassign")
 		out.Reassign = ReassignRoutes(out.Routes, r.G.Design)
+		ra.End()
 	}
+	pol := obs.StartSpan(d.rec, "detail.polish")
 	out.Wirelength = PolishRoutes(out.Routes, r.G.Design)
+	pol.End()
 	if d.rec.Enabled() {
 		d.rec.Count("detail.reassign.vias_removed",
 			int64(out.Reassign.ViasBefore-out.Reassign.ViasAfter))
@@ -312,7 +314,3 @@ type RouteOnLayer struct {
 	Net int
 	Pl  geom.Polyline
 }
-
-// FailedHops returns the net ID of every fit-failed passage of the last
-// run, one entry per failed hop. Diagnostic helper.
-func (r *Result) FailedHops() []int { return r.failedNets }

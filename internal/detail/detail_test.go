@@ -3,11 +3,13 @@ package detail
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/global"
+	"rdlroute/internal/obs"
 	"rdlroute/internal/rgraph"
 	"rdlroute/internal/viaplan"
 )
@@ -73,6 +75,23 @@ func TestDense1EndToEnd(t *testing.T) {
 	}
 }
 
+// TestDetailSubSpans pins the detail stage's span layout: every phase of
+// Run sits in its own sub-span, in pipeline order, and the reassignment
+// span is absent when the pass is skipped.
+func TestDetailSubSpans(t *testing.T) {
+	for _, skip := range []bool{false, true} {
+		col := obs.NewCollector()
+		pipeline(t, "dense1", Options{Rec: col, SkipReassign: skip})
+		want := []string{"detail", "detail.adjust", "detail.fit", "detail.assemble", "detail.reassign", "detail.polish"}
+		if skip {
+			want = []string{"detail", "detail.adjust", "detail.fit", "detail.assemble", "detail.polish"}
+		}
+		if got := col.StageOrder(); !reflect.DeepEqual(got, want) {
+			t.Errorf("SkipReassign=%v: spans %v, want %v", skip, got, want)
+		}
+	}
+}
+
 func TestRouteLayersMatchVias(t *testing.T) {
 	_, _, dres := pipeline(t, "dense3", Options{})
 	multi := 0
@@ -117,7 +136,7 @@ func TestAdjustmentReducesWirelength(t *testing.T) {
 func TestDRCQuality(t *testing.T) {
 	for _, name := range []string{"dense1", "dense2"} {
 		r, _, dres := pipeline(t, name, Options{})
-		vs := CheckDRC(dres.Routes, r.G.Design.Rules, r.G.Design.WireLayers)
+		vs := CheckDRCParallel(dres.Routes, r.G.Design, DRCOptions{})
 		var spacing, angle, turn int
 		for _, v := range vs {
 			switch v.Kind {
@@ -184,11 +203,25 @@ func TestRoutesContinuous(t *testing.T) {
 	}
 }
 
+// synthDesign is a default-rules design with one Net per ID 0..nets-1 for
+// synthetic routes: out-of-range IDs all share one sentinel group, which
+// would disable the spacing rule between them.
+func synthDesign(nets, layers int) *design.Design {
+	d := &design.Design{Rules: design.DefaultRules(), WireLayers: layers}
+	for i := 0; i < nets; i++ {
+		d.Nets = append(d.Nets, design.Net{ID: i})
+	}
+	return d
+}
+
 func TestPolishPolyline(t *testing.T) {
-	rules := design.DefaultRules()
+	// Polish against an empty index: every removal is accepted.
+	d := synthDesign(1, 1)
+	rules := d.Rules
+	p := &polisher{legalIndex: newLegalIndex(nil, d)}
 	// A spike: path doubles back at (10, 0).
 	spike := geom.Polyline{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(5, 0.1), geom.Pt(5, 10)}
-	out := polishPolyline(spike, rules, nil, 0, 0)
+	out := p.polishPolyline(spike, 0, 0)
 	if out.MaxTurnAngle() > spikeTurn {
 		t.Errorf("spike survived: %v", out)
 	}
@@ -197,13 +230,13 @@ func TestPolishPolyline(t *testing.T) {
 	}
 	// Turn pair closer than w_x.
 	jog := geom.Polyline{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(11, 1), geom.Pt(20, 2)}
-	out = polishPolyline(jog, rules, nil, 0, 0)
+	out = p.polishPolyline(jog, 0, 0)
 	if d := out.MinTurnSpacing(); d < rules.MinTurnDist && !math.IsInf(d, 1) {
 		t.Errorf("turn spacing still %v", d)
 	}
 	// A clean straight polyline is untouched.
 	straight := geom.Polyline{geom.Pt(0, 0), geom.Pt(100, 0)}
-	out = polishPolyline(straight, rules, nil, 0, 0)
+	out = p.polishPolyline(straight, 0, 0)
 	if len(out) != 2 {
 		t.Errorf("straight line modified: %v", out)
 	}
@@ -226,7 +259,7 @@ func TestSegmentsOnLayer(t *testing.T) {
 }
 
 func TestCheckDRCDetectsPlantedViolations(t *testing.T) {
-	rules := design.DefaultRules()
+	d := synthDesign(2, 1)
 	mk := func(pl geom.Polyline, net int) *Route {
 		return &Route{Net: net, Segs: []RouteSeg{{Layer: 0, Pl: pl}}}
 	}
@@ -235,19 +268,19 @@ func TestCheckDRCDetectsPlantedViolations(t *testing.T) {
 		mk(geom.Polyline{geom.Pt(0, 0), geom.Pt(100, 0)}, 0),
 		mk(geom.Polyline{geom.Pt(0, 1), geom.Pt(100, 1)}, 1),
 	}
-	vs := CheckDRC(routes, rules, 1)
+	vs := CheckDRCParallel(routes, d, DRCOptions{Workers: 1})
 	if len(vs) == 0 || vs[0].Kind != SpacingViolation {
 		t.Fatalf("parallel 1µm wires not flagged: %v", vs)
 	}
 	// Same net: no violation.
 	routes[1].Net = 0
-	if vs := CheckDRC(routes, rules, 1); len(vs) != 0 {
+	if vs := CheckDRCParallel(routes, d, DRCOptions{Workers: 1}); len(vs) != 0 {
 		t.Errorf("same-net proximity flagged: %v", vs)
 	}
 	// Sharp angle.
 	sharp := []*Route{mk(geom.Polyline{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 1)}, 0)}
 	found := false
-	for _, v := range CheckDRC(sharp, rules, 1) {
+	for _, v := range CheckDRCParallel(sharp, d, DRCOptions{Workers: 1}) {
 		if v.Kind == AngleViolation {
 			found = true
 		}
@@ -259,24 +292,13 @@ func TestCheckDRCDetectsPlantedViolations(t *testing.T) {
 	tight := []*Route{mk(geom.Polyline{
 		geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(11, 1), geom.Pt(20, 1)}, 0)}
 	found = false
-	for _, v := range CheckDRC(tight, rules, 1) {
+	for _, v := range CheckDRCParallel(tight, d, DRCOptions{Workers: 1}) {
 		if v.Kind == TurnDistViolation {
 			found = true
 		}
 	}
 	if !found {
 		t.Error("tight turn pair not flagged")
-	}
-}
-
-func TestNetsWithViolations(t *testing.T) {
-	vs := []Violation{
-		{Kind: SpacingViolation, NetA: 1, NetB: 2},
-		{Kind: AngleViolation, NetA: 3, NetB: -1},
-	}
-	nets := NetsWithViolations(vs)
-	if !nets[1] || !nets[2] || !nets[3] || nets[0] || nets[-1] {
-		t.Errorf("NetsWithViolations = %v", nets)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/obs"
 	"rdlroute/internal/pool"
@@ -14,9 +13,10 @@ import (
 // buckets wire segments per layer so the pairwise spacing check only visits
 // nearby candidates. The check decomposes into independent work units —
 // per-layer grid builds, per-stripe spacing scans, per-net wire rules — that
-// a worker pool can run concurrently; see drc_engine.go. Findings come back
-// in canonical order (sorted by layer, kind, nets, position) regardless of
-// the worker count, so the serial and parallel paths are byte-identical.
+// a worker pool can run concurrently; CheckDRCParallel in drc_engine.go is
+// the one entry point. Findings come back in canonical order (sorted by
+// layer, kind, nets, position) regardless of the worker count, so every pool
+// size is byte-identical to the serial run.
 
 // Violation describes one design-rule violation.
 type Violation struct {
@@ -81,7 +81,7 @@ func (v Violation) String() string {
 	}
 }
 
-// DRCOptions tunes the parallel checker.
+// DRCOptions tunes CheckDRCParallel.
 type DRCOptions struct {
 	// Workers is the worker-pool size. Zero or negative selects GOMAXPROCS
 	// capped at 8; 1 runs the units serially (the reference path the
@@ -93,54 +93,3 @@ type DRCOptions struct {
 }
 
 func (o DRCOptions) workers() int { return pool.Default(o.Workers) }
-
-// CheckDRC verifies all three §II-B wire rules over the routes and returns
-// every violation found (spacing is reported once per offending segment
-// pair). Nets are treated as electrically distinct; use CheckDRCWithDesign
-// for group-aware (multi-pin) checking.
-func CheckDRC(routes []*Route, rules design.Rules, layers int) []Violation {
-	return checkDRC(routes, rules, layers,
-		netRules{pitch: rules.Pitch()}, nil, 1, nil)
-}
-
-// CheckDRCWithDesign runs the rule checks with group-aware same-net
-// semantics (multi-pin subnets carry no spacing rule between each other)
-// and additionally verifies that no wire enters any of the design's
-// keep-out regions.
-func CheckDRCWithDesign(routes []*Route, d *design.Design) []Violation {
-	return checkDRC(routes, d.Rules, d.WireLayers, netRules{d: d}, d, 1, nil)
-}
-
-// CheckDRCParallel is CheckDRCWithDesign fanned out over a worker pool per
-// (layer, grid stripe). The findings are identical to the serial path —
-// same violations, same order — only the wall-clock differs.
-func CheckDRCParallel(routes []*Route, d *design.Design, opt DRCOptions) []Violation {
-	return checkDRC(routes, d.Rules, d.WireLayers, netRules{d: d},
-		d, opt.workers(), opt.Rec)
-}
-
-// NetsWithViolations returns the set of net IDs involved in any violation.
-func NetsWithViolations(vs []Violation) map[int]bool {
-	out := make(map[int]bool)
-	for _, v := range vs {
-		out[v.NetA] = true
-		if v.NetB >= 0 {
-			out[v.NetB] = true
-		}
-	}
-	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -13,18 +13,11 @@ import (
 // The DRC engine decomposes the check into independent work units and runs
 // them on a worker pool. Unit boundaries are fixed (independent of the
 // worker count) and the merged findings are canonically sorted, so any pool
-// size produces byte-identical output.
-//
-// The spatial index is a flat CSR-bucketed grid, not a hash map: cells are
-// dense array slots indexed by (x + y*nx) over the layer's bounding box,
-// bucket membership lives in one items array addressed by a starts/offsets
-// array, and the per-source-segment "pair already examined" set is a
-// generation-stamped array instead of a per-unit map. Cell coordinates are
-// computed once per endpoint (integer math from there on), so the double
-// [2]int hashing of the former map grid — once per lookup, once per insert
-// — is gone entirely; see doc/PERFORMANCE.md for the measured effect.
-// Workers own their scratches (pool.RunWith hands every unit its worker
-// slot), which persist across all units of a run.
+// size produces byte-identical output. Each layer's segments sit in a
+// flatGrid (legality.go) sized by indexCell, and the spacing scan walks it
+// with the same near query the polish and reassign passes use. Workers own
+// their scratches (pool.RunWith hands every unit its worker slot), which
+// persist across all units of a run.
 
 const (
 	// drcSpacingChunk is the number of source segments per spacing unit.
@@ -34,354 +27,57 @@ const (
 	drcLineChunk = 64
 )
 
-// drcSeg is one wire segment inserted into a layer's spatial hash.
-type drcSeg struct {
-	net int
-	// id is the segment's dense per-layer index in canonical order (net
-	// order, then polyline order); the spacing scan dedupes findings by the
-	// unordered pair (id, id).
-	id  int
-	seg geom.Segment
-}
-
-// drcScratch is one worker's reusable state: the generation-stamped
-// pair-dedup array for spacing scans and the bucket-counting buffer for
-// grid builds. A scratch belongs to exactly one worker slot and persists
-// across every unit that worker executes within a run, so warm units do
-// not grow the heap.
-type drcScratch struct {
-	// stamp[id] == gen marks segment id as already examined against the
-	// current source segment. Clearing is O(1): bump gen.
-	stamp []uint32
-	gen   uint32
-	// counts is the CSR bucket-size buffer for grid builds.
-	counts []int32
-	// segBuf is the flattened-segment staging buffer grid builds fill from:
-	// callers copy their typed views (drcSeg, netSeg, netVia) into it so the
-	// counting passes iterate a plain slice instead of calling back through
-	// a func value per segment.
-	segBuf []geom.Segment
-}
-
-// netRules resolves the pairwise net semantics the checker needs — same-net
-// equivalence and required clearance — from either a full Design
-// (group-aware multi-pin nets) or bare Rules (electrically distinct nets,
-// uniform pitch). A concrete struct instead of a pair of func-value
-// parameters keeps every call on the //rdl:noalloc spacing scan statically
-// resolvable for the transalloc pass.
-type netRules struct {
-	d     *design.Design // nil in the rules-only variant
-	pitch float64        // clearance fallback when d is nil
-}
-
-// sameNet reports whether two nets carry no spacing rule between each other.
-//
-//rdl:noalloc
-func (nr netRules) sameNet(a, b int) bool {
-	if nr.d != nil {
-		return nr.d.SameGroup(a, b)
-	}
-	return a == b
-}
-
-// clearance returns the required centre-to-centre distance between wires of
-// nets a and b.
-//
-//rdl:noalloc
-func (nr netRules) clearance(a, b int) float64 {
-	if nr.d != nil {
-		return nr.d.Clearance(a, b)
-	}
-	return nr.pitch
-}
-
-// begin starts a new dedup generation sized for n segments.
-//
-//rdl:noalloc
-func (s *drcScratch) begin(n int) {
-	if cap(s.stamp) < n {
-		//rdl:allow noalloc stamp array growth is setup cost: it happens at most once per layer size increase, never in warm units
-		s.stamp = make([]uint32, n)
-	}
-	s.stamp = s.stamp[:n]
-	s.gen++
-	if s.gen == 0 { // uint32 wrap: stale stamps could alias, zero-fill once
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
-}
-
-// flatGrid is the dense spatial hash of one layer: cell (x, y) with
-// 0 ≤ x < nx, 0 ≤ y < ny holds the segment indices
-// items[starts[y*nx+x]:starts[y*nx+x+1]]. Cells outside the bounding box
-// hold nothing by construction, so queries skip them instead of looking
-// them up.
-type flatGrid struct {
-	minX, minY float64
-	inv        float64 // 1 / cell edge length
-	nx, ny     int
-	starts     []int32
-	items      []int32
-}
-
-// cellOf returns p's cell coordinates, computed once per endpoint. The
-// clamp guards the top-edge float boundary (a point exactly on the
-// bounding-box maximum).
-//
-//rdl:noalloc
-func (g *flatGrid) cellOf(p geom.Point) (int, int) {
-	cx := int((p.X - g.minX) * g.inv)
-	cy := int((p.Y - g.minY) * g.inv)
-	if cx >= g.nx {
-		cx = g.nx - 1
-	}
-	if cy >= g.ny {
-		cy = g.ny - 1
-	}
-	if cx < 0 {
-		cx = 0
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	return cx, cy
-}
-
 // drcLayer is the prepared per-layer state the spacing and wire-rule units
 // read concurrently (read-only after the build phase).
 type drcLayer struct {
 	layer int
-	cell  float64
-	segs  []drcSeg
+	segs  []netSeg
 	lines []RouteOnLayer
 	grid  flatGrid
 }
 
-// buildLayer collects the layer's segments, sizes the spatial hash, and
-// fills the grid.
-//
-// The cell must be at least the largest pairwise clearance of any two nets
-// present on the layer: the spacing scan only visits cells within ±1 of a
-// segment's own cells, so a pair whose clearance exceeded the cell size
-// could sit outside the window and a real violation would be silently
-// missed. The old pitch-derived sizing had exactly that hole for wide
-// (per-net width) nets; deriving the cell from the clearance rule over the
-// participating nets closes it.
-func buildLayer(routes []*Route, layer int, rules design.Rules,
-	nr netRules, scr *drcScratch) *drcLayer {
-	l := &drcLayer{layer: layer, lines: SegmentsOnLayer(routes, layer)}
-
-	// Distinct nets on the layer, in ascending order (lines are net-sorted).
-	var nets []int
-	for _, rl := range l.lines {
-		if len(nets) == 0 || nets[len(nets)-1] != rl.Net {
-			nets = append(nets, rl.Net)
-		}
+// buildLayer collects the layer's polylines and segments and fills its grid
+// with the given cell, which must be at least the largest pairwise
+// clearance: the spacing scan only visits cells within ±1 of a segment's
+// own cells, so a pair whose clearance exceeded the cell could sit outside
+// the window and a real violation would be silently missed.
+func buildLayer(routes []*Route, layer int, cell float64, scr *gridScratch) *drcLayer {
+	l := &drcLayer{
+		layer: layer,
+		segs:  appendLayerSegs(nil, routes, layer),
+		lines: SegmentsOnLayer(routes, layer),
 	}
-	maxClear := 0.0
-	for i := 0; i < len(nets); i++ {
-		for j := i + 1; j < len(nets); j++ {
-			if nr.sameNet(nets[i], nets[j]) {
-				continue
-			}
-			if c := nr.clearance(nets[i], nets[j]); c > maxClear {
-				maxClear = c
-			}
-		}
-	}
-	// 8× pitch and the 50 µm floor keep cells coarse enough that sparse
-	// layers don't fragment into millions of buckets; maxClear is the
-	// correctness bound.
-	l.cell = math.Max(math.Max(maxClear, rules.Pitch()*8), 50)
-
-	for _, rl := range l.lines {
-		pl := rl.Pl
-		for i := 1; i < len(pl); i++ {
-			l.segs = append(l.segs, drcSeg{net: rl.Net, id: len(l.segs), seg: geom.Seg(pl[i-1], pl[i])})
-		}
-	}
-	l.buildGrid(scr)
+	l.grid.fillNetSegs(l.segs, cell, scr)
 	return l
 }
 
-// buildGrid fills the layer's flat CSR grid in two counting passes over the
-// segments, reusing the worker scratch's counts buffer.
-func (l *drcLayer) buildGrid(scr *drcScratch) {
-	buf := growSlice(scr.segBuf, len(l.segs))
-	for i := range l.segs {
-		buf[i] = l.segs[i].seg
-	}
-	scr.segBuf = buf
-	l.grid.fill(buf, l.cell, scr)
-}
-
-// fill (re)builds the grid over the segments in two counting passes, reusing
-// the grid's starts/items backing arrays and the scratch's counts buffer,
-// so warm refills over same-or-smaller geometry do not allocate. Bucket
-// contents come out in ascending segment-index order (the order the former
-// map grid's appends produced). A segment is indexed into the full cell
-// rectangle spanned by its endpoints, a superset of the cells it passes
-// through, so a ±1-cell query walk around any point of it is exhaustive for
-// distances up to one cell edge.
-//
-// Callers stage their typed segment views into a plain []geom.Segment
-// (usually the scratch's segBuf) instead of handing fill an accessor
-// closure: the copy costs one linear pass, and in exchange both counting
-// passes iterate a flat slice with no per-segment indirect call, and the
-// //rdl:noalloc refresh paths that reach fill contain no func values the
-// transalloc pass would have to take on faith.
-//
-//rdl:noalloc
-func (g *flatGrid) fill(segs []geom.Segment, cell float64, scr *drcScratch) {
-	n := len(segs)
-	if n == 0 {
-		g.nx, g.ny = 0, 0
-		g.starts, g.items = g.starts[:0], g.items[:0]
-		return
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		s := segs[i]
-		minX = math.Min(minX, math.Min(s.A.X, s.B.X))
-		minY = math.Min(minY, math.Min(s.A.Y, s.B.Y))
-		maxX = math.Max(maxX, math.Max(s.A.X, s.B.X))
-		maxY = math.Max(maxY, math.Max(s.A.Y, s.B.Y))
-	}
-	g.minX, g.minY = minX, minY
-	g.inv = 1 / cell
-	g.nx = int((maxX-minX)*g.inv) + 1
-	g.ny = int((maxY-minY)*g.inv) + 1
-	ncells := g.nx * g.ny
-
-	counts := scr.counts
-	if cap(counts) < ncells {
-		//rdl:allow noalloc counts growth is amortized setup: it happens only when a layer's cell count exceeds every earlier one, never in warm refills
-		counts = make([]int32, ncells)
-	}
-	counts = counts[:ncells]
-	for i := range counts {
-		counts[i] = 0
-	}
-	scr.counts = counts
-
-	// Pass 1: bucket sizes.
-	total := 0
-	for i := 0; i < n; i++ {
-		s := segs[i]
-		x0, y0 := g.cellOf(s.A)
-		x1, y1 := g.cellOf(s.B)
-		for x := minInt(x0, x1); x <= maxInt(x0, x1); x++ {
-			for y := minInt(y0, y1); y <= maxInt(y0, y1); y++ {
-				counts[y*g.nx+x]++
-				total++
-			}
-		}
-	}
-	// Prefix-sum into starts; cursor reuses counts.
-	g.starts = growSlice(g.starts, ncells+1)
-	run := int32(0)
-	for c := 0; c < ncells; c++ {
-		g.starts[c] = run
-		run += counts[c]
-		counts[c] = g.starts[c] // cursor for pass 2
-	}
-	g.starts[ncells] = run
-
-	// Pass 2: fill in ascending segment-index order.
-	g.items = growSlice(g.items, total)
-	for i := 0; i < n; i++ {
-		s := segs[i]
-		x0, y0 := g.cellOf(s.A)
-		x1, y1 := g.cellOf(s.B)
-		for x := minInt(x0, x1); x <= maxInt(x0, x1); x++ {
-			for y := minInt(y0, y1); y <= maxInt(y0, y1); y++ {
-				c := y*g.nx + x
-				g.items[counts[c]] = int32(i)
-				counts[c]++
-			}
-		}
-	}
-}
-
-// fillNetSegs and fillNetVias are the fill adapters for the polisher's and
-// reassigner's per-layer views (vias index as degenerate segments): each
-// stages its typed view into the scratch's segBuf and rebuilds the grid
-// from the flat slice.
-//
-//rdl:noalloc
-func (g *flatGrid) fillNetSegs(segs []netSeg, cell float64, scr *drcScratch) {
-	buf := growSlice(scr.segBuf, len(segs))
-	for i := range segs {
-		buf[i] = segs[i].seg
-	}
-	scr.segBuf = buf
-	g.fill(buf, cell, scr)
-}
-
-//rdl:noalloc
-func (g *flatGrid) fillNetVias(vias []netVia, cell float64, scr *drcScratch) {
-	buf := growSlice(scr.segBuf, len(vias))
-	for i := range vias {
-		buf[i] = geom.Seg(vias[i].pos, vias[i].pos)
-	}
-	scr.segBuf = buf
-	g.fill(buf, cell, scr)
-}
-
 // spacingUnit checks the source segments segs[lo:hi] against the grid.
-// Each unordered pair is examined once, from its lower net's side; findings
-// are deduplicated by segment-pair identity (both segments may span several
-// cells and meet in more than one, and two distinct pairs can share a
-// witness point — the identity, not the float witness, is what makes a
-// finding unique). The scratch's stamp array replaces the former per-unit
-// seen map: one generation per source segment marks every partner already
-// examined, which also skips the duplicate distance computations the map
-// version still paid for non-violating pairs.
+// Each unordered pair is examined once, from its lower net's side, and
+// yields at most one finding: near returns every partner once even when
+// the two segments share several cells, so findings are unique per segment
+// pair, not per float witness point.
 //
 //rdl:noalloc
-func (l *drcLayer) spacingUnit(lo, hi int, nr netRules,
-	scr *drcScratch) []Violation {
+func (l *drcLayer) spacingUnit(lo, hi int, d *design.Design, scr *gridScratch) []Violation {
 	const eps = 1e-6
 	var out []Violation
-	g := &l.grid
 	for si := lo; si < hi; si++ {
 		s := &l.segs[si]
-		scr.begin(len(l.segs))
-		x0, y0 := g.cellOf(s.seg.A)
-		x1, y1 := g.cellOf(s.seg.B)
-		for x := minInt(x0, x1) - 1; x <= maxInt(x0, x1)+1; x++ {
-			if x < 0 || x >= g.nx {
-				continue // outside the bounding box: nothing bucketed there
+		for _, ei := range l.grid.near(s.seg, len(l.segs), scr) {
+			e := &l.segs[ei]
+			if e.net <= s.net || d.SameGroup(e.net, s.net) {
+				continue
 			}
-			for y := minInt(y0, y1) - 1; y <= maxInt(y0, y1)+1; y++ {
-				if y < 0 || y >= g.ny {
-					continue
-				}
-				c := y*g.nx + x
-				for _, ei := range g.items[g.starts[c]:g.starts[c+1]] {
-					e := &l.segs[ei]
-					if e.net <= s.net || nr.sameNet(e.net, s.net) {
-						continue
-					}
-					if scr.stamp[e.id] == scr.gen {
-						continue
-					}
-					scr.stamp[e.id] = scr.gen
-					limit := nr.clearance(s.net, e.net)
-					dist, pa, _ := s.seg.DistToSegment(e.seg)
-					if dist >= limit-eps {
-						continue
-					}
-					out = append(out, Violation{
-						Kind: SpacingViolation, Layer: l.layer,
-						NetA: s.net, NetB: e.net, Where: pa,
-						Value: dist, Limit: limit,
-					})
-				}
+			limit := d.Clearance(s.net, e.net)
+			dist, pa, _ := s.seg.DistToSegment(e.seg)
+			if dist >= limit-eps {
+				continue
 			}
+			out = append(out, Violation{
+				Kind: SpacingViolation, Layer: l.layer,
+				NetA: s.net, NetB: e.net, Where: pa,
+				Value: dist, Limit: limit,
+			})
 		}
 	}
 	return out
@@ -390,27 +86,34 @@ func (l *drcLayer) spacingUnit(lo, hi int, nr netRules,
 // wireRuleUnit checks the per-net angle and turn-distance rules over
 // lines[lo:hi].
 func (l *drcLayer) wireRuleUnit(lo, hi int, rules design.Rules) []Violation {
-	const eps = 1e-6
 	var out []Violation
 	for _, rl := range l.lines[lo:hi] {
-		pl := rl.Pl
-		for i := 1; i+1 < len(pl); i++ {
-			turn := geom.TurnAngle(pl[i-1], pl[i], pl[i+1])
-			if turn > math.Pi/2+eps {
-				out = append(out, Violation{
-					Kind: AngleViolation, Layer: l.layer, NetA: rl.Net, NetB: -1,
-					Where: pl[i], Value: turn, Limit: math.Pi / 2,
-				})
-			}
+		out = appendWireRules(out, rl.Pl, l.layer, rl.Net, rules)
+	}
+	return out
+}
+
+// appendWireRules appends the angle and turn-distance findings of one
+// polyline: every turn sharper than 90° and every pair of successive turns
+// closer than w_x.
+//
+//rdl:noalloc
+func appendWireRules(out []Violation, pl geom.Polyline, layer, net int, rules design.Rules) []Violation {
+	const eps = 1e-6
+	for i := 1; i+1 < len(pl); i++ {
+		if turn := geom.TurnAngle(pl[i-1], pl[i], pl[i+1]); turn > math.Pi/2+eps {
+			out = append(out, Violation{
+				Kind: AngleViolation, Layer: layer, NetA: net, NetB: -1,
+				Where: pl[i], Value: turn, Limit: math.Pi / 2,
+			})
 		}
-		for i := 2; i+1 < len(pl); i++ {
-			d := pl[i-1].Dist(pl[i])
-			if d < rules.MinTurnDist-eps {
-				out = append(out, Violation{
-					Kind: TurnDistViolation, Layer: l.layer, NetA: rl.Net, NetB: -1,
-					Where: pl[i], Value: d, Limit: rules.MinTurnDist,
-				})
-			}
+	}
+	for i := 2; i+1 < len(pl); i++ {
+		if d := pl[i-1].Dist(pl[i]); d < rules.MinTurnDist-eps {
+			out = append(out, Violation{
+				Kind: TurnDistViolation, Layer: layer, NetA: net, NetB: -1,
+				Where: pl[i], Value: d, Limit: rules.MinTurnDist,
+			})
 		}
 	}
 	return out
@@ -466,27 +169,29 @@ func sortViolations(vs []Violation) {
 	})
 }
 
-// checkDRC is the shared engine behind CheckDRC, CheckDRCWithDesign and
-// CheckDRCParallel. d is only consulted for keep-out regions and may be nil.
-func checkDRC(routes []*Route, rules design.Rules, layers int,
-	nr netRules, d *design.Design, workers int, rec obs.Recorder) []Violation {
-	rec = obs.Or(rec)
-	if workers < 1 {
-		workers = 1
-	}
+// CheckDRCParallel verifies the three §II-B wire rules and the design's
+// keep-out regions over the routes and returns every violation, spacing
+// once per offending segment pair. Nets of one multi-pin group carry no
+// spacing rule between each other. The check fans out over a worker pool
+// per (layer, grid stripe); every pool size returns the same violations
+// in the same order.
+func CheckDRCParallel(routes []*Route, d *design.Design, opt DRCOptions) []Violation {
+	rec := obs.Or(opt.Rec)
+	workers := opt.workers()
 	// One scratch per worker slot, shared by the build and scan phases: the
 	// stamp and counts buffers reach steady-state size after the first few
 	// units and every later unit runs allocation-free against them.
-	scratches := make([]drcScratch, workers)
+	scratches := make([]gridScratch, workers)
+	cell := indexCell(d)
 
 	// Phase 1: per-layer grids, built concurrently across layers.
 	span := obs.StartSpan(rec, "drc.grid")
-	prepped := make([]*drcLayer, layers)
-	prepUnits := make([]func(w int) []Violation, layers)
-	for layer := 0; layer < layers; layer++ {
+	prepped := make([]*drcLayer, d.WireLayers)
+	prepUnits := make([]func(w int) []Violation, d.WireLayers)
+	for layer := range prepUnits {
 		layer := layer
 		prepUnits[layer] = func(w int) []Violation {
-			prepped[layer] = buildLayer(routes, layer, rules, nr, &scratches[w])
+			prepped[layer] = buildLayer(routes, layer, cell, &scratches[w])
 			return nil
 		}
 	}
@@ -500,21 +205,21 @@ func checkDRC(routes []*Route, rules design.Rules, layers int,
 	for _, l := range prepped {
 		l := l
 		for lo := 0; lo < len(l.segs); lo += drcSpacingChunk {
-			lo, hi := lo, minInt(lo+drcSpacingChunk, len(l.segs))
+			lo, hi := lo, min(lo+drcSpacingChunk, len(l.segs))
 			units = append(units, func(w int) []Violation {
-				return l.spacingUnit(lo, hi, nr, &scratches[w])
+				return l.spacingUnit(lo, hi, d, &scratches[w])
 			})
 		}
 		for lo := 0; lo < len(l.lines); lo += drcLineChunk {
-			lo, hi := lo, minInt(lo+drcLineChunk, len(l.lines))
+			lo, hi := lo, min(lo+drcLineChunk, len(l.lines))
 			units = append(units, func(w int) []Violation {
-				return l.wireRuleUnit(lo, hi, rules)
+				return l.wireRuleUnit(lo, hi, d.Rules)
 			})
 		}
 	}
-	if d != nil && len(d.Obstacles) > 0 {
+	if len(d.Obstacles) > 0 {
 		for lo := 0; lo < len(routes); lo += drcLineChunk {
-			lo, hi := lo, minInt(lo+drcLineChunk, len(routes))
+			lo, hi := lo, min(lo+drcLineChunk, len(routes))
 			units = append(units, func(w int) []Violation {
 				return obstacleUnit(routes, lo, hi, d)
 			})

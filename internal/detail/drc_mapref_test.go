@@ -20,7 +20,7 @@ import (
 type mapGridLayer struct {
 	layer int
 	cell  float64
-	segs  []drcSeg
+	segs  []netSeg
 	grid  map[[2]int][]int
 }
 
@@ -37,8 +37,8 @@ func newMapGridLayer(l *drcLayer, cell float64) *mapGridLayer {
 	for i, e := range n.segs {
 		k0 := n.key(e.seg.A)
 		k1 := n.key(e.seg.B)
-		for x := minInt(k0[0], k1[0]); x <= maxInt(k0[0], k1[0]); x++ {
-			for y := minInt(k0[1], k1[1]); y <= maxInt(k0[1], k1[1]); y++ {
+		for x := min(k0[0], k1[0]); x <= max(k0[0], k1[0]); x++ {
+			for y := min(k0[1], k1[1]); y <= max(k0[1], k1[1]); y++ {
 				n.grid[[2]int{x, y}] = append(n.grid[[2]int{x, y}], i)
 			}
 		}
@@ -57,14 +57,14 @@ func (l *mapGridLayer) spacingUnit(lo, hi int,
 		s := l.segs[si]
 		k0 := l.key(s.seg.A)
 		k1 := l.key(s.seg.B)
-		for x := minInt(k0[0], k1[0]) - 1; x <= maxInt(k0[0], k1[0])+1; x++ {
-			for y := minInt(k0[1], k1[1]) - 1; y <= maxInt(k0[1], k1[1])+1; y++ {
+		for x := min(k0[0], k1[0]) - 1; x <= max(k0[0], k1[0])+1; x++ {
+			for y := min(k0[1], k1[1]) - 1; y <= max(k0[1], k1[1])+1; y++ {
 				for _, ei := range l.grid[[2]int{x, y}] {
 					e := l.segs[ei]
 					if e.net <= s.net || sameNet(e.net, s.net) {
 						continue
 					}
-					if seen[[2]int{s.id, e.id}] {
+					if seen[[2]int{si, ei}] {
 						continue
 					}
 					limit := clearFn(s.net, e.net)
@@ -72,7 +72,7 @@ func (l *mapGridLayer) spacingUnit(lo, hi int,
 					if dist >= limit-eps {
 						continue
 					}
-					seen[[2]int{s.id, e.id}] = true
+					seen[[2]int{si, ei}] = true
 					out = append(out, Violation{
 						Kind: SpacingViolation, Layer: l.layer,
 						NetA: s.net, NetB: e.net, Where: pa,
@@ -85,14 +85,15 @@ func (l *mapGridLayer) spacingUnit(lo, hi int,
 	return out
 }
 
-// mapGridFindings mirrors checkDRC's serial path with the legacy map-grid
-// spacing scan substituted for the flat one: same layer preparation, same
-// wire-rule and obstacle units, same canonical sort.
+// mapGridFindings mirrors CheckDRCParallel's serial path with the legacy
+// map-grid spacing scan substituted for the flat one: same layer
+// preparation, same wire-rule and obstacle units, same canonical sort.
 func mapGridFindings(routes []*Route, d *design.Design) []Violation {
 	var out []Violation
+	cell := indexCell(d)
 	for layer := 0; layer < d.WireLayers; layer++ {
-		l := buildLayer(routes, layer, d.Rules, netRules{d: d}, &drcScratch{})
-		ref := newMapGridLayer(l, l.cell)
+		l := buildLayer(routes, layer, cell, &gridScratch{})
+		ref := newMapGridLayer(l, cell)
 		out = append(out, ref.spacingUnit(0, len(ref.segs), d.SameGroup, d.Clearance)...)
 		out = append(out, l.wireRuleUnit(0, len(l.lines), d.Rules)...)
 	}

@@ -57,7 +57,7 @@ func TestDRCWideClearanceRegression(t *testing.T) {
 			limit, 8*d.Rules.Pitch())
 	}
 
-	vs := CheckDRCWithDesign(routes, d)
+	vs := CheckDRCParallel(routes, d, DRCOptions{Workers: 1})
 	if len(vs) != 1 || vs[0].Kind != SpacingViolation {
 		t.Fatalf("wide-clearance violation not found: %v", vs)
 	}
@@ -66,10 +66,11 @@ func TestDRCWideClearanceRegression(t *testing.T) {
 	}
 
 	// The engine's cell honours the correctness bound.
-	l := buildLayer(routes, 0, d.Rules, netRules{d: d}, &drcScratch{})
-	if l.cell < limit {
-		t.Errorf("cell %v below the max pairwise clearance %v", l.cell, limit)
+	cell := indexCell(d)
+	if cell < limit {
+		t.Errorf("cell %v below the max pairwise clearance %v", cell, limit)
 	}
+	l := buildLayer(routes, 0, cell, &gridScratch{})
 
 	// Demonstrate the pre-fix hole: the same scan over a grid with the old
 	// pitch-derived cell misses the violation entirely.
@@ -84,7 +85,7 @@ func TestDRCWideClearanceRegression(t *testing.T) {
 // TestDRCSpacingPairDedupe pins the finding-identity fix: findings are
 // unique per segment pair, not per float witness point.
 func TestDRCSpacingPairDedupe(t *testing.T) {
-	rules := design.DefaultRules()
+	d := synthDesign(2, 1)
 
 	// Two distinct net-1 segments both at distance 1 from the same net-0
 	// wire, with the identical witness point (3, 0) on it. The old
@@ -97,7 +98,7 @@ func TestDRCSpacingPairDedupe(t *testing.T) {
 		}},
 	}
 	var spacing []Violation
-	for _, v := range CheckDRC(routes, rules, 1) {
+	for _, v := range CheckDRCParallel(routes, d, DRCOptions{Workers: 1}) {
 		if v.Kind == SpacingViolation {
 			spacing = append(spacing, v)
 		}
@@ -113,7 +114,7 @@ func TestDRCSpacingPairDedupe(t *testing.T) {
 		{Net: 1, Segs: []RouteSeg{{Layer: 0, Pl: geom.Polyline{geom.Pt(0, 1), geom.Pt(400, 1)}}}},
 	}
 	spacing = spacing[:0]
-	for _, v := range CheckDRC(long, rules, 1) {
+	for _, v := range CheckDRCParallel(long, d, DRCOptions{Workers: 1}) {
 		if v.Kind == SpacingViolation {
 			spacing = append(spacing, v)
 		}
@@ -146,16 +147,5 @@ func TestDRCParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d violations identical across worker counts 1,2,3,4,8", name, len(serial))
-	}
-}
-
-// TestDRCGroupedMatchesLegacy checks the engine funnel: the legacy
-// CheckDRCWithDesign entry point and the parallel one agree.
-func TestDRCGroupedMatchesLegacy(t *testing.T) {
-	d, routes := routedCase(t, "dense1")
-	a := CheckDRCWithDesign(routes, d)
-	b := CheckDRCParallel(routes, d, DRCOptions{Workers: 4})
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("CheckDRCWithDesign and CheckDRCParallel disagree: %d vs %d", len(a), len(b))
 	}
 }

@@ -1,8 +1,6 @@
 package detail
 
 import (
-	"math"
-
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
 )
@@ -13,8 +11,8 @@ import (
 // sandwiched between two segments of the same layer can often be folded
 // onto that layer, deleting both vias. Vias are a yield concern in RDL
 // processes (random via failure), so each such fold is attempted greedily
-// and accepted only when the DRC engine's rules confirm the moved geometry
-// is clean on the target layer.
+// and accepted only when the legality index confirms the moved geometry is
+// clean on the target layer.
 //
 // The pass runs serially over routes in net-ID order, so its output is
 // independent of every Parallelism setting by construction — the routes it
@@ -33,209 +31,28 @@ type ReassignStats struct {
 	NetsChanged int
 }
 
-// reassigner tracks the evolving per-layer geometry of all routes so each
-// candidate fold is validated against current wires and vias. The views are
-// dense slices indexed by wire layer, each doubled by a flat spatial hash
-// (the DRC engine's flatGrid layout) so moveOK walks only the candidates
-// near the moved geometry; mergeBuf is the scratch the candidate fold
-// geometry is built in (copied out only on an accepted fold).
+// reassigner validates candidate folds with the legality index's strict
+// query against the current wires and vias of every route. mergeBuf is the
+// scratch the candidate fold geometry is built in (copied out only on an
+// accepted fold); ruleBuf collects the wire-rule findings a fold compares.
 type reassigner struct {
-	d     *design.Design
-	rules design.Rules
-	// layerSegs[layer] holds the current segments of every net.
-	layerSegs [][]netSeg
-	// layerVias[layer] holds the vias currently touching each wire layer.
-	layerVias [][]netVia
-	// segGrids/viaGrids bucket the views per layer; cell bounds every
-	// queried limit (indexCell) so the ±1-cell walk is exhaustive.
-	segGrids []flatGrid
-	viaGrids []flatGrid
-	cell     float64
-	scr      drcScratch
-
+	*legalIndex
 	mergeBuf geom.Polyline
+	ruleBuf  []Violation
 }
 
-func newReassigner(routes []*Route, d *design.Design) *reassigner {
-	r := &reassigner{
-		d: d, rules: d.Rules,
-		layerSegs: make([][]netSeg, d.WireLayers),
-		layerVias: make([][]netVia, d.WireLayers),
-		segGrids:  make([]flatGrid, d.WireLayers),
-		viaGrids:  make([]flatGrid, d.WireLayers),
-		cell:      indexCell(d),
-	}
-	for _, rt := range routes {
-		if rt == nil {
-			continue
-		}
-		for _, s := range rt.Segs {
-			pl := s.Pl
-			for i := 1; i < len(pl); i++ {
-				r.layerSegs[s.Layer] = append(r.layerSegs[s.Layer], netSeg{rt.Net, geom.Seg(pl[i-1], pl[i])})
-			}
-		}
-	}
-	for l := 0; l < d.WireLayers; l++ {
-		r.segGrids[l].fillNetSegs(r.layerSegs[l], r.cell, &r.scr)
-	}
-	r.refreshVias(routes)
-	return r
-}
-
-// refreshSegs rebuilds the stored segments of one layer and the layer's
-// spatial index over them.
-//
-//rdl:noalloc
-func (r *reassigner) refreshSegs(routes []*Route, layer int) {
-	segs := r.layerSegs[layer][:0]
-	for _, rt := range routes {
-		if rt == nil {
-			continue
-		}
-		for _, s := range rt.Segs {
-			if s.Layer != layer {
-				continue
-			}
-			pl := s.Pl
-			for i := 1; i < len(pl); i++ {
-				segs = append(segs, netSeg{rt.Net, geom.Seg(pl[i-1], pl[i])})
-			}
-		}
-	}
-	r.layerSegs[layer] = segs
-	r.segGrids[layer].fillNetSegs(segs, r.cell, &r.scr)
-}
-
-// refreshVias rebuilds the via view — and via index — of every layer (vias
-// are deleted by accepted folds, so unlike the polisher's the view is not
-// fixed).
-//
-//rdl:noalloc
-func (r *reassigner) refreshVias(routes []*Route) {
-	for l := range r.layerVias {
-		r.layerVias[l] = r.layerVias[l][:0]
-	}
-	for _, rt := range routes {
-		if rt == nil {
-			continue
-		}
-		for _, v := range rt.Vias {
-			// Via layer k touches wire layers k and k+1.
-			r.layerVias[v.Layer] = append(r.layerVias[v.Layer], netVia{rt.Net, v.Pos})
-			r.layerVias[v.Layer+1] = append(r.layerVias[v.Layer+1], netVia{rt.Net, v.Pos})
-		}
-	}
-	for l := range r.layerVias {
-		r.viaGrids[l].fillNetVias(r.layerVias[l], r.cell, &r.scr)
-	}
-}
-
-// moveOK reports whether a polyline may be placed on a layer: inside every
-// keep-out budget, clear of every other net's wires by the pairwise
-// clearance, and clear of every other net's vias by the via-wire limit.
-// Unlike the polisher's chord check the geometry is new on this layer, so
-// the full strict clearance applies with no pre-existing-shortfall
-// allowance. Candidates come from the layer's spatial indexes: anything
-// beyond one cell of a moved segment is beyond every queryable limit, so
-// the grid walk examines a superset of the candidates that can return
-// false and the verdict matches the full scan byte for byte.
+// moveOK reports whether every segment of pl may be placed on layer. The
+// geometry is new on the layer, so the strict rule applies: no
+// pre-existing shortfall is allowed to stay.
 //
 //rdl:noalloc
 func (r *reassigner) moveOK(pl geom.Polyline, layer, net int) bool {
-	const eps = 1e-9
-	viaLimit := r.rules.ViaWidth/2 + r.rules.MinSpacing + r.d.WidthOf(net)/2
-	segs := r.layerSegs[layer]
-	vias := r.layerVias[layer]
-	g := &r.segGrids[layer]
-	vg := &r.viaGrids[layer]
 	for i := 1; i < len(pl); i++ {
-		sg := geom.Seg(pl[i-1], pl[i])
-		if r.d.SegmentBlocked(sg, layer, 0) {
+		if !r.legal(geom.Seg(pl[i-1], pl[i]), layer, net, false, geom.Segment{}, geom.Segment{}) {
 			return false
-		}
-		if len(g.items) > 0 {
-			r.scr.begin(len(segs))
-			x0, y0 := g.cellOf(sg.A)
-			x1, y1 := g.cellOf(sg.B)
-			for x := minInt(x0, x1) - 1; x <= maxInt(x0, x1)+1; x++ {
-				if x < 0 || x >= g.nx {
-					continue
-				}
-				for y := minInt(y0, y1) - 1; y <= maxInt(y0, y1)+1; y++ {
-					if y < 0 || y >= g.ny {
-						continue
-					}
-					c := y*g.nx + x
-					for _, si := range g.items[g.starts[c]:g.starts[c+1]] {
-						if r.scr.stamp[si] == r.scr.gen {
-							continue
-						}
-						r.scr.stamp[si] = r.scr.gen
-						ns := &segs[si]
-						if r.d.SameGroup(ns.net, net) {
-							continue
-						}
-						if dd, _, _ := sg.DistToSegment(ns.seg); dd < r.d.Clearance(net, ns.net)-eps {
-							return false
-						}
-					}
-				}
-			}
-		}
-		if len(vg.items) > 0 {
-			r.scr.begin(len(vias))
-			x0, y0 := vg.cellOf(sg.A)
-			x1, y1 := vg.cellOf(sg.B)
-			for x := minInt(x0, x1) - 1; x <= maxInt(x0, x1)+1; x++ {
-				if x < 0 || x >= vg.nx {
-					continue
-				}
-				for y := minInt(y0, y1) - 1; y <= maxInt(y0, y1)+1; y++ {
-					if y < 0 || y >= vg.ny {
-						continue
-					}
-					c := y*vg.nx + x
-					for _, vi := range vg.items[vg.starts[c]:vg.starts[c+1]] {
-						if r.scr.stamp[vi] == r.scr.gen {
-							continue
-						}
-						r.scr.stamp[vi] = r.scr.gen
-						nv := &vias[vi]
-						if r.d.SameGroup(nv.net, net) {
-							continue
-						}
-						if sg.DistToPoint(nv.pos) < viaLimit-eps {
-							return false
-						}
-					}
-				}
-			}
 		}
 	}
 	return true
-}
-
-// wireRuleCount counts the angle and turn-distance findings the DRC engine
-// would raise for a polyline (mirroring drcLayer.wireRuleUnit). Folds must
-// not increase the count: the junction vertices they interiorize may carry
-// turns the per-segment checks never saw.
-//
-//rdl:noalloc
-func wireRuleCount(pl geom.Polyline, rules design.Rules) int {
-	const eps = 1e-6
-	n := 0
-	for i := 1; i+1 < len(pl); i++ {
-		if geom.TurnAngle(pl[i-1], pl[i], pl[i+1]) > math.Pi/2+eps {
-			n++
-		}
-	}
-	for i := 2; i+1 < len(pl); i++ {
-		if pl[i-1].Dist(pl[i]) < rules.MinTurnDist-eps {
-			n++
-		}
-	}
-	return n
 }
 
 // mergeInto concatenates the three segment polylines of a fold into the
@@ -272,10 +89,16 @@ func (r *reassigner) foldOne(routes []*Route, rt *Route) bool {
 		if len(merged) < 2 {
 			continue
 		}
-		before := wireRuleCount(rt.Segs[i-1].Pl, r.rules) +
-			wireRuleCount(rt.Segs[i].Pl, r.rules) +
-			wireRuleCount(rt.Segs[i+1].Pl, r.rules)
-		if wireRuleCount(merged, r.rules) > before {
+		// Folds must not add angle or turn-distance findings: the junction
+		// vertices they interiorize may carry turns the per-segment checks
+		// never saw.
+		rules := r.d.Rules
+		r.ruleBuf = appendWireRules(r.ruleBuf[:0], rt.Segs[i-1].Pl, l, rt.Net, rules)
+		r.ruleBuf = appendWireRules(r.ruleBuf, rt.Segs[i].Pl, l, rt.Net, rules)
+		r.ruleBuf = appendWireRules(r.ruleBuf, rt.Segs[i+1].Pl, l, rt.Net, rules)
+		before := len(r.ruleBuf)
+		r.ruleBuf = appendWireRules(r.ruleBuf[:0], merged, l, rt.Net, rules)
+		if len(r.ruleBuf) > before {
 			continue
 		}
 		// Accepted: copy the merged geometry out of the scratch.
@@ -306,7 +129,7 @@ func ReassignRoutes(routes []*Route, d *design.Design) ReassignStats {
 			st.ViasBefore += len(rt.Vias)
 		}
 	}
-	r := newReassigner(routes, d)
+	r := &reassigner{legalIndex: newLegalIndex(routes, d)}
 	for _, rt := range routes {
 		if rt == nil {
 			continue

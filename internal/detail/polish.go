@@ -22,255 +22,30 @@ import (
 // apexes stay well below 90°).
 const spikeTurn = 91 * math.Pi / 180
 
-// polisher validates vertex removals against the evolving geometry of all
-// routes and the design's keep-out regions. The per-layer views are dense
-// slices indexed by wire layer, and the polyline/blocked buffers are
-// scratches reused across every polished segment of a run. Each view is
-// doubled by a flat spatial hash (the DRC engine's flatGrid layout), so a
-// chord check walks only the candidates near the chord instead of every
-// segment and via on the layer.
+// polisher validates vertex removals with the legality index's relaxed
+// query against the evolving geometry of all routes. The polyline and
+// blocked-vertex buffers are scratches reused across every polished
+// segment of a run.
 type polisher struct {
-	d     *design.Design
-	rules design.Rules
-	// layerSegs[layer] holds the current segments of every net.
-	layerSegs [][]netSeg
-	// layerVias[layer] holds the vias touching each wire layer (fixed).
-	layerVias [][]netVia
-	// segGrids[layer] buckets layerSegs[layer]; viaGrids[layer] buckets
-	// layerVias[layer]. cell bounds every queried limit (pairwise wire
-	// clearance, via-wire limit) so the ±1-cell walk is exhaustive; scr
-	// carries the stamp dedup and the grid builds' counts buffer.
-	segGrids []flatGrid
-	viaGrids []flatGrid
-	cell     float64
-	scr      drcScratch
-
+	*legalIndex
 	plBuf      geom.Polyline
 	blockedBuf []geom.Point
 }
 
-// indexCell returns the cell size of the polish/reassign spatial indexes.
-// Correctness bound: at least every pairwise wire clearance and every
-// via-wire limit that can be queried against the grids, so a candidate
-// outside the ±1-cell walk is provably beyond its limit (the DRC grid's
-// argument). The 8×pitch and 50 µm floors keep sparse layers from
-// fragmenting into many empty cells.
-func indexCell(d *design.Design) float64 {
-	maxW := d.Rules.WireWidth
-	for i := range d.Nets {
-		if w := d.WidthOf(i); w > maxW {
-			maxW = w
-		}
-	}
-	wire := maxW + d.Rules.MinSpacing                       // ≥ Clearance(a, b) for all pairs
-	via := d.Rules.ViaWidth/2 + d.Rules.MinSpacing + maxW/2 // ≥ every via-wire limit
-	return math.Max(math.Max(wire, via), math.Max(8*d.Rules.Pitch(), 50))
-}
-
-type netSeg struct {
-	net int
-	seg geom.Segment
-}
-
-type netVia struct {
-	net int
-	pos geom.Point
-}
-
-func newPolisher(routes []*Route, d *design.Design) *polisher {
-	p := &polisher{
-		d: d, rules: d.Rules,
-		layerSegs: make([][]netSeg, d.WireLayers),
-		layerVias: make([][]netVia, d.WireLayers),
-	}
-	// Counting pass so the per-layer views are built with exactly one
-	// allocation each.
-	segN := make([]int, d.WireLayers)
-	viaN := make([]int, d.WireLayers)
-	for _, rt := range routes {
-		if rt == nil {
-			continue
-		}
-		for _, s := range rt.Segs {
-			if len(s.Pl) > 1 {
-				segN[s.Layer] += len(s.Pl) - 1
-			}
-		}
-		for _, v := range rt.Vias {
-			viaN[v.Layer]++
-			viaN[v.Layer+1]++
-		}
-	}
-	for l := 0; l < d.WireLayers; l++ {
-		p.layerSegs[l] = make([]netSeg, 0, segN[l])
-		p.layerVias[l] = make([]netVia, 0, viaN[l])
-	}
-	for _, rt := range routes {
-		if rt == nil {
-			continue
-		}
-		for _, s := range rt.Segs {
-			pl := s.Pl
-			for i := 1; i < len(pl); i++ {
-				p.layerSegs[s.Layer] = append(p.layerSegs[s.Layer], netSeg{rt.Net, geom.Seg(pl[i-1], pl[i])})
-			}
-		}
-		for _, v := range rt.Vias {
-			// Via layer k touches wire layers k and k+1.
-			p.layerVias[v.Layer] = append(p.layerVias[v.Layer], netVia{rt.Net, v.Pos})
-			p.layerVias[v.Layer+1] = append(p.layerVias[v.Layer+1], netVia{rt.Net, v.Pos})
-		}
-	}
-	p.cell = indexCell(d)
-	p.segGrids = make([]flatGrid, d.WireLayers)
-	p.viaGrids = make([]flatGrid, d.WireLayers)
-	for l := 0; l < d.WireLayers; l++ {
-		p.segGrids[l].fillNetSegs(p.layerSegs[l], p.cell, &p.scr)
-		p.viaGrids[l].fillNetVias(p.layerVias[l], p.cell, &p.scr)
-	}
-	return p
-}
-
-// chordOK reports whether replacing the two original segments with the
-// chord keeps clearance to every other net's wires and vias on the layer
-// and stays out of keep-outs. A pre-existing shortfall does not block a
-// removal as long as the chord comes no closer than the original path did.
-//
-// Candidates come from the layer's spatial indexes: a wire or via beyond
-// one cell of the chord is beyond every queryable limit (indexCell bounds
-// them all), so walking the chord's cell rectangle ±1 examines a superset
-// of the candidates that can return false — the verdict is byte-identical
-// to the full scan it replaces.
-//
-//rdl:noalloc
-func (p *polisher) chordOK(chord, orig1, orig2 geom.Segment, layer, net int) bool {
-	if p.d.SegmentBlocked(chord, layer, 0) {
-		return false
-	}
-	segs := p.layerSegs[layer]
-	g := &p.segGrids[layer]
-	if len(g.items) > 0 {
-		p.scr.begin(len(segs))
-		x0, y0 := g.cellOf(chord.A)
-		x1, y1 := g.cellOf(chord.B)
-		for x := minInt(x0, x1) - 1; x <= maxInt(x0, x1)+1; x++ {
-			if x < 0 || x >= g.nx {
-				continue
-			}
-			for y := minInt(y0, y1) - 1; y <= maxInt(y0, y1)+1; y++ {
-				if y < 0 || y >= g.ny {
-					continue
-				}
-				c := y*g.nx + x
-				for _, si := range g.items[g.starts[c]:g.starts[c+1]] {
-					if p.scr.stamp[si] == p.scr.gen {
-						continue
-					}
-					p.scr.stamp[si] = p.scr.gen
-					ns := &segs[si]
-					if p.d.SameGroup(ns.net, net) {
-						continue
-					}
-					d, _, _ := chord.DistToSegment(ns.seg)
-					limit := p.d.Clearance(net, ns.net)
-					if d >= limit-1e-9 {
-						continue
-					}
-					d1, _, _ := orig1.DistToSegment(ns.seg)
-					d2, _, _ := orig2.DistToSegment(ns.seg)
-					if d < math.Min(d1, d2)-1e-9 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	vias := p.layerVias[layer]
-	vg := &p.viaGrids[layer]
-	if len(vg.items) > 0 {
-		p.scr.begin(len(vias))
-		x0, y0 := vg.cellOf(chord.A)
-		x1, y1 := vg.cellOf(chord.B)
-		for x := minInt(x0, x1) - 1; x <= maxInt(x0, x1)+1; x++ {
-			if x < 0 || x >= vg.nx {
-				continue
-			}
-			for y := minInt(y0, y1) - 1; y <= maxInt(y0, y1)+1; y++ {
-				if y < 0 || y >= vg.ny {
-					continue
-				}
-				c := y*vg.nx + x
-				for _, vi := range vg.items[vg.starts[c]:vg.starts[c+1]] {
-					if p.scr.stamp[vi] == p.scr.gen {
-						continue
-					}
-					p.scr.stamp[vi] = p.scr.gen
-					nv := &vias[vi]
-					if p.d.SameGroup(nv.net, net) {
-						continue
-					}
-					limit := p.rules.ViaWidth/2 + p.rules.MinSpacing + p.d.WidthOf(net)/2
-					d := chord.DistToPoint(nv.pos)
-					if d >= limit-1e-9 {
-						continue
-					}
-					orig := math.Min(orig1.DistToPoint(nv.pos), orig2.DistToPoint(nv.pos))
-					if d < orig-1e-9 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// refresh replaces the stored segments of one layer and rebuilds the
-// layer's spatial index over them. Polishing only removes vertices, so the
-// refilled view never outgrows the buffers the initial build sized.
-//
-//rdl:noalloc
-func (p *polisher) refresh(routes []*Route, layer int) {
-	segs := p.layerSegs[layer][:0]
-	for _, rt := range routes {
-		if rt == nil {
-			continue
-		}
-		for _, s := range rt.Segs {
-			if s.Layer != layer {
-				continue
-			}
-			pl := s.Pl
-			for i := 1; i < len(pl); i++ {
-				segs = append(segs, netSeg{rt.Net, geom.Seg(pl[i-1], pl[i])})
-			}
-		}
-	}
-	p.layerSegs[layer] = segs
-	p.segGrids[layer].fillNetSegs(segs, p.cell, &p.scr)
-}
-
 // polishPolyline removes spike vertices and merges turn pairs closer than
 // w_x, iterating both passes to a fixpoint. Every removal is validated
-// against p's evolving geometry (p may be nil for unconditional polishing,
-// used in tests). The input polyline is never modified: when nothing
-// changes it is returned as-is, otherwise a fresh exact-size polyline comes
-// back — all intermediate work happens in p's scratch buffers. Removal can
-// only shorten the polyline, so "changed" is exactly "len differs".
-func polishPolyline(in geom.Polyline, rules design.Rules, p *polisher, layer, net int) geom.Polyline {
-	var pl geom.Polyline
-	var blocked []geom.Point
-	if p != nil {
-		pl = p.plBuf[:0]
-		blocked = p.blockedBuf[:0]
-	}
-	pl = append(pl, in...)
+// against the index's current geometry. The input polyline is never
+// modified: when nothing changes it is returned as-is, otherwise a fresh
+// exact-size polyline comes back — all intermediate work happens in p's
+// scratch buffers. Removal can only shorten the polyline, so "changed" is
+// exactly "len differs".
+func (p *polisher) polishPolyline(in geom.Polyline, layer, net int) geom.Polyline {
+	pl := append(p.plBuf[:0], in...)
+	blocked := p.blockedBuf[:0]
 	pl = pl.SimplifyInPlace()
 	accept := func(i int) bool {
-		if p == nil {
-			return true
-		}
-		return p.chordOK(geom.Seg(pl[i-1], pl[i+1]), geom.Seg(pl[i-1], pl[i]), geom.Seg(pl[i], pl[i+1]), layer, net)
+		return p.legal(geom.Seg(pl[i-1], pl[i+1]), layer, net, true,
+			geom.Seg(pl[i-1], pl[i]), geom.Seg(pl[i], pl[i+1]))
 	}
 	isBlocked := func(pt geom.Point) bool {
 		for _, b := range blocked {
@@ -280,6 +55,7 @@ func polishPolyline(in geom.Polyline, rules design.Rules, p *polisher, layer, ne
 		}
 		return false
 	}
+	minTurnDist := p.d.Rules.MinTurnDist
 	for rounds := 0; rounds < 128; rounds++ {
 		changed := false
 		// Drop reflex spikes.
@@ -302,7 +78,7 @@ func polishPolyline(in geom.Polyline, rules design.Rules, p *polisher, layer, ne
 			// vertex with the smaller turn (the gentler kink loses less
 			// shape).
 			for i := 1; i+2 < len(pl); i++ {
-				if pl[i].Dist(pl[i+1]) >= rules.MinTurnDist {
+				if pl[i].Dist(pl[i+1]) >= minTurnDist {
 					continue
 				}
 				t1 := geom.TurnAngle(pl[i-1], pl[i], pl[i+1])
@@ -328,10 +104,8 @@ func polishPolyline(in geom.Polyline, rules design.Rules, p *polisher, layer, ne
 		}
 	}
 	pl = pl.SimplifyInPlace()
-	if p != nil {
-		p.plBuf = pl[:0]
-		p.blockedBuf = blocked[:0]
-	}
+	p.plBuf = pl[:0]
+	p.blockedBuf = blocked[:0]
 	if len(pl) == len(in) {
 		return in
 	}
@@ -344,17 +118,18 @@ func polishPolyline(in geom.Polyline, rules design.Rules, p *polisher, layer, ne
 // against all other nets' current geometry and the design's keep-outs, and
 // returns the total wirelength after polishing.
 func PolishRoutes(routes []*Route, d *design.Design) float64 {
-	p := newPolisher(routes, d)
-	rules := d.Rules
+	p := &polisher{legalIndex: newLegalIndex(routes, d)}
 	for _, rt := range routes {
 		if rt == nil {
 			continue
 		}
 		for i := range rt.Segs {
-			cleaned := polishPolyline(rt.Segs[i].Pl, rules, p, rt.Segs[i].Layer, rt.Net)
+			cleaned := p.polishPolyline(rt.Segs[i].Pl, rt.Segs[i].Layer, rt.Net)
 			if len(cleaned) != len(rt.Segs[i].Pl) {
 				rt.Segs[i].Pl = cleaned
-				p.refresh(routes, rt.Segs[i].Layer)
+				// Polishing only removes vertices, so the refilled view
+				// never outgrows the buffers the initial build sized.
+				p.refreshSegs(routes, rt.Segs[i].Layer)
 			}
 		}
 	}
@@ -365,11 +140,4 @@ func PolishRoutes(routes []*Route, d *design.Design) float64 {
 		}
 	}
 	return total
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

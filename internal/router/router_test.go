@@ -77,7 +77,7 @@ func TestRouteMetricsConsistency(t *testing.T) {
 		t.Errorf("vias = %d, metrics say %d", vias, out.Metrics.Vias)
 	}
 	// DRC recomputes identically.
-	vs := detail.CheckDRC(out.DetailResult.Routes, d.Rules, d.WireLayers)
+	vs := detail.CheckDRCParallel(out.DetailResult.Routes, d, detail.DRCOptions{})
 	if len(vs) != out.Metrics.DRCViolations {
 		t.Errorf("DRC recount %d != %d", len(vs), out.Metrics.DRCViolations)
 	}

@@ -35,7 +35,7 @@ func routedRandom(t *testing.T, seed int64) (*design.Design, []*detail.Route) {
 
 // TestVerifyDifferentialAgainstDRC fuzzes the verifier against the DRC it
 // wraps: on routed random designs, the report's rule findings must mirror
-// CheckDRCWithDesign exactly — same count, same violations (compared by
+// CheckDRCParallel exactly — same count, same violations (compared by
 // their formatted messages, which carry kind, nets, layer, position and
 // measured values).
 func TestVerifyDifferentialAgainstDRC(t *testing.T) {
@@ -45,7 +45,7 @@ func TestVerifyDifferentialAgainstDRC(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		d, routes := routedRandom(t, seed)
-		drc := detail.CheckDRCWithDesign(routes, d)
+		drc := detail.CheckDRCParallel(routes, d, detail.DRCOptions{Workers: 1})
 		rep := verify.Check(d, routes, verify.Options{Workers: 4})
 
 		var want []string
@@ -93,7 +93,7 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 // checker itself.
 func TestVerifyReusesSuppliedDRC(t *testing.T) {
 	d, routes := routedRandom(t, 5)
-	drc := detail.CheckDRCWithDesign(routes, d)
+	drc := detail.CheckDRCParallel(routes, d, detail.DRCOptions{Workers: 1})
 	own := verify.Check(d, routes, verify.Options{Workers: 1})
 	reused := verify.Check(d, routes, verify.Options{Workers: 1, DRC: drc, HaveDRC: true})
 	if !reflect.DeepEqual(own, reused) {
