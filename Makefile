@@ -66,14 +66,14 @@ bench-drc:
 	BENCH_DRC_OUT=$(CURDIR)/BENCH_drc.json \
 		$(GO) test -run '^$$' -bench BenchmarkDRC -benchmem ./internal/detail/
 
-# Routing hot path: global A*/rip-up and detailed routing per dense case,
-# plus the K=3 ordering-portfolio race end to end. Writes ns/op, allocs/op
-# and B/op to BENCH_route.json — the allocation counts are the
-# zero-allocation A* regression gate. Portfolio entries carry per-strategy
-# scores, the winner and beats_rudy.
+# Routing hot path: the routing-graph build, global A*/rip-up and detailed
+# routing per dense case, plus the K=3 ordering-portfolio race end to end.
+# Writes ns/op, allocs/op and B/op to BENCH_route.json — the allocation
+# counts are the allocation regression gate. Portfolio entries carry
+# per-strategy scores, the winner and beats_rudy.
 bench-route:
 	BENCH_ROUTE_OUT=$(CURDIR)/BENCH_route.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkGlobalRoute|BenchmarkDetailRoute|BenchmarkPortfolioRoute' -benchmem .
+		$(GO) test -run '^$$' -bench 'BenchmarkGraphBuild|BenchmarkGlobalRoute|BenchmarkDetailRoute|BenchmarkPortfolioRoute' -benchmem .
 
 # Allocation regression gate, locally runnable: a one-iteration pass over
 # the routing benchmarks (allocs/op is exact even at -benchtime=1x since
@@ -86,7 +86,7 @@ bench-route:
 alloc-gate:
 	rm -f $(CURDIR)/.bench_route_smoke.json
 	BENCH_ROUTE_OUT=$(CURDIR)/.bench_route_smoke.json \
-		$(GO) test -run '^$$' -bench 'BenchmarkGlobalRoute|BenchmarkDetailRoute' -benchtime=1x -cpu 2 .
+		$(GO) test -run '^$$' -bench 'BenchmarkGraphBuild|BenchmarkGlobalRoute|BenchmarkDetailRoute' -benchtime=1x -cpu 2 .
 	$(GO) run ./cmd/allocgate -in $(CURDIR)/.bench_route_smoke.json
 
 fmt:

@@ -155,6 +155,31 @@ func measureLoop(b *testing.B, name, stage, cse string, fn func()) {
 	})
 }
 
+// BenchmarkGraphBuild measures the routing-graph build alone: the design
+// and its via plan are made once outside the timer, each iteration
+// triangulates every wire layer and assembles nodes, links and adjacency
+// from scratch. Its allocs/op rows keep maps and per-node slices out of the
+// build (cmd/allocgate).
+func BenchmarkGraphBuild(b *testing.B) {
+	for _, name := range design.DenseNames() {
+		b.Run(name, func(b *testing.B) {
+			d, err := design.GenerateDense(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := viaplan.Build(d, viaplan.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			measureLoop(b, "rgraph/"+name, "rgraph", name, func() {
+				if _, err := rgraph.Build(d, plan, rgraph.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkGlobalRoute measures the global-routing stage alone: the graph is
 // prebuilt, each iteration runs a fresh router over it (RUDY ordering,
 // crossing-aware A*, rip-up rounds, diagonal refinement) at the default

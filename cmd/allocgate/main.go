@@ -27,13 +27,18 @@ import (
 )
 
 // budgets pins the gated rows, measured at a pool size of 2 (the gate runs
-// its benchmarks with -cpu 2). The global round loop is serial at every
-// Parallelism; detail workers each own a scratch, so the detail rows grow
-// with the pool size.
+// its benchmarks with -cpu 2). The graph build and the global round loop
+// are serial at every Parallelism; detail workers each own a scratch, so
+// the detail rows grow with the pool size.
 var budgets = []struct {
 	name string
 	max  float64
 }{
+	{"rgraph/dense1", 73},
+	{"rgraph/dense2", 82},
+	{"rgraph/dense3", 113},
+	{"rgraph/dense4", 116},
+	{"rgraph/dense5", 181},
 	{"global/dense1", 1035},
 	{"global/dense2", 2730},
 	{"global/dense3", 3715},

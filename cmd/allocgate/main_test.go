@@ -66,7 +66,7 @@ func TestGateFailsOnMissingRow(t *testing.T) {
 }
 
 // TestBudgetsCoverEveryDenseDetailRow pins that the gate covers the whole
-// dense suite for both gated stages — adding a dense case without extending
+// dense suite for every gated stage — adding a dense case without extending
 // the gate is the regression this test exists to catch.
 func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
 	want := []string{"dense1", "dense2", "dense3", "dense4", "dense5"}
@@ -75,11 +75,10 @@ func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
 		have[bd.name] = true
 	}
 	for _, c := range want {
-		if !have["detail/"+c] {
-			t.Errorf("no detail budget for %s", c)
-		}
-		if !have["global/"+c] {
-			t.Errorf("no global budget for %s", c)
+		for _, stage := range []string{"rgraph", "global", "detail"} {
+			if !have[stage+"/"+c] {
+				t.Errorf("no %s budget for %s", stage, c)
+			}
 		}
 	}
 }

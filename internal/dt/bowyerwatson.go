@@ -22,13 +22,28 @@ type bowyerWatson struct {
 	tris     []wtri
 	lastTri  int // walk hint
 
-	// Scratch buffers reused across insertions.
-	badSet map[int]bool
-	stack  []int
+	// Scratch reused across insertions. A triangle is in the current
+	// insertion's cavity when its badStamp equals stamp; badStamp grows with
+	// tris, and new triangles start at 0, which no insertion's stamp is.
+	badStamp []int32
+	stamp    int32
+	cavity   []int
+	boundary []boundaryEdge
+	stack    []int
 }
 
+// trisPerVertex sizes the working triangle slice. Inserting the dense
+// benchmarks' layers in plan order creates 8–13 triangles per vertex, and
+// dead slots are never reused: reuse would renumber the mesh.
+const trisPerVertex = 12
+
 func newBowyerWatson(points []geom.Point) *bowyerWatson {
-	bw := &bowyerWatson{badSet: make(map[int]bool)}
+	bw := &bowyerWatson{
+		pts:      make([]geom.Point, 0, len(points)+3),
+		cavity:   make([]int, 0, 64),
+		boundary: make([]boundaryEdge, 0, 64),
+		stack:    make([]int, 0, 64),
+	}
 	seen := make(map[geom.Point]int, len(points))
 	bw.inputIdx = make([]int, len(points))
 	for i, p := range points {
@@ -60,7 +75,9 @@ func newBowyerWatson(points []geom.Point) *bowyerWatson {
 		geom.Pt(c.X, c.Y+2*m),
 	)
 	s0, s1, s2 := bw.nReal, bw.nReal+1, bw.nReal+2
-	bw.tris = append(bw.tris, wtri{v: [3]int{s0, s1, s2}, n: [3]int{-1, -1, -1}, alive: true})
+	bw.tris = make([]wtri, 1, trisPerVertex*bw.nReal+1)
+	bw.tris[0] = wtri{v: [3]int{s0, s1, s2}, n: [3]int{-1, -1, -1}, alive: true}
+	bw.badStamp = make([]int32, 1, cap(bw.tris))
 	// pts[] for super triangle chosen CCW already: (-2m,-m),(2m,-m),(0,2m).
 	return bw
 }
@@ -142,11 +159,9 @@ func (bw *bowyerWatson) insert(v int) error {
 	}
 
 	// Grow the cavity: connected triangles whose circumcircle contains p.
-	bad := bw.badSet
-	for k := range bad {
-		delete(bad, k)
-	}
-	bad[seed] = true
+	bw.stamp++
+	bw.cavity = bw.cavity[:0]
+	bw.addToCavity(seed)
 	bw.stack = append(bw.stack[:0], seed)
 	// If p lies on an edge of the seed triangle, the neighbour across that
 	// edge must join the cavity even when the tolerant in-circle predicate
@@ -155,8 +170,8 @@ func (bw *bowyerWatson) insert(v int) error {
 	for i := 0; i < 3; i++ {
 		a := bw.pts[st.v[(i+1)%3]]
 		b := bw.pts[st.v[(i+2)%3]]
-		if geom.Orient(a, b, p) == geom.Collinear && st.n[i] != -1 && !bad[st.n[i]] {
-			bad[st.n[i]] = true
+		if geom.Orient(a, b, p) == geom.Collinear && st.n[i] != -1 && !bw.inCavity(st.n[i]) {
+			bw.addToCavity(st.n[i])
 			bw.stack = append(bw.stack, st.n[i])
 		}
 	}
@@ -166,12 +181,12 @@ func (bw *bowyerWatson) insert(v int) error {
 		tr := bw.tris[t]
 		for i := 0; i < 3; i++ {
 			nb := tr.n[i]
-			if nb == -1 || bad[nb] {
+			if nb == -1 || bw.inCavity(nb) {
 				continue
 			}
 			nt := bw.tris[nb]
 			if geom.InCircle(bw.pts[nt.v[0]], bw.pts[nt.v[1]], bw.pts[nt.v[2]], p) {
-				bad[nb] = true
+				bw.addToCavity(nb)
 				bw.stack = append(bw.stack, nb)
 			}
 		}
@@ -182,21 +197,15 @@ func (bw *bowyerWatson) insert(v int) error {
 	// zero-area triangle). The cavity is walked in sorted index order so the
 	// resulting triangle numbering — and with it every downstream node ID —
 	// is deterministic run to run.
-	var boundary []boundaryEdge
-	var cavity []int
 	for guard := 0; guard < len(bw.tris)+8; guard++ {
-		cavity = cavity[:0]
-		for t := range bad {
-			cavity = append(cavity, t)
-		}
-		sort.Ints(cavity)
-		boundary = boundary[:0]
+		sort.Ints(bw.cavity)
+		bw.boundary = bw.boundary[:0]
 		grew := false
-		for _, t := range cavity {
+		for _, t := range bw.cavity {
 			tr := bw.tris[t]
 			for i := 0; i < 3; i++ {
 				nb := tr.n[i]
-				if nb != -1 && bad[nb] {
+				if nb != -1 && bw.inCavity(nb) {
 					continue
 				}
 				a, b := tr.v[(i+1)%3], tr.v[(i+2)%3]
@@ -204,11 +213,11 @@ func (bw *bowyerWatson) insert(v int) error {
 					if nb == -1 {
 						return errDegenerate
 					}
-					bad[nb] = true
+					bw.addToCavity(nb)
 					grew = true
 					break
 				}
-				boundary = append(boundary, boundaryEdge{a: a, b: b, outside: nb})
+				bw.boundary = append(bw.boundary, boundaryEdge{a: a, b: b, outside: nb})
 			}
 			if grew {
 				break
@@ -218,18 +227,18 @@ func (bw *bowyerWatson) insert(v int) error {
 			break
 		}
 	}
+	boundary := bw.boundary
 	if len(boundary) < 3 {
 		return errDegenerate
 	}
 
 	// Kill cavity triangles.
-	for t := range bad {
+	for _, t := range bw.cavity {
 		bw.tris[t].alive = false
 	}
 
-	// Create the fan of new triangles around p and stitch adjacency.
-	type key struct{ a, b int }
-	newAt := make(map[key]int, len(boundary))
+	// Create the fan of new triangles around p, one per boundary edge in
+	// boundary order, and stitch adjacency.
 	first := len(bw.tris)
 	for _, be := range boundary {
 		idx := len(bw.tris)
@@ -240,11 +249,12 @@ func (bw *bowyerWatson) insert(v int) error {
 			n:     [3]int{be.outside, -1, -1},
 			alive: true,
 		})
+		bw.badStamp = append(bw.badStamp, 0)
 		// Fix the outside triangle's back pointer.
 		if be.outside != -1 {
 			ot := &bw.tris[be.outside]
 			for i := 0; i < 3; i++ {
-				if ot.n[i] != -1 && bad[ot.n[i]] {
+				if ot.n[i] != -1 && bw.inCavity(ot.n[i]) {
 					// Check this slot is the shared edge (a,b).
 					oa, ob := ot.v[(i+1)%3], ot.v[(i+2)%3]
 					if (oa == be.a && ob == be.b) || (oa == be.b && ob == be.a) {
@@ -253,7 +263,6 @@ func (bw *bowyerWatson) insert(v int) error {
 				}
 			}
 		}
-		newAt[key{be.a, be.b}] = idx
 	}
 	// Link new triangles to each other across the spoke edges (p, x). For
 	// triangle [p, a, b]: edge opposite a is (b, p) — shared with the new
@@ -262,17 +271,26 @@ func (bw *bowyerWatson) insert(v int) error {
 	for i := first; i < len(bw.tris); i++ {
 		tr := &bw.tris[i]
 		a, b := tr.v[1], tr.v[2]
-		for k, j := range newAt {
-			if k.a == b { // triangle [p, b, x] shares edge (p, b)
-				tr.n[1] = j
+		for j, be := range boundary {
+			if be.a == b { // triangle [p, b, x] shares edge (p, b)
+				tr.n[1] = first + j
 			}
-			if k.b == a { // triangle [p, x, a] shares edge (p, a)
-				tr.n[2] = j
+			if be.b == a { // triangle [p, x, a] shares edge (p, a)
+				tr.n[2] = first + j
 			}
 		}
 	}
 	bw.lastTri = first
 	return nil
+}
+
+// inCavity reports whether triangle t is in the current insertion's cavity.
+func (bw *bowyerWatson) inCavity(t int) bool { return bw.badStamp[t] == bw.stamp }
+
+// addToCavity marks triangle t as part of the current insertion's cavity.
+func (bw *bowyerWatson) addToCavity(t int) {
+	bw.badStamp[t] = bw.stamp
+	bw.cavity = append(bw.cavity, t)
 }
 
 // repairHull fills concave notches on the mesh boundary. A finite
@@ -319,7 +337,7 @@ func repairHull(m *Mesh) {
 		if !filled {
 			return
 		}
-		m.rebuildIndexes()
+		m.rebuildNeighbours()
 	}
 }
 
@@ -327,62 +345,64 @@ func repairHull(m *Mesh) {
 // interior on its left, or nil when the boundary is not a single simple
 // loop.
 func boundaryLoop(m *Mesh) []int {
-	next := make(map[int]int)
-	start := -1
+	next := make([]int, len(m.Points)) // boundary successor, or -1
+	for i := range next {
+		next[i] = -1
+	}
+	start, edges := -1, 0
 	for _, t := range m.Tris {
 		for i := 0; i < 3; i++ {
 			if t.N[i] != -1 {
 				continue
 			}
 			from := t.V[(i+1)%3]
-			to := t.V[(i+2)%3]
-			if _, dup := next[from]; dup {
+			if next[from] != -1 {
 				return nil // non-manifold boundary; leave untouched
 			}
-			next[from] = to
+			next[from] = t.V[(i+2)%3]
 			start = from
+			edges++
 		}
 	}
 	if start == -1 {
 		return nil
 	}
-	loop := []int{start}
+	loop := make([]int, 1, edges)
+	loop[0] = start
 	for v := next[start]; v != start; v = next[v] {
-		loop = append(loop, v)
-		if len(loop) > len(next) {
+		if v == -1 || len(loop) == edges {
 			return nil // broken cycle
 		}
+		loop = append(loop, v)
 	}
-	if len(loop) != len(next) {
+	if len(loop) != edges {
 		return nil // multiple loops
 	}
 	return loop
 }
 
-// rebuildIndexes recomputes neighbour links and the incidence indexes from
-// the triangle vertex lists.
-func (m *Mesh) rebuildIndexes() {
-	m.edgeTris = make(map[Edge][2]int, 3*len(m.Tris)/2)
-	m.vertTris = make([][]int, len(m.Points))
+// rebuildNeighbours recomputes the neighbour links from the triangle vertex
+// lists. Only hull repair needs it: Bowyer–Watson maintains the links
+// itself.
+func (m *Mesh) rebuildNeighbours() {
+	edgeTris := make(map[Edge][2]int, 3*len(m.Tris)/2)
 	for ti, t := range m.Tris {
 		for j := 0; j < 3; j++ {
-			m.vertTris[t.V[j]] = append(m.vertTris[t.V[j]], ti)
 			e := MakeEdge(t.V[j], t.V[(j+1)%3])
-			if cur, ok := m.edgeTris[e]; ok {
+			if cur, ok := edgeTris[e]; ok {
 				if cur[0] != ti && cur[1] == -1 {
 					cur[1] = ti
-					m.edgeTris[e] = cur
+					edgeTris[e] = cur
 				}
 			} else {
-				m.edgeTris[e] = [2]int{ti, -1}
+				edgeTris[e] = [2]int{ti, -1}
 			}
 		}
 	}
 	for ti := range m.Tris {
 		t := &m.Tris[ti]
 		for i := 0; i < 3; i++ {
-			e := MakeEdge(t.V[(i+1)%3], t.V[(i+2)%3])
-			ts := m.edgeTris[e]
+			ts := edgeTris[MakeEdge(t.V[(i+1)%3], t.V[(i+2)%3])]
 			switch {
 			case ts[0] == ti:
 				t.N[i] = ts[1]
@@ -395,8 +415,40 @@ func (m *Mesh) rebuildIndexes() {
 	}
 }
 
-// finish strips the super-triangle, compacts the mesh, and builds the
-// incidence indexes.
+// buildEdges numbers the mesh edges from the neighbour links, in the order
+// a scan over the triangles and their sides first meets them. Side i of
+// triangle t joins V[i] and V[(i+1)%3] and lies opposite V[(i+2)%3], so
+// its neighbour across is N[(i+2)%3]; the edge is new at t unless that
+// neighbour comes earlier, in which case it already numbered the edge.
+func (m *Mesh) buildEdges() {
+	nt := len(m.Tris)
+	// Euler: a triangulation of n vertices into t triangles has n + t − 1
+	// edges.
+	m.edges = make([]Edge, 0, nt+len(m.Points)-1)
+	m.edgeTri = make([][2]int, 0, cap(m.edges))
+	m.triEdge = make([][3]int32, nt)
+	for ti, t := range m.Tris {
+		for i := 0; i < 3; i++ {
+			e := MakeEdge(t.V[i], t.V[(i+1)%3])
+			nb := t.N[(i+2)%3]
+			if nb == -1 || nb > ti {
+				m.triEdge[ti][i] = int32(len(m.edges))
+				m.edges = append(m.edges, e)
+				m.edgeTri = append(m.edgeTri, [2]int{ti, nb})
+				continue
+			}
+			u := m.Tris[nb]
+			for j := 0; j < 3; j++ {
+				if MakeEdge(u.V[j], u.V[(j+1)%3]) == e {
+					m.triEdge[ti][i] = m.triEdge[nb][j]
+				}
+			}
+		}
+	}
+}
+
+// finish strips the super-triangle, compacts the mesh, repairs its hull and
+// numbers its edges.
 func (bw *bowyerWatson) finish() (*Mesh, error) {
 	keep := make([]int, len(bw.tris)) // old index -> new index or -1
 	for i := range keep {
@@ -426,8 +478,6 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 		Points:      append([]geom.Point(nil), bw.pts[:bw.nReal]...),
 		InputVertex: bw.inputIdx,
 		Tris:        make([]Triangle, count),
-		edgeTris:    make(map[Edge][2]int),
-		vertTris:    make([][]int, bw.nReal),
 	}
 	for i, t := range bw.tris {
 		ni := keep[i]
@@ -445,20 +495,7 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 		}
 		m.Tris[ni] = out
 	}
-	for ti, t := range m.Tris {
-		for j := 0; j < 3; j++ {
-			m.vertTris[t.V[j]] = append(m.vertTris[t.V[j]], ti)
-			e := MakeEdge(t.V[j], t.V[(j+1)%3])
-			if cur, ok := m.edgeTris[e]; ok {
-				if cur[0] != ti && cur[1] == -1 {
-					cur[1] = ti
-					m.edgeTris[e] = cur
-				}
-			} else {
-				m.edgeTris[e] = [2]int{ti, -1}
-			}
-		}
-	}
 	repairHull(m)
+	m.buildEdges()
 	return m, nil
 }

@@ -14,7 +14,6 @@ package dt
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"rdlroute/internal/geom"
 )
@@ -62,8 +61,9 @@ type Mesh struct {
 	// Tris holds the triangles of the final mesh.
 	Tris []Triangle
 
-	edgeTris map[Edge][2]int // each edge's 1 or 2 incident triangles (-1 pad)
-	vertTris [][]int         // vertex index -> incident triangle indices
+	edges   []Edge     // edge index -> edge, in first-seen triangle order
+	edgeTri [][2]int   // edge index -> its 1 or 2 triangles (-1 pad)
+	triEdge [][3]int32 // triangle -> edge index of side (V[i], V[(i+1)%3])
 }
 
 // Triangulate computes the Delaunay triangulation of the given points.
@@ -80,38 +80,18 @@ func Triangulate(points []geom.Point) (*Mesh, error) {
 	return bw.finish()
 }
 
-// EdgeTriangles returns the one or two triangle indices incident to the
-// given undirected edge, and reports whether the edge exists in the mesh.
-// For a hull edge the second index is -1.
-func (m *Mesh) EdgeTriangles(e Edge) ([2]int, bool) {
-	t, ok := m.edgeTris[e]
-	return t, ok
-}
+// Edges returns all undirected edges of the mesh, indexed by edge index.
+// The order is the one a scan over the triangles and their sides first
+// meets each edge. The slice is shared with the mesh; do not modify it.
+func (m *Mesh) Edges() []Edge { return m.edges }
 
-// Edges returns all undirected edges of the mesh. The order is unspecified
-// but deterministic for a given mesh.
-func (m *Mesh) Edges() []Edge {
-	edges := make([]Edge, 0, len(m.edgeTris))
-	seen := make(map[Edge]bool, len(m.edgeTris))
-	for _, t := range m.Tris {
-		for i := 0; i < 3; i++ {
-			e := MakeEdge(t.V[i], t.V[(i+1)%3])
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-			}
-		}
-	}
-	return edges
-}
+// EdgeTris returns the one or two triangles incident to edge index ei, the
+// lower index first. For a hull edge the second index is -1.
+func (m *Mesh) EdgeTris(ei int) [2]int { return m.edgeTri[ei] }
 
-// VertexTriangles returns the indices of all triangles incident to vertex v.
-func (m *Mesh) VertexTriangles(v int) []int {
-	if v < 0 || v >= len(m.vertTris) {
-		return nil
-	}
-	return m.vertTris[v]
-}
+// TriEdge returns the edge index of side i of triangle t, the side joining
+// V[i] and V[(i+1)%3].
+func (m *Mesh) TriEdge(t, i int) int { return int(m.triEdge[t][i]) }
 
 // TriangleEdges returns the three undirected edges of triangle t.
 func (m *Mesh) TriangleEdges(t int) [3]Edge {
@@ -137,17 +117,6 @@ func (m *Mesh) OppositeVertex(t int, e Edge) (int, bool) {
 		}
 	}
 	return -1, false
-}
-
-// FindTriangle returns the index of a triangle containing p (boundary
-// inclusive), or -1 when p is outside the hull.
-func (m *Mesh) FindTriangle(p geom.Point) int {
-	for i, t := range m.Tris {
-		if geom.PointInTriangle(p, m.Points[t.V[0]], m.Points[t.V[1]], m.Points[t.V[2]]) {
-			return i
-		}
-	}
-	return -1
 }
 
 // CheckDelaunay verifies the Delaunay empty-circumcircle property: no mesh
@@ -197,22 +166,10 @@ func (m *Mesh) CheckTopology() error {
 			}
 		}
 	}
-	// Check edge incidence in sorted edge order, not map order: with more
-	// than one inconsistency the reported error should not change run to
-	// run (the mapiter analyzer rejects loop-dependent returns out of map
-	// ranges).
-	edges := make([]Edge, 0, len(m.edgeTris))
-	for e := range m.edgeTris {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
-		}
-		return edges[i].B < edges[j].B
-	})
-	for _, e := range edges {
-		for _, ti := range m.edgeTris[e] {
+	// Edge incidence: every listed triangle has the edge, and every side of
+	// every triangle leads to its edge and back.
+	for ei, e := range m.edges {
+		for _, ti := range m.edgeTri[ei] {
 			if ti == -1 {
 				continue
 			}
@@ -224,6 +181,17 @@ func (m *Mesh) CheckTopology() error {
 			}
 			if !found {
 				return fmt.Errorf("dt: edge %v lists triangle %d which lacks it", e, ti)
+			}
+		}
+	}
+	for ti, t := range m.Tris {
+		for i := 0; i < 3; i++ {
+			ei := m.TriEdge(ti, i)
+			if m.edges[ei] != MakeEdge(t.V[i], t.V[(i+1)%3]) {
+				return fmt.Errorf("dt: triangle %d side %d maps to edge %v", ti, i, m.edges[ei])
+			}
+			if ts := m.edgeTri[ei]; ts[0] != ti && ts[1] != ti {
+				return fmt.Errorf("dt: edge %v does not list triangle %d", m.edges[ei], ti)
 			}
 		}
 	}

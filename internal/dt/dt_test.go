@@ -27,8 +27,8 @@ func TestTriangulateSquare(t *testing.T) {
 	}
 	// The two triangles must share exactly one (diagonal) edge.
 	shared := 0
-	for _, ts := range m.edgeTris {
-		if ts[1] != -1 {
+	for ei := range m.Edges() {
+		if m.EdgeTris(ei)[1] != -1 {
 			shared++
 		}
 	}
@@ -56,8 +56,14 @@ func TestTriangulateWithInteriorPoint(t *testing.T) {
 		t.Error(err)
 	}
 	// The interior point is incident to all 4 triangles.
-	if got := len(m.VertexTriangles(4)); got != 4 {
-		t.Errorf("interior vertex incident to %d triangles, want 4", got)
+	incident := 0
+	for _, tri := range m.Tris {
+		if tri.V[0] == 4 || tri.V[1] == 4 || tri.V[2] == 4 {
+			incident++
+		}
+	}
+	if incident != 4 {
+		t.Errorf("interior vertex incident to %d triangles, want 4", incident)
 	}
 }
 
@@ -117,8 +123,8 @@ func TestEulerFormula(t *testing.T) {
 		// vertex begins exactly one boundary edge); this includes points
 		// collinear on hull edges, which geom.ConvexHull drops.
 		h := 0
-		for _, ts := range m.edgeTris {
-			if ts[1] == -1 {
+		for ei := range m.Edges() {
+			if m.EdgeTris(ei)[1] == -1 {
 				h++
 			}
 		}
@@ -214,10 +220,10 @@ func TestEdgeQueriesAndOppositeVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range m.Edges() {
-		ts, ok := m.EdgeTriangles(e)
-		if !ok {
-			t.Fatalf("edge %v missing from incidence", e)
+	for ei, e := range m.Edges() {
+		ts := m.EdgeTris(ei)
+		if ts[0] == -1 {
+			t.Fatalf("edge %v has no triangle", e)
 		}
 		v, ok := m.OppositeVertex(ts[0], e)
 		if !ok {
@@ -226,9 +232,6 @@ func TestEdgeQueriesAndOppositeVertex(t *testing.T) {
 		if v == e.A || v == e.B {
 			t.Errorf("opposite vertex %d on the edge %v", v, e)
 		}
-	}
-	if _, ok := m.EdgeTriangles(MakeEdge(0, 99)); ok {
-		t.Error("nonexistent edge reported present")
 	}
 	if _, ok := m.OppositeVertex(0, MakeEdge(98, 99)); ok {
 		t.Error("OppositeVertex on foreign edge should fail")
@@ -241,20 +244,6 @@ func TestMakeEdgeNormalization(t *testing.T) {
 	}
 	if MakeEdge(2, 5) != MakeEdge(5, 2) {
 		t.Error("MakeEdge not symmetric")
-	}
-}
-
-func TestFindTriangle(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)}
-	m, err := Triangulate(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti := m.FindTriangle(geom.Pt(5, 5)); ti == -1 {
-		t.Error("interior point not located")
-	}
-	if ti := m.FindTriangle(geom.Pt(50, 50)); ti != -1 {
-		t.Error("exterior point located inside hull")
 	}
 }
 

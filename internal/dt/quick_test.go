@@ -69,8 +69,7 @@ func TestQuickMeshAreaEqualsHull(t *testing.T) {
 }
 
 // Property: every input point is a vertex of the mesh (after dedup), and
-// every mesh vertex with at least one incident triangle appears in some
-// triangle's vertex list consistently.
+// every triangle side's edge index leads back to that triangle.
 func TestQuickVertexAccounting(t *testing.T) {
 	f := func(coords []float64) bool {
 		pts := quickPoints(coords)
@@ -93,16 +92,14 @@ func TestQuickVertexAccounting(t *testing.T) {
 				return false
 			}
 		}
-		// Incidence lists agree with triangle contents.
+		// Each side's edge is that side, and lists the triangle.
 		for ti, tri := range m.Tris {
-			for _, v := range tri.V {
-				found := false
-				for _, inc := range m.VertexTriangles(v) {
-					if inc == ti {
-						found = true
-					}
+			for i := 0; i < 3; i++ {
+				ei := m.TriEdge(ti, i)
+				if m.Edges()[ei] != MakeEdge(tri.V[i], tri.V[(i+1)%3]) {
+					return false
 				}
-				if !found {
+				if ts := m.EdgeTris(ei); ts[0] != ti && ts[1] != ti {
 					return false
 				}
 			}

@@ -101,12 +101,12 @@ func (r *Router) findDiagonalViolation() rgraph.NodeID {
 	now := r.clock
 	for li := range r.G.Layers {
 		lg := &r.G.Layers[li]
-		for _, e := range lg.Mesh.Edges() {
-			tris, ok := lg.Mesh.EdgeTriangles(e)
-			if !ok || tris[1] == -1 {
+		for ei, e := range lg.Mesh.Edges() {
+			tris := lg.Mesh.EdgeTris(ei)
+			if tris[1] == -1 {
 				continue // hull edge: only one tile, no diagonal
 			}
-			en := lg.EdgeNode[e]
+			en := lg.EdgeNode[ei]
 			vi, okI := lg.Mesh.OppositeVertex(tris[0], e)
 			vj, okJ := lg.Mesh.OppositeVertex(tris[1], e)
 			if !okI || !okJ {
@@ -168,12 +168,12 @@ func (r *Router) DiagonalViolations() int {
 	pitch := r.G.Design.Rules.Pitch()
 	for li := range r.G.Layers {
 		lg := &r.G.Layers[li]
-		for _, e := range lg.Mesh.Edges() {
-			tris, ok := lg.Mesh.EdgeTriangles(e)
-			if !ok || tris[1] == -1 {
+		for ei, e := range lg.Mesh.Edges() {
+			tris := lg.Mesh.EdgeTris(ei)
+			if tris[1] == -1 {
 				continue
 			}
-			en := lg.EdgeNode[e]
+			en := lg.EdgeNode[ei]
 			vi, okI := lg.Mesh.OppositeVertex(tris[0], e)
 			vj, okJ := lg.Mesh.OppositeVertex(tris[1], e)
 			if !okI || !okJ {

@@ -12,12 +12,12 @@ import (
 func findInteriorEdge(t *testing.T, r *Router) (rgraph.NodeID, [2]int, [2]int) {
 	t.Helper()
 	lg := &r.G.Layers[0]
-	for _, e := range lg.Mesh.Edges() {
-		tris, ok := lg.Mesh.EdgeTriangles(e)
-		if !ok || tris[1] == -1 {
+	for ei, e := range lg.Mesh.Edges() {
+		tris := lg.Mesh.EdgeTris(ei)
+		if tris[1] == -1 {
 			continue
 		}
-		en := lg.EdgeNode[e]
+		en := lg.EdgeNode[ei]
 		if r.G.Node(en).Cap < 2 {
 			continue
 		}
@@ -97,12 +97,12 @@ func TestRefineDiagonalReducesCapacityAndReroutes(t *testing.T) {
 	lg := &r.G.Layers[0]
 	var tris [2]int
 	var verts [2]int
-	for _, e := range lg.Mesh.Edges() {
-		ts, ok := lg.Mesh.EdgeTriangles(e)
-		if !ok || ts[1] == -1 {
+	for ei, e := range lg.Mesh.Edges() {
+		ts := lg.Mesh.EdgeTris(ei)
+		if ts[1] == -1 {
 			continue
 		}
-		en := lg.EdgeNode[e]
+		en := lg.EdgeNode[ei]
 		if r.nodeUse[en] == 0 {
 			continue
 		}

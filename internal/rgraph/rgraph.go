@@ -126,8 +126,8 @@ type LayerGraph struct {
 	Mesh     *dt.Mesh
 	Verts    []viaplan.Vertex // aligned with Mesh.Points
 	VertNode []NodeID         // mesh vertex -> via node
-	EdgeNode map[dt.Edge]NodeID
-	Tiles    []Tile // aligned with Mesh.Tris
+	EdgeNode []NodeID         // mesh edge index -> edge node
+	Tiles    []Tile           // aligned with Mesh.Tris
 }
 
 // Graph is the complete multi-layer routing graph.
@@ -235,134 +235,180 @@ func CornerCapacity(v, a, b geom.Point, rules design.Rules) int {
 	return int(math.Floor(math.Cos(ang/4) * l / rules.Pitch()))
 }
 
-// Build constructs the routing graph for a design and its via plan.
+// Build constructs the routing graph for a design and its via plan. Node
+// IDs run layer by layer: a layer's via nodes in mesh-vertex order, then its
+// edge nodes in mesh-edge order. Link IDs run the cross-via links in plan
+// order, then every layer's tiles in triangle order.
 func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
-	viaCost := opt.ResolvedViaCost(d.Rules)
+	rec := obs.Or(opt.Rec)
 	g := &Graph{
 		Design:  d,
 		Plan:    plan,
 		Layers:  make([]LayerGraph, len(plan.Layers)),
-		PinNode: make(map[int]NodeID),
+		PinNode: make(map[int]NodeID, len(d.IOPads)),
 		Opt:     opt,
 	}
 
-	// Per-layer meshes and nodes. A pin's via capacity is the number of
-	// subnets terminating at it (multi-pin groups share pads).
-	padNetCount := d.PadNetCount()
-	viaNodes := make(map[[2]int]NodeID) // (viaID, wire layer) -> node
-	for li := range plan.Layers {
-		lp := plan.Layers[li]
+	// Triangulate every layer first, so nodes and links are sized once.
+	nodes, tris := 0, 0
+	for li, lp := range plan.Layers {
+		span := obs.StartSpan(rec, "rgraph.dt")
 		pts := make([]geom.Point, len(lp.Verts))
 		for i, v := range lp.Verts {
 			pts[i] = v.Pos
 		}
 		mesh, err := dt.Triangulate(pts)
+		span.End()
 		if err != nil {
 			return nil, fmt.Errorf("rgraph: layer %d: %w", li, err)
 		}
-		lg := &g.Layers[li]
-		lg.Index = li
-		lg.Mesh = mesh
-		lg.EdgeNode = make(map[dt.Edge]NodeID)
+		g.Layers[li] = LayerGraph{Index: li, Mesh: mesh}
+		nodes += len(mesh.Points) + len(mesh.Edges())
+		tris += len(mesh.Tris)
+	}
 
-		// Align vertex metadata with the (deduplicated) mesh vertex set.
-		lg.Verts = make([]viaplan.Vertex, len(mesh.Points))
-		for in, vi := range mesh.InputVertex {
-			lg.Verts[vi] = lp.Verts[in]
-		}
+	span := obs.StartSpan(rec, "rgraph.nodes")
+	g.Nodes = make([]Node, 0, nodes)
+	// viaNode[layer·len(plan.Vias) + via ID] is the via's node on a wire
+	// layer, or Invalid.
+	viaNode := make([]NodeID, len(plan.Layers)*len(plan.Vias))
+	for i := range viaNode {
+		viaNode[i] = Invalid
+	}
+	padNetCount := d.PadNetCount()
+	for li := range g.Layers {
+		g.addLayerNodes(li, plan.Layers[li].Verts, padNetCount, viaNode)
+	}
+	span.End()
 
-		// Via nodes, one per mesh vertex.
-		lg.VertNode = make([]NodeID, len(mesh.Points))
-		for vi := range mesh.Points {
-			meta := lg.Verts[vi]
-			capv := 0
-			switch meta.Kind {
-			case viaplan.KindVia:
+	span = obs.StartSpan(rec, "rgraph.links")
+	err := g.addLinks(viaNode, tris)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	if rec.Enabled() {
+		s := g.Stats()
+		rec.Count("rgraph.via_nodes", int64(s.ViaNodes))
+		rec.Count("rgraph.edge_nodes", int64(s.EdgeNodes))
+		rec.Count("rgraph.links", int64(len(g.Links)))
+	}
+	return g, nil
+}
+
+// addLayerNodes appends one layer's via nodes, one per mesh vertex, then its
+// edge nodes, one per mesh edge. A pin's via capacity is the number of
+// subnets terminating at it (multi-pin groups share pads).
+func (g *Graph) addLayerNodes(li int, verts []viaplan.Vertex, padNetCount []int, viaNode []NodeID) {
+	d := g.Design
+	lg := &g.Layers[li]
+	mesh := lg.Mesh
+	nVias := len(g.Plan.Vias)
+
+	// Align vertex metadata with the (deduplicated) mesh vertex set.
+	lg.Verts = make([]viaplan.Vertex, len(mesh.Points))
+	for in, vi := range mesh.InputVertex {
+		lg.Verts[vi] = verts[in]
+	}
+
+	lg.VertNode = make([]NodeID, len(mesh.Points))
+	for vi := range mesh.Points {
+		meta := lg.Verts[vi]
+		capv := 0
+		switch meta.Kind {
+		case viaplan.KindVia:
+			capv = 1
+		case viaplan.KindPin:
+			capv = padNetCount[meta.Ref]
+			if capv < 1 {
 				capv = 1
-			case viaplan.KindPin:
-				capv = padNetCount[meta.Ref]
-				if capv < 1 {
-					capv = 1
-				}
-			}
-			id := NodeID(len(g.Nodes))
-			g.Nodes = append(g.Nodes, Node{
-				Kind:     ViaNode,
-				Layer:    li,
-				Pos:      mesh.Points[vi],
-				Cap:      capv,
-				VertKind: meta.Kind,
-				Ref:      meta.Ref,
-				Vert:     vi,
-			})
-			lg.VertNode[vi] = id
-			if meta.Kind == viaplan.KindPin {
-				g.PinNode[meta.Ref] = id
-			}
-			if meta.Kind == viaplan.KindVia {
-				viaNodes[[2]int{meta.Ref, li}] = id
 			}
 		}
-
-		// Edge nodes, one per mesh edge (deterministic order). Blocking is
-		// tile-conservative: an edge carries no wires when it enters a
-		// keep-out OR when either incident tile overlaps one — detailed
-		// geometry (access points, fit detours) may wander anywhere inside
-		// a tile, so partially covered tiles cannot be trusted.
-		clearance := d.Rules.Pitch()
-		blockedTri := make([]bool, len(mesh.Tris))
-		for ti, tri := range mesh.Tris {
-			blockedTri[ti] = triangleBlocked(d, li, clearance,
-				mesh.Points[tri.V[0]], mesh.Points[tri.V[1]], mesh.Points[tri.V[2]])
+		id := NodeID(len(g.Nodes))
+		g.Nodes = append(g.Nodes, Node{
+			Kind:     ViaNode,
+			Layer:    li,
+			Pos:      mesh.Points[vi],
+			Cap:      capv,
+			VertKind: meta.Kind,
+			Ref:      meta.Ref,
+			Vert:     vi,
+		})
+		lg.VertNode[vi] = id
+		if meta.Kind == viaplan.KindPin {
+			g.PinNode[meta.Ref] = id
 		}
-		for _, e := range mesh.Edges() {
-			a, b := mesh.Points[e.A], mesh.Points[e.B]
-			capE := EffectiveEdgeCapacity(a, b, d.Rules)
-			if d.SegmentBlocked(geom.Seg(a, b), li, clearance) {
-				capE = 0
-			}
-			if ts, ok := mesh.EdgeTriangles(e); ok {
-				for _, ti := range ts {
-					if ti != -1 && blockedTri[ti] {
-						capE = 0
-					}
-				}
-			}
-			id := NodeID(len(g.Nodes))
-			g.Nodes = append(g.Nodes, Node{
-				Kind:  EdgeNode,
-				Layer: li,
-				Pos:   geom.Mid(a, b),
-				Cap:   capE,
-				Edge:  e,
-				EndA:  a,
-				EndB:  b,
-			})
-			lg.EdgeNode[e] = id
+		if meta.Kind == viaplan.KindVia && meta.Ref >= 0 && meta.Ref < nVias {
+			viaNode[li*nVias+meta.Ref] = id
 		}
 	}
 
-	g.Adj = make([][]Adjacent, len(g.Nodes))
+	// Edge nodes, one per mesh edge. Blocking is tile-conservative: an edge
+	// carries no wires when it enters a keep-out OR when either incident
+	// tile overlaps one — detailed geometry (access points, fit detours) may
+	// wander anywhere inside a tile, so partially covered tiles cannot be
+	// trusted.
+	clearance := d.Rules.Pitch()
+	blockedTri := make([]bool, len(mesh.Tris))
+	for ti, tri := range mesh.Tris {
+		blockedTri[ti] = triangleBlocked(d, li, clearance,
+			mesh.Points[tri.V[0]], mesh.Points[tri.V[1]], mesh.Points[tri.V[2]])
+	}
+	lg.EdgeNode = make([]NodeID, len(mesh.Edges()))
+	for ei, e := range mesh.Edges() {
+		a, b := mesh.Points[e.A], mesh.Points[e.B]
+		capE := EffectiveEdgeCapacity(a, b, d.Rules)
+		if d.SegmentBlocked(geom.Seg(a, b), li, clearance) {
+			capE = 0
+		}
+		for _, ti := range mesh.EdgeTris(ei) {
+			if ti != -1 && blockedTri[ti] {
+				capE = 0
+			}
+		}
+		lg.EdgeNode[ei] = NodeID(len(g.Nodes))
+		g.Nodes = append(g.Nodes, Node{
+			Kind:  EdgeNode,
+			Layer: li,
+			Pos:   geom.Mid(a, b),
+			Cap:   capE,
+			Edge:  e,
+			EndA:  a,
+			EndB:  b,
+		})
+	}
+}
+
+// addLinks appends the cross-via links and every tile's access-via and
+// cross-tile links, then builds the adjacency lists. tris is the triangle
+// count over all layers.
+func (g *Graph) addLinks(viaNode []NodeID, tris int) error {
+	d := g.Design
+	nVias := len(g.Plan.Vias)
+	g.Links = make([]Link, 0, nVias+6*tris)
 	addLink := func(l Link) int {
 		l.ID = len(g.Links)
 		g.Links = append(g.Links, l)
-		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: l.ID, To: l.B})
-		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: l.ID, To: l.A})
 		return l.ID
 	}
 
 	// Cross-via links: the two nodes of each candidate via.
-	for _, v := range plan.Vias {
-		a, okA := viaNodes[[2]int{v.ID, v.Layer}]
-		b, okB := viaNodes[[2]int{v.ID, v.Layer + 1}]
-		if !okA || !okB {
-			return nil, fmt.Errorf("rgraph: via %d missing a layer node", v.ID)
+	viaCost := g.Opt.ResolvedViaCost(d.Rules)
+	for _, v := range g.Plan.Vias {
+		a, b := Invalid, Invalid
+		if v.ID >= 0 && v.ID < nVias && v.Layer >= 0 && v.Layer+1 < len(g.Layers) {
+			a = viaNode[v.Layer*nVias+v.ID]
+			b = viaNode[(v.Layer+1)*nVias+v.ID]
+		}
+		if a == Invalid || b == Invalid {
+			return fmt.Errorf("rgraph: via %d missing a layer node", v.ID)
 		}
 		addLink(Link{Kind: CrossVia, A: a, B: b, Cap: 1, Layer: v.Layer, Tile: -1,
 			Corner: -1, Len: viaCost})
 	}
 
 	// Per-tile access-via and cross-tile links.
+	clearance := d.Rules.Pitch()
 	for li := range g.Layers {
 		lg := &g.Layers[li]
 		mesh := lg.Mesh
@@ -371,14 +417,12 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 			t := Tile{Layer: li, Tri: ti, Verts: tri.V}
 			for i := 0; i < 3; i++ {
 				t.ViaNodes[i] = lg.VertNode[tri.V[i]]
-				e := dt.MakeEdge(tri.V[i], tri.V[(i+1)%3])
-				t.EdgeNodes[i] = lg.EdgeNode[e]
+				t.EdgeNodes[i] = lg.EdgeNode[mesh.TriEdge(ti, i)]
 			}
 			// Access-via: each corner to the opposite edge node. Chords
 			// that would carry the wire through an in-tile keep-out are
 			// blocked (cap 0 would not stop the search since links use
 			// their own capacity; simply skip them).
-			clearance := d.Rules.Pitch()
 			for i := 0; i < 3; i++ {
 				vn := t.ViaNodes[i]
 				if g.Nodes[vn].Cap == 0 {
@@ -401,7 +445,7 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 				a := mesh.Points[tri.V[(i+1)%3]]
 				b := mesh.Points[tri.V[(i+2)%3]]
 				var capc int
-				if opt.NaiveCornerCapacity {
+				if g.Opt.NaiveCornerCapacity {
 					capc = min(g.Nodes[ea].Cap, g.Nodes[eb].Cap)
 				} else {
 					capc = CornerCapacity(v, a, b, d.Rules)
@@ -416,13 +460,27 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 			lg.Tiles[ti] = t
 		}
 	}
-	if rec := obs.Or(opt.Rec); rec.Enabled() {
-		s := g.Stats()
-		rec.Count("rgraph.via_nodes", int64(s.ViaNodes))
-		rec.Count("rgraph.edge_nodes", int64(s.EdgeNodes))
-		rec.Count("rgraph.links", int64(len(g.Links)))
+
+	// Adjacency in one backing array: each node gets a share capped at its
+	// degree, filled in link-ID order. That is the neighbour order A*
+	// tie-breaking depends on.
+	deg := make([]int32, len(g.Nodes))
+	for _, l := range g.Links {
+		deg[l.A]++
+		deg[l.B]++
 	}
-	return g, nil
+	flat := make([]Adjacent, 2*len(g.Links))
+	g.Adj = make([][]Adjacent, len(g.Nodes))
+	off := 0
+	for id, k := range deg {
+		g.Adj[id] = flat[off : off : off+int(k)]
+		off += int(k)
+	}
+	for _, l := range g.Links {
+		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: l.ID, To: l.B})
+		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: l.ID, To: l.A})
+	}
+	return nil
 }
 
 // Node returns the node with the given ID.
@@ -454,30 +512,6 @@ func (g *Graph) NetPins(n design.Net) (NodeID, NodeID, error) {
 // TileOf returns the tile metadata for (layer, triangle).
 func (g *Graph) TileOf(layer, tri int) *Tile { return &g.Layers[layer].Tiles[tri] }
 
-// SharedTiles returns the triangles (within node a's layer) incident to both
-// nodes, which both must be edge nodes of the same layer.
-func (g *Graph) SharedTiles(a, b NodeID) []int {
-	na, nb := g.Nodes[a], g.Nodes[b]
-	if na.Layer != nb.Layer || na.Kind != EdgeNode || nb.Kind != EdgeNode {
-		return nil
-	}
-	mesh := g.Layers[na.Layer].Mesh
-	ta, _ := mesh.EdgeTriangles(na.Edge)
-	tb, _ := mesh.EdgeTriangles(nb.Edge)
-	var out []int
-	for _, x := range ta {
-		if x == -1 {
-			continue
-		}
-		for _, y := range tb {
-			if x == y {
-				out = append(out, x)
-			}
-		}
-	}
-	return out
-}
-
 // Stats summarizes graph size for logging and tests.
 type Stats struct {
 	ViaNodes, EdgeNodes            int
@@ -507,13 +541,6 @@ func (g *Graph) Stats() Stats {
 		}
 	}
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // triangleBlocked reports whether the triangle (a, b, c) overlaps any

@@ -2,10 +2,12 @@ package rgraph
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
+	"rdlroute/internal/obs"
 	"rdlroute/internal/viaplan"
 )
 
@@ -81,6 +83,26 @@ func TestBuildDense1Structure(t *testing.T) {
 	// One cross-via link per candidate via.
 	if s.CrossVia != len(g.Plan.Vias) {
 		t.Errorf("cross-via links = %d, want %d", s.CrossVia, len(g.Plan.Vias))
+	}
+}
+
+// spanLog records every span start, in order, repeats included.
+type spanLog struct {
+	obs.Recorder
+	starts []string
+}
+
+func (s *spanLog) Enabled() bool           { return true }
+func (s *spanLog) StageStart(stage string) { s.starts = append(s.starts, stage) }
+
+// TestGraphBuildSubSpans pins the graph build's span layout: one rgraph.dt
+// span per wire layer, then rgraph.nodes, then rgraph.links.
+func TestGraphBuildSubSpans(t *testing.T) {
+	log := &spanLog{Recorder: obs.Nop}
+	g := buildGraph(t, "dense1", Options{Rec: log})
+	want := []string{"rgraph.dt", "rgraph.dt", "rgraph.nodes", "rgraph.links"}
+	if len(g.Layers) != 2 || !reflect.DeepEqual(log.starts, want) {
+		t.Errorf("%d layers, spans %v, want %v", len(g.Layers), log.starts, want)
 	}
 }
 
@@ -227,10 +249,14 @@ func TestTileBoundaryOrder(t *testing.T) {
 				if (en.Edge.A != a || en.Edge.B != b) && (en.Edge.A != b || en.Edge.B != a) {
 					t.Fatalf("tile %d edge %d joins %v, want {%d %d}", ti, i, en.Edge, a, b)
 				}
-				// CrossLinks[i] wraps corner Verts[i].
+				// CrossLinks[i] wraps corner Verts[i] inside this tile, joining
+				// Edges[(i+2)%3] and Edges[i].
 				cl := g.Link(tile.CrossLinks[i])
 				if cl.Corner != tile.Verts[i] {
 					t.Fatalf("tile %d cross link %d corner = %d, want %d", ti, i, cl.Corner, tile.Verts[i])
+				}
+				if cl.Tile != ti || cl.A != tile.EdgeNodes[(i+2)%3] || cl.B != tile.EdgeNodes[i] {
+					t.Fatalf("tile %d cross link %d is tile %d, %d–%d", ti, i, cl.Tile, cl.A, cl.B)
 				}
 			}
 		}
@@ -257,41 +283,6 @@ func TestNaiveCornerCapacityAblation(t *testing.T) {
 		t.Error("naive corner model never exceeds Eq. 2 capacity; ablation is vacuous")
 	}
 	t.Logf("naive > eq2 on %d corners, naive < eq2 on %d corners", larger, smaller)
-}
-
-func TestSharedTiles(t *testing.T) {
-	g := buildGraph(t, "dense1", Options{})
-	// For every cross-tile link, its two edge nodes share that tile.
-	for _, l := range g.Links {
-		if l.Kind != CrossTile {
-			continue
-		}
-		tiles := g.SharedTiles(l.A, l.B)
-		found := false
-		for _, ti := range tiles {
-			if ti == l.Tile {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("link %d tile %d not in shared tiles %v", l.ID, l.Tile, tiles)
-		}
-	}
-	// Nodes on different layers share nothing.
-	var e0, e1 NodeID = Invalid, Invalid
-	for id := range g.Nodes {
-		if g.Nodes[id].Kind == EdgeNode {
-			if g.Nodes[id].Layer == 0 && e0 == Invalid {
-				e0 = NodeID(id)
-			}
-			if g.Nodes[id].Layer == 1 && e1 == Invalid {
-				e1 = NodeID(id)
-			}
-		}
-	}
-	if got := g.SharedTiles(e0, e1); got != nil {
-		t.Errorf("cross-layer shared tiles = %v, want nil", got)
-	}
 }
 
 func TestEdgeKindString(t *testing.T) {
