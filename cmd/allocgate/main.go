@@ -39,11 +39,11 @@ var budgets = []struct {
 	{"rgraph/dense3", 113},
 	{"rgraph/dense4", 116},
 	{"rgraph/dense5", 181},
-	{"global/dense1", 1035},
-	{"global/dense2", 2730},
-	{"global/dense3", 3715},
-	{"global/dense4", 5330},
-	{"global/dense5", 18295},
+	{"global/dense1", 975},
+	{"global/dense2", 2585},
+	{"global/dense3", 3580},
+	{"global/dense4", 5195},
+	{"global/dense5", 17870},
 	{"detail/dense1", 5555},
 	{"detail/dense2", 13790},
 	{"detail/dense3", 24895},

@@ -56,18 +56,12 @@ type searchState struct {
 // needs gaps 0..m and m never exceeds the node capacity). A generation
 // counter stamps slot validity so clearing the scoreboard between searches
 // is one integer increment, not an O(slots) wipe. The same generation
-// stamps the chord memo and the blocked recorder below, so one increment
-// starts a search.
+// stamps the chord memo below, so one increment starts a search.
 //
 // Router state is frozen while a search runs, so the resolved passage
 // coordinates of a tile cannot change within one search: the chord memo
 // resolves each tile the search touches once, into the chords arena, and
 // every later expansion and gap through that tile reuses the slice.
-//
-// Beyond the A* buffers the scratch records the search's blocked set —
-// nodes, links and tiles where a capacity or crossing check rejected an
-// expansion, stamp-deduplicated per search. On failure the caller folds it
-// into the round-level sets that seed incremental rip-up.
 type searchScratch struct {
 	slotBase []int32 // per node: first scoreboard slot
 	bestG    []float64
@@ -94,19 +88,12 @@ type searchScratch struct {
 	memo   []tileMemo
 	chords []chordCoords
 
-	// Per-search work counters, reset by begin; the caller folds them into
-	// the router totals.
+	// Per-search work counters and failure cause, reset by begin; the caller
+	// folds them into the router totals. revisit reports that the search
+	// ended because the path to its target visits a node twice.
 	expansions int
 	heapPushes int
-
-	// Blocked-resource recording (see type comment); blkTiles holds dense
-	// tile indices.
-	blkNodeStamp []uint32
-	blkLinkStamp []uint32
-	blkTileStamp []uint32
-	blkNodes     []rgraph.NodeID
-	blkLinks     []int
-	blkTiles     []int32
+	revisit    bool
 }
 
 // tileMemo locates one tile's resolved chords in the scratch chords arena;
@@ -116,17 +103,13 @@ type tileMemo struct {
 	lo, n uint32
 }
 
-// newSearchScratch sizes the scoreboard, memo and recorder arrays for a
-// graph with nTiles tiles over all layers.
+// newSearchScratch sizes the scoreboard and memo arrays for a graph with
+// nTiles tiles over all layers.
 func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
 	s := &searchScratch{
 		slotBase: make([]int32, len(g.Nodes)+1),
 		seen:     make([]uint32, len(g.Nodes)),
 		memo:     make([]tileMemo, nTiles),
-
-		blkNodeStamp: make([]uint32, len(g.Nodes)),
-		blkLinkStamp: make([]uint32, len(g.Links)),
-		blkTileStamp: make([]uint32, nTiles),
 	}
 	var slots int32
 	for id := range g.Nodes {
@@ -161,8 +144,8 @@ func (s *searchScratch) slot(key stateKey) int32 {
 }
 
 // begin readies the scratch for one search: new generation (fresh
-// scoreboard, chord memo and blocked stamps), empty arena, open list, chord
-// arena and blocked set, zeroed work counters.
+// scoreboard and chord memo), empty arena, open list and chord arena,
+// zeroed work counters and failure cause.
 //
 //rdl:noalloc
 func (s *searchScratch) begin(dstPos geom.Point) {
@@ -170,9 +153,6 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 	if s.gen == 0 { // generation counter wrapped: invalidate explicitly
 		clear(s.bestGen)
 		clear(s.memo)
-		clear(s.blkNodeStamp)
-		clear(s.blkLinkStamp)
-		clear(s.blkTileStamp)
 		s.gen = 1
 	}
 	s.arena = s.arena[:0]
@@ -181,41 +161,7 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 	s.dstPos = dstPos
 	s.expansions = 0
 	s.heapPushes = 0
-	s.blkNodes = s.blkNodes[:0]
-	s.blkLinks = s.blkLinks[:0]
-	s.blkTiles = s.blkTiles[:0]
-}
-
-// blockNode records a node whose capacity rejected an expansion of the
-// search in flight (deduplicated per search by stamp).
-//
-//rdl:noalloc
-func (s *searchScratch) blockNode(id rgraph.NodeID) {
-	if s.blkNodeStamp[id] != s.gen {
-		s.blkNodeStamp[id] = s.gen
-		s.blkNodes = append(s.blkNodes, id)
-	}
-}
-
-// blockLink records a link whose capacity rejected an expansion.
-//
-//rdl:noalloc
-func (s *searchScratch) blockLink(id int) {
-	if s.blkLinkStamp[id] != s.gen {
-		s.blkLinkStamp[id] = s.gen
-		s.blkLinks = append(s.blkLinks, id)
-	}
-}
-
-// blockTile records a tile, by dense index, where a crossing check
-// rejected a chord.
-//
-//rdl:noalloc
-func (s *searchScratch) blockTile(ti int32) {
-	if s.blkTileStamp[ti] != s.gen {
-		s.blkTileStamp[ti] = s.gen
-		s.blkTiles = append(s.blkTiles, ti)
-	}
+	s.revisit = false
 }
 
 // push relaxes a state: admits it when it improves on the scoreboard and
@@ -237,15 +183,15 @@ func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link i
 
 // route runs crossing-aware A* for one net on the given scratch and returns
 // an uncommitted guide. It mutates only the scratch — router state is read
-// but never written. On failure the caller decides whether to fold the
-// scratch's blocked set into the round-level sets (noteSearchFailed).
+// but never written. The first pop of the target decides the search: when
+// the path to it visits a node twice, the net fails (see the loop).
 //
 //rdl:noalloc
 func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error) {
 	src, dst, err := r.G.NetPins(net)
 	if err != nil {
-		// Reset the scratch so the caller's counter/blocked-set fold sees
-		// an empty search rather than the previous search's leftovers.
+		// Reset the scratch so the caller's counter fold sees an empty
+		// search rather than the previous search's leftovers.
 		sc.begin(geom.Point{})
 		return nil, err
 	}
@@ -265,7 +211,17 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 			if ok {
 				return res, nil
 			}
-			continue // self-intersecting path; keep searching
+			// The path visits a node twice, and no later state can reach
+			// the target more cheaply, so the net fails here. The target is
+			// a pin, which has no cross-via link (addLinks makes those only
+			// for Plan.Vias), so this viaArrive=false state is its one
+			// reachable slot. And the heuristic is consistent: every
+			// AccessVia and CrossTile Len is the Pos.Dist of its ends,
+			// math.Hypot is symmetric, and a cross-via's ends share Pos with
+			// Len ≥ 0. Every later push therefore costs at least this pop's
+			// f, the invariant the search's optimality already rests on.
+			sc.revisit = true
+			break
 		}
 		expanded++
 		sc.expansions++
@@ -304,12 +260,7 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !r.G.LayerAllowed(net, r.G.Node(adj.To).Layer) {
 				continue
 			}
-			if r.linkUse[adj.Link] >= link.Cap {
-				sc.blockLink(adj.Link)
-				continue
-			}
-			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
-				sc.blockNode(adj.To)
+			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
 				continue
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: true}, st.g+link.Len, si, int32(adj.Link))
@@ -318,7 +269,6 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 				continue // entered by wire; must take the via down/up
 			}
 			if r.linkUse[adj.Link] >= link.Cap {
-				sc.blockLink(adj.Link)
 				continue
 			}
 			r.pushChordToEdge(sc, st, si, net, adj, link)
@@ -334,7 +284,6 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 	for _, adj := range r.G.Adj[st.key.node] {
 		link := r.G.Link(adj.Link)
 		if r.linkUse[adj.Link] >= link.Cap {
-			sc.blockLink(adj.Link)
 			continue
 		}
 		tile := r.G.TileOf(link.Layer, link.Tile)
@@ -347,7 +296,6 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 		case rgraph.AccessVia:
 			// adj.To is the via node (link.A is always the via end).
 			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
-				sc.blockNode(adj.To)
 				continue
 			}
 			// Foreign pins are never intermediate hops.
@@ -360,18 +308,12 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 				continue
 			}
 			if !r.chordAllowed(sc, net, tile, from, vertexEnd(vOrd)) {
-				sc.blockTile(r.tileIndex(link.Layer, link.Tile))
 				continue
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, int32(adj.Link))
 		case rgraph.CrossTile:
 			units := r.edgeUnits(net)
-			if r.nodeUse[adj.To]+units > r.nodeCap(adj.To) {
-				sc.blockNode(adj.To)
-				continue
-			}
-			if r.linkUse[adj.Link]+units > link.Cap {
-				sc.blockLink(adj.Link)
+			if r.nodeUse[adj.To]+units > r.nodeCap(adj.To) || r.linkUse[adj.Link]+units > link.Cap {
 				continue
 			}
 			toOrd := edgeOrdinal(tile, adj.To)
@@ -382,11 +324,9 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 			pcs := r.passageCoords(sc, net, tile)
 			q1 := r.coord(tile, from)
 			for g2 := 0; g2 <= m; g2++ {
-				if !chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), pcs) {
-					sc.blockTile(r.tileIndex(link.Layer, link.Tile))
-					continue
+				if chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), pcs) {
+					r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
 				}
-				r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
 			}
 		}
 	}
@@ -399,7 +339,6 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, net int,
 	adj rgraph.Adjacent, link *rgraph.Link) {
 	if r.nodeUse[adj.To]+r.edgeUnits(net) > r.nodeCap(adj.To) {
-		sc.blockNode(adj.To)
 		return
 	}
 	tile := r.G.TileOf(link.Layer, link.Tile)
@@ -412,11 +351,9 @@ func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, ne
 	pcs := r.passageCoords(sc, net, tile)
 	q1 := r.coord(tile, vertexEnd(vOrd))
 	for g2 := 0; g2 <= m; g2++ {
-		if !chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), pcs) {
-			sc.blockTile(r.tileIndex(link.Layer, link.Tile))
-			continue
+		if chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), pcs) {
+			r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
 		}
-		r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
 	}
 }
 

@@ -28,6 +28,20 @@ func buildRouter(t testing.TB, name string, gopt rgraph.Options, opt Options) *R
 	return New(g, opt)
 }
 
+// buildRouterFor assembles the stack for an explicit design.
+func buildRouterFor(t testing.TB, d *design.Design, opt Options) *Router {
+	t.Helper()
+	plan, err := viaplan.Build(d, viaplan.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := rgraph.Build(d, plan, rgraph.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(g, opt)
+}
+
 func TestRouteDense1FullRoutability(t *testing.T) {
 	r := buildRouter(t, "dense1", rgraph.Options{}, Options{})
 	res, err := r.Run(context.Background())
@@ -297,5 +311,27 @@ func TestResultRoutabilityEmpty(t *testing.T) {
 	r := &Result{}
 	if r.Routability() != 1 {
 		t.Error("empty result should report full routability")
+	}
+}
+
+// TestInvariantsPerRound asserts CheckInvariants after every net-order
+// adjustment round of a design that needs more than one.
+func TestInvariantsPerRound(t *testing.T) {
+	var r *Router
+	rounds := 0
+	r = buildRouter(t, "dense2", rgraph.Options{}, Options{
+		AfterRound: func(round int) {
+			rounds++
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		},
+	})
+	res, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds != res.OrderRounds || rounds < 2 {
+		t.Fatalf("AfterRound ran %d times, OrderRounds = %d, want equal and ≥ 2", rounds, res.OrderRounds)
 	}
 }

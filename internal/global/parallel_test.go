@@ -3,10 +3,12 @@ package global
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"rdlroute/internal/design"
+	"rdlroute/internal/geom"
 	"rdlroute/internal/rgraph"
 	"rdlroute/internal/viaplan"
 )
@@ -23,8 +25,8 @@ func fingerprintGlobal(res *Result) string {
 		}
 		fmt.Fprintf(&b, "%d:%v|%v\n", net, g.Nodes, g.Links)
 	}
-	fmt.Fprintf(&b, "failed:%v rounds:%d ripups:%d kept:%d diag:%d exp:%d\n",
-		res.FailedNets, res.OrderRounds, res.RipUps, res.KeptGuides,
+	fmt.Fprintf(&b, "failed:%v rounds:%d ripups:%d diag:%d exp:%d\n",
+		res.FailedNets, res.OrderRounds, res.RipUps,
 		res.DiagonalReductions, res.Expansions)
 	return b.String()
 }
@@ -97,10 +99,9 @@ func TestGlobalParallelismMatchesSerialRandom(t *testing.T) {
 	}
 }
 
-// TestGlobalParallelismMergedDense runs the congested merged design that
-// drives the incremental rip-up tests: rounds with failures, blocked-set
-// folding and incremental rip-up must all stay byte-identical across pool
-// sizes.
+// TestGlobalParallelismMergedDense runs a congested merged design: dense2
+// beside dense1 at half the edge capacity. Rounds with failed searches and
+// full rip-ups must stay byte-identical across pool sizes.
 func TestGlobalParallelismMergedDense(t *testing.T) {
 	d := mergeSideBySide(t, "dense2", "dense1", 400)
 	plan, err := viaplan.Build(d, viaplan.Options{})
@@ -127,4 +128,79 @@ func TestGlobalParallelismMergedDense(t *testing.T) {
 			t.Fatalf("parallelism=%d: result not byte-identical to serial", workers)
 		}
 	}
+}
+
+// mergeSideBySide places design b to the right of design a with a free-space
+// gap between them, renumbering b's chips, pads and nets. The two halves
+// share no routing resources, so they form independent congestion clusters
+// inside one package.
+func mergeSideBySide(t *testing.T, aName, bName string, gap float64) *design.Design {
+	t.Helper()
+	a, err := design.GenerateDense(aName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := design.GenerateDense(bName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.WireLayers != b.WireLayers {
+		t.Fatalf("wire layer mismatch: %d vs %d", a.WireLayers, b.WireLayers)
+	}
+	if len(a.Obstacles) != 0 || len(b.Obstacles) != 0 {
+		t.Fatal("merge helper does not translate obstacles")
+	}
+	dx := a.Outline.Max.X - b.Outline.Min.X + gap
+	m := &design.Design{
+		Name:       aName + "+" + bName,
+		Rules:      a.Rules,
+		WireLayers: a.WireLayers,
+		Outline: geom.R(a.Outline.Min.X, math.Min(a.Outline.Min.Y, b.Outline.Min.Y),
+			b.Outline.Max.X+dx, math.Max(a.Outline.Max.Y, b.Outline.Max.Y)),
+	}
+	m.Chips = append(m.Chips, a.Chips...)
+	m.IOPads = append(m.IOPads, a.IOPads...)
+	m.BumpPads = append(m.BumpPads, a.BumpPads...)
+	m.Nets = append(m.Nets, a.Nets...)
+	maxGroup := 0
+	for _, n := range a.Nets {
+		if n.Group > maxGroup {
+			maxGroup = n.Group
+		}
+	}
+	for _, c := range b.Chips {
+		c.Name = "b_" + c.Name
+		c.Outline = geom.R(c.Outline.Min.X+dx, c.Outline.Min.Y, c.Outline.Max.X+dx, c.Outline.Max.Y)
+		m.Chips = append(m.Chips, c)
+	}
+	for _, p := range b.IOPads {
+		p.ID += len(a.IOPads)
+		if p.Net >= 0 {
+			p.Net += len(a.Nets)
+		}
+		if p.Chip >= 0 {
+			p.Chip += len(a.Chips)
+		}
+		p.Pos.X += dx
+		m.IOPads = append(m.IOPads, p)
+	}
+	for _, p := range b.BumpPads {
+		p.ID += len(a.BumpPads)
+		if p.Net >= 0 {
+			p.Net += len(a.Nets)
+		}
+		p.Pos.X += dx
+		m.BumpPads = append(m.BumpPads, p)
+	}
+	for _, n := range b.Nets {
+		n.ID += len(a.Nets)
+		n.Name = "b_" + n.Name
+		n.Pins[0] += len(a.IOPads)
+		n.Pins[1] += len(a.IOPads)
+		if n.Group != 0 {
+			n.Group += maxGroup
+		}
+		m.Nets = append(m.Nets, n)
+	}
+	return m
 }

@@ -53,14 +53,6 @@ type Options struct {
 	// baseline uses 2 to emulate the resource waste of treating each routed
 	// net as a hard constraint corridor in a rebuilt triangulation.
 	EdgeUsePerNet int
-	// FullRipUp restores the pre-incremental net-order adjustment: at every
-	// failed round boundary, every committed guide is ripped up and the
-	// whole net list rerouted. The default (false) rips up only the dirty
-	// nets — those whose guides touch nodes or links whose usage or
-	// sequence lists other nets changed after they committed — plus the
-	// failures, which on designs with localized congestion reroutes a small
-	// fraction of the net list per round.
-	FullRipUp bool
 	// AfterRound, when non-nil, runs at the end of every net-order
 	// adjustment round (after the round's rip-ups), with the zero-based
 	// round index. Tests use it to assert CheckInvariants between rounds.
@@ -112,9 +104,6 @@ type Result struct {
 	// RipUps counts guides ripped up across all rounds (diagonal-refinement
 	// reroutes included).
 	RipUps int
-	// KeptGuides counts committed guides preserved across failed-round
-	// boundaries by incremental rip-up; always zero with FullRipUp.
-	KeptGuides int
 	// DiagonalReductions counts edge-node capacity reductions performed by
 	// diagonal utility refinement.
 	DiagonalReductions int
@@ -161,7 +150,6 @@ type Router struct {
 	expansions int
 	heapPushes int
 	ripUps     int
-	kept       int
 	// scr is the A* scratch every search of the round loop and diagonal
 	// refinement reuses across route calls. It is created by the first
 	// search (see scratch) and dropped when Run returns: pipeline results
@@ -177,17 +165,6 @@ type Router struct {
 	nodeStamp     []int64
 	linkStamp     []int64
 	diagCheckedAt []int64
-
-	// Round-level blocked sets: every search records the nodes, links and
-	// tiles where a capacity or crossing check rejected an expansion (in
-	// its scratch); when the search fails, those resources are folded
-	// here. At the next round boundary the failed nets' blockers seed the
-	// dirty computation alongside the disturbed guides — the nets
-	// occupying a blocker committed before the failure, so the stamp test
-	// alone would never select them.
-	roundBlkNodes map[rgraph.NodeID]struct{}
-	roundBlkLinks map[int]struct{}
-	roundBlkTiles map[int32]struct{} // dense tile indices
 
 	// orderModel is the feature model initialOrder built for the ordering
 	// strategy (nil until initialOrder runs, or with DisableRUDYOrder).
@@ -209,10 +186,6 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		nodeStamp:     make([]int64, len(g.Nodes)),
 		linkStamp:     make([]int64, len(g.Links)),
 		diagCheckedAt: make([]int64, len(g.Nodes)),
-
-		roundBlkNodes: make(map[rgraph.NodeID]struct{}),
-		roundBlkLinks: make(map[int]struct{}),
-		roundBlkTiles: make(map[int32]struct{}),
 	}
 	var nTiles int32
 	for li := range g.Layers {
@@ -300,19 +273,14 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 		done := stopped || len(lastFailed) == 0 ||
 			round == r.Opt.MaxOrderRounds-1 // keep partial result; no rip-up on the last round
 		if !done {
-			// Net order adjustment (§III-A3c): rip up and move nets with
-			// larger failure counts to the front. Full mode rips every
-			// guide; incremental mode rips only the dirty ones and keeps
-			// the rest committed, so the next round reroutes a subset.
-			ripped := r.ripUpForNextRound()
-			if ripped == 0 && !r.Opt.FullRipUp {
-				// Nothing changed since the failed searches ran: extra
-				// usage only shrinks the feasible space, so rerouting the
-				// failures against the identical graph state would fail
-				// identically. Stop instead of spinning the rounds out.
+			// Net order adjustment (§III-A3c): rip up every guide and move
+			// nets with larger failure counts to the front.
+			if r.ripUpForNextRound() == 0 {
+				// No guide was committed, so the next round would search
+				// the same empty state and fail the same way. Stop instead
+				// of spinning the rounds out.
 				done = true
-			}
-			if !done {
+			} else {
 				reorderByFailures(order, failCount)
 			}
 		}
@@ -342,10 +310,8 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	sort.Ints(res.FailedNets)
 	res.Expansions = r.expansions
 	res.RipUps = r.ripUps
-	res.KeptGuides = r.kept
 
 	r.rec.Count("global.astar.expansions", int64(r.expansions))
-	r.rec.Count("global.kept_guides", int64(r.kept))
 	r.rec.Count("global.astar.heap_pushes", int64(r.heapPushes))
 	r.rec.Count("global.ripups", int64(r.ripUps))
 	r.rec.Count("global.order_rounds", int64(res.OrderRounds))
@@ -394,7 +360,6 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 	g, err := r.route(sc, nets[ni])
 	r.foldSearch(sc, err)
 	if err != nil {
-		r.noteSearchFailed(sc)
 		failCount[ni]++
 		*lastFailed = append(*lastFailed, ni)
 		return
@@ -409,21 +374,25 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 }
 
 // foldSearch adds a finished search's work counters to the router totals.
-// A failed search also reports its cost on the failure counters, once per
-// search, so a trace attributes every failure to the round span it ran in.
+// A failed search also reports its cost and cause on the failure counters,
+// once per search, so a trace attributes every failure to the round span it
+// ran in.
 func (r *Router) foldSearch(sc *searchScratch, err error) {
 	r.expansions += sc.expansions
 	r.heapPushes += sc.heapPushes
 	if err != nil {
 		r.rec.Count("global.astar.failed_searches", 1)
 		r.rec.Count("global.astar.failed_expansions", int64(sc.expansions))
+		if sc.revisit {
+			r.rec.Count("global.astar.revisit_failures", 1)
+		}
 	}
 }
 
 // commit installs a found guide: bumps usage, inserts sequence positions,
 // and records tile passages. It advances the change clock and stamps every
-// occupied node and link so later rounds can tell which committed guides
-// other nets have since disturbed.
+// occupied node and link, so the Eq. 3 rescan revisits the edges it
+// touched.
 //
 //rdl:noalloc
 func (r *Router) commit(g *searchResult) {
@@ -486,8 +455,7 @@ func (r *Router) passageEndFor(tile *rgraph.Tile, id rgraph.NodeID) passageEnd {
 
 // ripUp removes a committed guide, releasing all resources. Like commit it
 // advances the change clock and stamps the released nodes and links: freed
-// capacity is as much a state change as consumed capacity for the guides
-// that share those resources.
+// capacity changes the Eq. 3 predicate as much as consumed capacity does.
 //
 //rdl:noalloc
 func (r *Router) ripUp(guide *Guide) {
@@ -532,153 +500,16 @@ func (r *Router) ripUp(guide *Guide) {
 	r.ripUps++
 }
 
-// noteSearchFailed folds the failed search's blocked resources into the
-// round-level sets consumed at the next boundary.
-func (r *Router) noteSearchFailed(sc *searchScratch) {
-	for _, id := range sc.blkNodes {
-		r.roundBlkNodes[id] = struct{}{}
-	}
-	for _, l := range sc.blkLinks {
-		r.roundBlkLinks[l] = struct{}{}
-	}
-	for _, ti := range sc.blkTiles {
-		r.roundBlkTiles[ti] = struct{}{}
-	}
-}
-
-// dirtyClosure computes the per-net dirty flags for the incremental rip-up:
-// seeds are the guides touching a resource — or co-occupying a tile — that
-// blocked a failed search; the seed set is then closed over resource
-// sharing with a union-find, because rerouting one net of a congestion
-// cluster shifts the feasible space of every net it shares capacity or
-// crossing constraints with.
-//
-// Guides in components no failure touched stay committed, and keeping them
-// is exact rather than approximate: the full-rip-up reference reroutes such
-// a component in its old relative order (the stable failure-count sort only
-// moves failed nets, which live in other components) against an unchanged
-// local resource state, so it replays the identical searches and reproduces
-// the identical guides. This is also why the seeds deliberately exclude
-// guides that were merely disturbed — a resource touched by a later
-// neighbour's commit: in a congested cluster nearly every guide is
-// disturbed, so seeding on disturbance floods whole components that no
-// failure touched and destroys both the pruning and the replay property.
-func (r *Router) dirtyClosure() []bool {
-	nNets := len(r.guides)
-	nodeBase := nNets
-	linkBase := nodeBase + len(r.G.Nodes)
-	tileOff := linkBase + len(r.G.Links)
-	parent := make([]int32, tileOff+len(r.passages))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for net, g := range r.guides {
-		if g == nil {
-			continue
-		}
-		for _, id := range g.Nodes {
-			union(int32(net), int32(nodeBase+int(id)))
-		}
-		for _, l := range g.Links {
-			union(int32(net), int32(linkBase+l))
-			link := r.G.Link(l)
-			if link.Kind != rgraph.CrossVia {
-				union(int32(net), int32(tileOff)+r.tileIndex(link.Layer, link.Tile))
-			}
-		}
-	}
-	seed := make(map[int32]struct{})
-	mark := func(net int) { seed[find(int32(net))] = struct{}{} }
-	for net, g := range r.guides {
-		if g == nil {
-			continue
-		}
-		blocked := false
-		for _, id := range g.Nodes {
-			if _, ok := r.roundBlkNodes[id]; ok {
-				blocked = true
-				break
-			}
-		}
-		if !blocked {
-			for _, l := range g.Links {
-				if _, ok := r.roundBlkLinks[l]; ok {
-					blocked = true
-					break
-				}
-			}
-		}
-		if blocked {
-			mark(net)
-		}
-	}
-	for ti := range r.roundBlkTiles {
-		for _, p := range r.passages[ti] {
-			mark(p.net)
-		}
-	}
-	dirty := make([]bool, nNets)
-	for net, g := range r.guides {
-		if g == nil {
-			continue
-		}
-		if _, ok := seed[find(int32(net))]; ok {
-			dirty[net] = true
-		}
-	}
-	return dirty
-}
-
-// ripUpForNextRound removes committed guides ahead of the next net-order
-// adjustment round and returns how many it removed. With FullRipUp every
-// guide goes; otherwise only the dirty closure (see dirtyClosure) is
-// ripped, and the clean remainder stays committed (counted in KeptGuides)
-// so the next round reroutes a subset. The dirty set is snapshotted before
-// any rip-up: rip-ups stamp the resources they free, and folding those
-// stamps back into the same round's test would be self-referential.
+// ripUpForNextRound removes every committed guide ahead of the next net-order
+// adjustment round and returns how many it removed.
 func (r *Router) ripUpForNextRound() int {
 	ripped := 0
-	if r.Opt.FullRipUp {
-		for _, g := range r.guides {
-			if g != nil {
-				r.ripUp(g)
-				ripped++
-			}
-		}
-	} else {
-		dirty := r.dirtyClosure()
-		var rip []*Guide
-		for net, g := range r.guides {
-			if g == nil {
-				continue
-			}
-			if dirty[net] {
-				rip = append(rip, g)
-			} else {
-				r.kept++
-			}
-		}
-		for _, g := range rip {
+	for _, g := range r.guides {
+		if g != nil {
 			r.ripUp(g)
+			ripped++
 		}
-		ripped = len(rip)
 	}
-	clear(r.roundBlkNodes)
-	clear(r.roundBlkLinks)
-	clear(r.roundBlkTiles)
 	return ripped
 }
 
