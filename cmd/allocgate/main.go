@@ -43,7 +43,7 @@ var budgets = []struct {
 	{"global/dense2", 2585},
 	{"global/dense3", 3580},
 	{"global/dense4", 5195},
-	{"global/dense5", 17870},
+	{"global/dense5", 16623},
 	{"detail/dense1", 5555},
 	{"detail/dense2", 13790},
 	{"detail/dense3", 24895},

@@ -94,6 +94,14 @@ type searchScratch struct {
 	expansions int
 	heapPushes int
 	revisit    bool
+
+	// box holds the search's read box per wire layer, reset by begin and
+	// widened by noteRead on every expansion. The round loop keeps the
+	// boxes to decide cross-round reuse (reuse.go). reach caches nodeReach
+	// per node; noteRead fills a node's entry on its first expansion of the
+	// scratch's lifetime, one Run (0 until then).
+	box   []geom.Rect
+	reach []float32
 }
 
 // tileMemo locates one tile's resolved chords in the scratch chords arena;
@@ -110,6 +118,8 @@ func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
 		slotBase: make([]int32, len(g.Nodes)+1),
 		seen:     make([]uint32, len(g.Nodes)),
 		memo:     make([]tileMemo, nTiles),
+		box:      make([]geom.Rect, len(g.Layers)),
+		reach:    make([]float32, len(g.Nodes)),
 	}
 	var slots int32
 	for id := range g.Nodes {
@@ -145,7 +155,7 @@ func (s *searchScratch) slot(key stateKey) int32 {
 
 // begin readies the scratch for one search: new generation (fresh
 // scoreboard and chord memo), empty arena, open list and chord arena,
-// zeroed work counters and failure cause.
+// zeroed work counters and failure cause, empty read boxes.
 //
 //rdl:noalloc
 func (s *searchScratch) begin(dstPos geom.Point) {
@@ -162,6 +172,34 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 	s.expansions = 0
 	s.heapPushes = 0
 	s.revisit = false
+	for li := range s.box {
+		s.box[li] = emptyRect
+	}
+}
+
+// noteRead widens the read boxes to cover every router state that expanding
+// node id reads: the usage, capacity and sequence list of each neighbour,
+// the usage of each link (both its ends are the node and a neighbour), and
+// the passages and edge sequences of every tile holding one of the links.
+// All of them lie within nodeReach of the node's position on its layer, or,
+// for a via node's cross-via partners, at its position on an adjacent layer.
+//
+//rdl:noalloc
+func (s *searchScratch) noteRead(g *rgraph.Graph, id rgraph.NodeID, n *rgraph.Node) {
+	d := s.reach[id]
+	if d == 0 {
+		d = nodeReach(g, id, n.Pos)
+		s.reach[id] = d
+	}
+	widenRect(&s.box[n.Layer], n.Pos, float64(d))
+	if n.Kind == rgraph.ViaNode {
+		if n.Layer > 0 {
+			widenRect(&s.box[n.Layer-1], n.Pos, 0)
+		}
+		if n.Layer+1 < len(s.box) {
+			widenRect(&s.box[n.Layer+1], n.Pos, 0)
+		}
+	}
 }
 
 // push relaxes a state: admits it when it improves on the scoreboard and
@@ -230,6 +268,7 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 		}
 
 		node := r.G.Node(st.key.node)
+		sc.noteRead(r.G, st.key.node, node)
 		if node.Kind == rgraph.ViaNode {
 			r.expandVia(sc, st, si, net.ID)
 		} else {

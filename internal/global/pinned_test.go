@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rdlroute/internal/design"
+	"rdlroute/internal/rgraph"
 )
 
 // randomWorkloadDesigns draws the six designs of the benchmark's random
@@ -50,10 +51,14 @@ func testDesign(t testing.TB, name string) *design.Design {
 }
 
 // guidesHash is an FNV-64a hash over a global result: every net's guide
-// nodes and links in net order (a marker for an unrouted net), then the
-// failed nets and the order-round count. The rip-up and expansion counters
-// are left out: they measure the work, not the output.
-func guidesHash(res *Result) uint64 {
+// nodes and links in net order (a marker for an unrouted net), the failed
+// nets and the order-round count, then every edge node's net sequence in
+// node-ID order. The sequences carry the insertion gaps, which decide the
+// order of nets along each edge and with it the detail stage's geometry,
+// so two results with equal guides but different gaps hash apart. The
+// rip-up and expansion counters are left out: they measure the work, not
+// the output.
+func guidesHash(r *Router, res *Result) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v int) {
@@ -78,42 +83,53 @@ func guidesHash(res *Result) uint64 {
 		put(ni)
 	}
 	put(res.OrderRounds)
+	for id := range r.G.Nodes {
+		if r.G.Nodes[id].Kind != rgraph.EdgeNode {
+			continue
+		}
+		seq := r.Sequences(rgraph.NodeID(id))
+		put(len(seq))
+		for _, ni := range seq {
+			put(ni)
+		}
+	}
 	return h.Sum64()
 }
 
 // TestGlobalGuidesPinned pins the exact global output of every dense case
 // and of the six random-workload designs. The golden test allows a 2%
-// wirelength drift; this one moves with any change to a guide, the failed
-// nets or the round count. The hashes were measured with the incremental
-// rip-up that full rip-up replaced, so they also pin that the two agree on
-// these designs.
+// wirelength drift; this one moves with any change to a guide, an edge
+// sequence, the failed nets or the round count. The hashes were measured
+// with every net searched in every round, before a round could reuse a
+// net's previous search, so they also pin that reuse changes nothing.
 func TestGlobalGuidesPinned(t *testing.T) {
 	want := []struct {
 		name string
 		hash uint64
 	}{
-		{"dense1", 0x56b3b4ad1e161ff5},
-		{"dense2", 0x6fee97ed4db0cf58},
-		{"dense3", 0x1794ea0e94c5cd51},
-		{"dense4", 0xcd0d33db81e61613},
-		{"dense5", 0x8e529932390ca291},
-		{"random0", 0xb87ab1ec4107d004},
-		{"random1", 0xe71c6a5d5e3e7e36},
-		{"random2", 0x912adcc2e4996b01},
-		{"random3", 0xc939dccba86e233a},
-		{"random4", 0x4a68c1e36d6ee7df},
-		{"random5", 0xb239a9551eeb0116},
+		{"dense1", 0x9c09abfedeb460c8},
+		{"dense2", 0x1a7c35f09137fd10},
+		{"dense3", 0x0cdae4157ecd7013},
+		{"dense4", 0x976cda2d12baf384},
+		{"dense5", 0xcf5ef432d04f31ca},
+		{"random0", 0x3edbb8bac16978eb},
+		{"random1", 0x768e1cd0dd6d723a},
+		{"random2", 0x82f36778c566c1a0},
+		{"random3", 0x75a544a063096085},
+		{"random4", 0x1e8cdb1e57fa22eb},
+		{"random5", 0x48b90d1129a42198},
 	}
 	for _, w := range want {
 		t.Run(w.name, func(t *testing.T) {
 			if testing.Short() && (w.name == "dense4" || w.name == "dense5") {
 				t.Skip("large case")
 			}
-			res, err := buildRouterFor(t, testDesign(t, w.name), Options{}).Run(context.Background())
+			r := buildRouterFor(t, testDesign(t, w.name), Options{})
+			res, err := r.Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := guidesHash(res); got != w.hash {
+			if got := guidesHash(r, res); got != w.hash {
 				t.Errorf("guides hash %#016x, want %#016x", got, w.hash)
 			}
 		})

@@ -107,8 +107,9 @@ type Result struct {
 	// DiagonalReductions counts edge-node capacity reductions performed by
 	// diagonal utility refinement.
 	DiagonalReductions int
-	// Expansions counts total A* state expansions across every search of
-	// the round loop and diagonal refinement.
+	// Expansions counts total A* state expansions across every search that
+	// ran in the round loop and diagonal refinement; a reused search expands
+	// nothing.
 	Expansions int
 }
 
@@ -155,6 +156,9 @@ type Router struct {
 	// search (see scratch) and dropped when Run returns: pipeline results
 	// keep the router alive, and the scratch is the largest thing it owns.
 	scr *searchScratch
+	// reuse is the round loop's cross-round search memo (reuse.go). Run
+	// creates it for the round loop and drops it when the loop ends.
+	reuse *reuseState
 
 	// Change clock: advances on every commit and rip-up; nodeStamp and
 	// linkStamp record the last tick that changed a resource's usage or
@@ -265,11 +269,14 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	astarSpan := obs.StartSpan(r.rec, "global.astar")
 	progress := r.rec.Enabled()
 	var lastFailed []int
+	r.reuse = newReuseState(len(nets), len(r.G.Layers))
 	for round := 0; round < r.Opt.MaxOrderRounds; round++ {
 		roundSpan := obs.StartSpan(r.rec, "global.round")
 		res.OrderRounds = round + 1
 		lastFailed = lastFailed[:0]
+		r.reuse.beginRound(r.routed == 0)
 		stopped := r.routeRoundSerial(ctx, order, failCount, &lastFailed, progress)
+		r.rec.Count("global.astar.reused_searches", int64(r.reuse.reused))
 		done := stopped || len(lastFailed) == 0 ||
 			round == r.Opt.MaxOrderRounds-1 // keep partial result; no rip-up on the last round
 		if !done {
@@ -293,6 +300,7 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 	astarSpan.End()
+	r.reuse = nil
 
 	if !r.Opt.DisableDiagonalRefinement && !obs.Stopped(ctx) {
 		refineSpan := obs.StartSpan(r.rec, "global.refine")
@@ -352,19 +360,29 @@ func (r *Router) routeRoundSerial(ctx context.Context, order, failCount []int,
 	return false
 }
 
-// routeOne is the per-net step of the round loop: search, fold the work
-// counters, then commit or record the failure.
+// routeOne is the per-net step of the round loop: search (or reuse the
+// previous search when nothing it read has changed), fold the work counters,
+// then commit or record the failure.
 func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress bool) {
 	nets := r.G.Design.Nets
-	sc := r.scratch()
-	g, err := r.route(sc, nets[ni])
-	r.foldSearch(sc, err)
-	if err != nil {
+	rs := r.reuse
+	var g *searchResult
+	if rs.reusable(ni) {
+		g = rs.recall(ni)
+	} else {
+		sc := r.scratch()
+		found, err := r.route(sc, nets[ni])
+		r.foldSearch(sc, err)
+		g = rs.remember(ni, sc.box, found)
+	}
+	rs.noteTurn(ni)
+	if g == nil {
 		failCount[ni]++
 		*lastFailed = append(*lastFailed, ni)
 		return
 	}
 	r.commit(g)
+	rs.logCommit(r.G, ni)
 	if r.Opt.AfterEachNet != nil {
 		r.Opt.AfterEachNet(ni)
 	}
