@@ -95,13 +95,10 @@ type searchScratch struct {
 	heapPushes int
 	revisit    bool
 
-	// box holds the search's read box per wire layer, reset by begin and
-	// widened by noteRead on every expansion. The round loop keeps the
-	// boxes to decide cross-round reuse (reuse.go). reach caches nodeReach
-	// per node; noteRead fills a node's entry on its first expansion of the
-	// scratch's lifetime, one Run (0 until then).
-	box   []geom.Rect
-	reach []float32
+	// read is the search's read set, one bit per node, cleared by begin and
+	// marked by noteRead on every expansion. The round loop keeps it to
+	// decide cross-round reuse (reuse.go).
+	read []uint64
 }
 
 // tileMemo locates one tile's resolved chords in the scratch chords arena;
@@ -118,8 +115,7 @@ func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
 		slotBase: make([]int32, len(g.Nodes)+1),
 		seen:     make([]uint32, len(g.Nodes)),
 		memo:     make([]tileMemo, nTiles),
-		box:      make([]geom.Rect, len(g.Layers)),
-		reach:    make([]float32, len(g.Nodes)),
+		read:     make([]uint64, (len(g.Nodes)+63)/64),
 	}
 	var slots int32
 	for id := range g.Nodes {
@@ -155,7 +151,7 @@ func (s *searchScratch) slot(key stateKey) int32 {
 
 // begin readies the scratch for one search: new generation (fresh
 // scoreboard and chord memo), empty arena, open list and chord arena,
-// zeroed work counters and failure cause, empty read boxes.
+// zeroed work counters and failure cause, empty read set.
 //
 //rdl:noalloc
 func (s *searchScratch) begin(dstPos geom.Point) {
@@ -172,34 +168,40 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 	s.expansions = 0
 	s.heapPushes = 0
 	s.revisit = false
-	for li := range s.box {
-		s.box[li] = emptyRect
-	}
+	clear(s.read)
 }
 
-// noteRead widens the read boxes to cover every router state that expanding
-// node id reads: the usage, capacity and sequence list of each neighbour,
-// the usage of each link (both its ends are the node and a neighbour), and
-// the passages and edge sequences of every tile holding one of the links.
-// All of them lie within nodeReach of the node's position on its layer, or,
-// for a via node's cross-via partners, at its position on an adjacent layer.
+// noteRead marks every node whose router state expanding node id reads: the
+// node itself, whose sequence places an edge node's gap, each neighbour,
+// whose usage, capacity and sequence it reads, and, for a via node, the
+// three edge nodes of each tile holding one of its access-via links, whose
+// sequences resolve the tile's passages. An edge node's tiles need no marks
+// of their own: each holds cross-tile links from the node to the other two
+// edge nodes, so they are neighbours. The usage of the node's links and the
+// passages of those tiles are written only through links into or out of a
+// marked node (see reusable).
 //
 //rdl:noalloc
 func (s *searchScratch) noteRead(g *rgraph.Graph, id rgraph.NodeID, n *rgraph.Node) {
-	d := s.reach[id]
-	if d == 0 {
-		d = nodeReach(g, id, n.Pos)
-		s.reach[id] = d
-	}
-	widenRect(&s.box[n.Layer], n.Pos, float64(d))
-	if n.Kind == rgraph.ViaNode {
-		if n.Layer > 0 {
-			widenRect(&s.box[n.Layer-1], n.Pos, 0)
+	s.mark(id)
+	for _, adj := range g.Adj[id] {
+		s.mark(adj.To)
+		if n.Kind != rgraph.ViaNode {
+			continue
 		}
-		if n.Layer+1 < len(s.box) {
-			widenRect(&s.box[n.Layer+1], n.Pos, 0)
+		if l := g.Link(adj.Link); l.Kind == rgraph.AccessVia {
+			for _, e := range g.TileOf(l.Layer, l.Tile).EdgeNodes {
+				s.mark(e)
+			}
 		}
 	}
+}
+
+// mark adds node id to the read set.
+//
+//rdl:noalloc
+func (s *searchScratch) mark(id rgraph.NodeID) {
+	s.read[id>>6] |= 1 << (uint(id) & 63)
 }
 
 // push relaxes a state: admits it when it improves on the scoreboard and

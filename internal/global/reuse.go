@@ -1,10 +1,8 @@
 package global
 
 import (
-	"math"
 	"slices"
 
-	"rdlroute/internal/geom"
 	"rdlroute/internal/rgraph"
 )
 
@@ -16,101 +14,13 @@ import (
 // when nothing the search read has changed since the net was last searched,
 // and commits the stored guide (or records the stored failure) instead.
 //
-// Each search records a read box per wire layer (searchScratch.noteRead).
+// Each search records the set of nodes it read (searchScratch.noteRead).
 // The loop keeps the ordered commit log of the round in flight and of the
-// round before, one entry per commit: the net, its guide version and its
-// per-layer guide box. reusable decides a net from the two logs; its comment
-// holds the exactness argument.
+// round before, one (net, guide version) entry per commit. reusable decides
+// a net from the two logs and the footprints their guides leave on the
+// net's read set; its comment holds the exactness argument.
 
-// emptyRect is the box of no points: it meets nothing, and widening it by a
-// point yields that point.
-var emptyRect = geom.Rect{
-	Min: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
-	Max: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
-}
-
-// widenRect grows b to cover the square of half-width d around p.
-//
-//rdl:noalloc
-func widenRect(b *geom.Rect, p geom.Point, d float64) {
-	b.Min.X = min(b.Min.X, p.X-d)
-	b.Min.Y = min(b.Min.Y, p.Y-d)
-	b.Max.X = max(b.Max.X, p.X+d)
-	b.Max.Y = max(b.Max.Y, p.Y+d)
-}
-
-// meetsAny reports whether any layer's box in a meets the same layer's box
-// in b.
-//
-//rdl:noalloc
-func meetsAny(a, b []geom.Rect) bool {
-	for li := range a {
-		if a[li].Intersects(b[li]) {
-			return true
-		}
-	}
-	return false
-}
-
-// nodeReach returns the largest Chebyshev distance from p, the position of
-// node id, to a vertex or edge node of any tile that holds one of the node's
-// access-via or cross-tile links, as a float32 rounded up by coverReach.
-// Expanding the node reads router state only at positions within that
-// distance on its layer, plus at its own position on the adjacent layers
-// when it is a via node (see noteRead). An edge node sits at the midpoint of
-// its mesh edge, inside the box of the tile's vertices, so the vertices
-// decide the distance; they come from the compact mesh point array rather
-// than the node table.
-//
-//rdl:noalloc
-func nodeReach(g *rgraph.Graph, id rgraph.NodeID, p geom.Point) float32 {
-	var d float32
-	var last *rgraph.Tile
-	for _, adj := range g.Adj[id] {
-		l := g.Link(adj.Link)
-		if l.Kind == rgraph.CrossVia {
-			continue
-		}
-		// A tile's links have consecutive IDs, so they sit together in the
-		// adjacency list and each tile is covered once.
-		t := g.TileOf(l.Layer, l.Tile)
-		if t == last {
-			continue
-		}
-		last = t
-		pts := g.Layers[l.Layer].Mesh.Points
-		box := emptyRect
-		for _, v := range t.Verts {
-			widenRect(&box, pts[v], 0)
-		}
-		d = coverReach(p, box, d)
-	}
-	return d
-}
-
-// coverReach returns the smallest d' ≥ d, up to rounding, for which the
-// square of half-width d' around p, as widenRect computes it, holds box b.
-// The distance alone is not enough: float32 rounding can shrink it, and
-// p.X-d can round past b.Min.X, so d' steps up to the next float32 until
-// the rounded square holds b.
-//
-//rdl:noalloc
-func coverReach(p geom.Point, b geom.Rect, d float32) float32 {
-	for {
-		r := float64(d)
-		if p.X-r <= b.Min.X && b.Max.X <= p.X+r && p.Y-r <= b.Min.Y && b.Max.Y <= p.Y+r {
-			return d
-		}
-		if need := float32(max(p.X-b.Min.X, b.Max.X-p.X, p.Y-b.Min.Y, b.Max.Y-p.Y)); need > d {
-			d = need
-		} else {
-			d = math.Nextafter32(d, float32(math.Inf(1)))
-		}
-	}
-}
-
-// logEntry is one commit of a round: the net and its guide version. The
-// commit's per-layer guide box sits beside it in the log's box array.
+// logEntry is one commit of a round: the net and its guide version.
 type logEntry struct{ net, version int32 }
 
 // netMemo is what the round loop remembers of a net between rounds.
@@ -125,40 +35,44 @@ type netMemo struct {
 	version int32
 	// failed reports that the net's last search found no guide.
 	failed bool
-	// guide is the net's last committed guide. Its nodes and links are
-	// shared with the net's Guide: once the rip-up releases that Guide, a
-	// reuse hands them to the next one. gaps is the net's own copy, because
-	// a search's gaps alias scratch storage.
-	guide searchResult
+	// expansions is the cost of the net's last search, which a reuse saves.
+	expansions int
+	// guide is the net's guide of the current version and prev that of the
+	// version before; remember swaps them when the version moves. Their
+	// nodes and links are shared with the Guides committed from them: once
+	// the rip-up releases a Guide, a reuse hands them to the next one. Each
+	// keeps its own copy of the gaps, because a search's gaps alias scratch
+	// storage.
+	guide, prev searchResult
 }
 
 // reuseState is the round loop's memo. Run sizes it once, before the first
 // round, and drops it when the loop ends.
 type reuseState struct {
-	layers int
-	nets   []netMemo
-	// readBox holds layers boxes per net: the read boxes of its last search.
-	readBox []geom.Rect
+	nets []netMemo
+	// words is the length of one read set, one bit per node; read holds the
+	// read sets of the nets' last searches, words per net.
+	words int
+	read  []uint64
 	// prev and cur are the commit logs of the previous round and of the
-	// round in flight; prevBox and curBox hold layers guide boxes per entry.
-	prev, cur       []logEntry
-	prevBox, curBox []geom.Rect
+	// round in flight.
+	prev, cur []logEntry
 	// prevValid reports that the previous round started from an empty
 	// board, so its log describes every state its searches read.
 	prevValid, curValid bool
-	// reused counts the round's reused searches.
-	reused int
+	// reused counts the round's reused searches and reusedExpansions the
+	// expansions they did not run.
+	reused, reusedExpansions int
 }
 
-func newReuseState(nNets, layers int) *reuseState {
+func newReuseState(nNets, nNodes int) *reuseState {
+	words := (nNodes + 63) / 64
 	rs := &reuseState{
-		layers:  layers,
-		nets:    make([]netMemo, nNets),
-		readBox: make([]geom.Rect, nNets*layers),
-		prev:    make([]logEntry, 0, nNets),
-		cur:     make([]logEntry, 0, nNets),
-		prevBox: make([]geom.Rect, nNets*layers),
-		curBox:  make([]geom.Rect, nNets*layers),
+		nets:  make([]netMemo, nNets),
+		words: words,
+		read:  make([]uint64, nNets*words),
+		prev:  make([]logEntry, 0, nNets),
+		cur:   make([]logEntry, 0, nNets),
 	}
 	for i := range rs.nets {
 		rs.nets[i].turn = -1
@@ -170,9 +84,82 @@ func newReuseState(nNets, layers int) *reuseState {
 // log for the next. empty reports that the board holds no guide.
 func (rs *reuseState) beginRound(empty bool) {
 	rs.prev, rs.cur = rs.cur, rs.prev[:0]
-	rs.prevBox, rs.curBox = rs.curBox, rs.prevBox
 	rs.prevValid, rs.curValid = rs.curValid, empty
-	rs.reused = 0
+	rs.reused, rs.reusedExpansions = 0, 0
+}
+
+// readSet returns the read set of net ni's last search.
+//
+//rdl:noalloc
+func (rs *reuseState) readSet(ni int) []uint64 {
+	return rs.read[ni*rs.words : (ni+1)*rs.words]
+}
+
+// marked reports whether node id is in the read set.
+//
+//rdl:noalloc
+func marked(read []uint64, id rgraph.NodeID) bool {
+	return read[id>>6]&(1<<(uint(id)&63)) != 0
+}
+
+// nextMarked returns the index of the first of nodes[i:] in the read set,
+// or len(nodes).
+//
+//rdl:noalloc
+func nextMarked(read []uint64, nodes []rgraph.NodeID, i int) int {
+	for i < len(nodes) && !marked(read, nodes[i]) {
+		i++
+	}
+	return i
+}
+
+// linkAt returns links[i], or -1 past either end of the path.
+//
+//rdl:noalloc
+func linkAt(links []int, i int) int {
+	if i < 0 || i >= len(links) {
+		return -1
+	}
+	return links[i]
+}
+
+// sameFootprint reports whether guides a and b leave the same footprint on
+// the read set: the same marked nodes in the same order, each with the same
+// gap and the same links into and out of it.
+//
+//rdl:noalloc
+func sameFootprint(read []uint64, a, b *searchResult) bool {
+	i, j := nextMarked(read, a.nodes, 0), nextMarked(read, b.nodes, 0)
+	for i < len(a.nodes) && j < len(b.nodes) {
+		if a.nodes[i] != b.nodes[j] || a.gaps[i] != b.gaps[j] ||
+			linkAt(a.links, i-1) != linkAt(b.links, j-1) || linkAt(a.links, i) != linkAt(b.links, j) {
+			return false
+		}
+		i, j = nextMarked(read, a.nodes, i+1), nextMarked(read, b.nodes, j+1)
+	}
+	return i == len(a.nodes) && j == len(b.nodes)
+}
+
+// guideOf returns the guide a log entry committed. A net commits at most
+// once per round, so the two logs name only its current and previous
+// versions.
+//
+//rdl:noalloc
+func (rs *reuseState) guideOf(e logEntry) *searchResult {
+	m := &rs.nets[e.net]
+	if e.version == m.version {
+		return &m.guide
+	}
+	return &m.prev
+}
+
+// touches reports whether the guide of log entry e has a node in the read
+// set.
+//
+//rdl:noalloc
+func (rs *reuseState) touches(read []uint64, e logEntry) bool {
+	nodes := rs.guideOf(e).nodes
+	return nextMarked(read, nodes, 0) < len(nodes)
 }
 
 // reusable reports whether net ni's last search would return the same
@@ -182,23 +169,30 @@ func (rs *reuseState) beginRound(empty bool) {
 // The answer is exact. A round starts from an empty board, and inside the
 // round loop router state changes only through commit (capOverride changes
 // only in refinement, after the loop). So the state at a net's turn is fixed
-// by the ordered list of guides committed before it. A search reads router
-// state only at positions inside its read boxes, and a commit writes only at
-// its guide's nodes, links and tiles: usage and sequences at its nodes, link
-// usage between two of them, passages in tiles whose boundary holds them.
-// Every such write that a search reads therefore comes from a guide with a
-// node in a read box, whose guide box meets that read box. The commits whose
-// guide box meets no read box change nothing the search reads.
+// by the ordered list of guides committed before it.
 //
-// Suppose the commits of this round that meet the net's read boxes equal,
-// in order and as (net, version) pairs, the commits of the previous round
-// that met them before the net's turn there. A (net, version) pair names one
-// guide, nodes, links and gaps, so both lists made the same writes in the
-// same order, and every value the search reads is what it was then. The
-// search is deterministic: it would expand the same states, read the same
-// values and return the same result. When the net was itself reused in the
-// previous round, the same equality held there, so the chain reaches back to
-// the search that recorded the boxes.
+// A search reads the usage, capacity and sequence of nodes in its read set,
+// the usage of the links at the nodes it expanded, and the passages of the
+// tiles it resolves; noteRead marks every node it expands, all their
+// neighbours, and all three edge nodes of every tile it resolves. A commit
+// writes usage and sequences at its guide's nodes, usage at its links, and
+// passages in the tiles of its links. Every access-via and cross-tile link
+// has an edge-node end in its tile, so a passage the search reads is written
+// through a link into or out of a marked node, and so is the usage of a link
+// at an expanded node. Only commits whose guides touch the read set
+// therefore write what the search reads, and they write it only through
+// their footprint there: the marked nodes in order, each with its gap and
+// its links into and out of it.
+//
+// Suppose the commits of this round whose guides touch the read set are the
+// same nets, in the same order, as those that touched it before the net's
+// turn in the previous round, and each pair has the same guide version or
+// the same footprint on the set. Both lists then made the same writes on the
+// set in the same order, starting from an empty board, so every value the
+// search reads is what it was then. The search is deterministic: it would
+// expand the same states, read the same values and return the same result.
+// When the net was itself reused in the previous round, the same equality
+// held there, so the chain reaches back to the search that recorded the set.
 //
 //rdl:noalloc
 func (rs *reuseState) reusable(ni int) bool {
@@ -206,24 +200,26 @@ func (rs *reuseState) reusable(ni int) bool {
 	if !rs.prevValid || m.turn < 0 {
 		return false
 	}
-	L := rs.layers
-	read := rs.readBox[ni*L : (ni+1)*L]
+	read := rs.readSet(ni)
 	prev := rs.prev[:m.turn]
 	j := 0
-	for e, ce := range rs.cur {
-		if !meetsAny(rs.curBox[e*L:(e+1)*L], read) {
+	for _, ce := range rs.cur {
+		if !rs.touches(read, ce) {
 			continue
 		}
-		for j < len(prev) && !meetsAny(rs.prevBox[j*L:(j+1)*L], read) {
+		for j < len(prev) && !rs.touches(read, prev[j]) {
 			j++
 		}
-		if j == len(prev) || prev[j] != ce {
+		if j == len(prev) || prev[j].net != ce.net {
+			return false
+		}
+		if prev[j].version != ce.version && !sameFootprint(read, rs.guideOf(prev[j]), rs.guideOf(ce)) {
 			return false
 		}
 		j++
 	}
 	for ; j < len(prev); j++ {
-		if meetsAny(rs.prevBox[j*L:(j+1)*L], read) {
+		if rs.touches(read, prev[j]) {
 			return false
 		}
 	}
@@ -234,27 +230,31 @@ func (rs *reuseState) reusable(ni int) bool {
 //
 //rdl:noalloc
 func (rs *reuseState) recall(ni int) *searchResult {
+	m := &rs.nets[ni]
 	rs.reused++
-	if m := &rs.nets[ni]; !m.failed {
+	rs.reusedExpansions += m.expansions
+	if !m.failed {
 		return &m.guide
 	}
 	return nil
 }
 
-// remember stores the outcome of a search of net ni that just ran: its read
-// boxes and g, the guide found, or nil for a failure. It returns the stored
-// guide, or nil.
-func (rs *reuseState) remember(ni int, box []geom.Rect, g *searchResult) *searchResult {
-	copy(rs.readBox[ni*rs.layers:(ni+1)*rs.layers], box)
+// remember stores the outcome of a search of net ni that just ran on sc:
+// its read set, its expansions and g, the guide found, or nil for a
+// failure. It returns the stored guide, or nil.
+func (rs *reuseState) remember(ni int, sc *searchScratch, g *searchResult) *searchResult {
+	copy(rs.readSet(ni), sc.read)
 	m := &rs.nets[ni]
+	m.expansions = sc.expansions
 	m.failed = g == nil
 	if g == nil {
 		return nil
 	}
-	s := &m.guide
-	if !slices.Equal(s.nodes, g.nodes) || !slices.Equal(s.links, g.links) || !slices.Equal(s.gaps, g.gaps) {
+	if !slices.Equal(m.guide.nodes, g.nodes) || !slices.Equal(m.guide.links, g.links) || !slices.Equal(m.guide.gaps, g.gaps) {
 		m.version++
+		m.guide, m.prev = m.prev, m.guide
 	}
+	s := &m.guide
 	s.net, s.nodes, s.links = g.net, g.nodes, g.links
 	s.gaps = append(s.gaps[:0], g.gaps...)
 	return s
@@ -270,15 +270,6 @@ func (rs *reuseState) noteTurn(ni int) {
 // logCommit appends net ni's commit, its stored guide, to the round's log.
 //
 //rdl:noalloc
-func (rs *reuseState) logCommit(g *rgraph.Graph, ni int) {
-	e := len(rs.cur)
-	box := rs.curBox[e*rs.layers : (e+1)*rs.layers]
-	for li := range box {
-		box[li] = emptyRect
-	}
-	for _, id := range rs.nets[ni].guide.nodes {
-		n := g.Node(id)
-		widenRect(&box[n.Layer], n.Pos, 0)
-	}
+func (rs *reuseState) logCommit(ni int) {
 	rs.cur = append(rs.cur, logEntry{net: int32(ni), version: rs.nets[ni].version})
 }

@@ -3,6 +3,7 @@ package global
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 	"time"
@@ -119,6 +120,19 @@ func routeTraced(t *testing.T, g *rgraph.Graph, rec obs.Recorder,
 	return tr
 }
 
+// multiRoundDesigns are the designs that take more than one order round,
+// so the round loop has searches to reuse.
+var multiRoundDesigns = []struct {
+	name string
+	d    func(*testing.T) *design.Design
+}{
+	{"dense2", func(t *testing.T) *design.Design { return testDesign(t, "dense2") }},
+	{"dense5", func(t *testing.T) *design.Design { return testDesign(t, "dense5") }},
+	{"random1", func(t *testing.T) *design.Design { return testDesign(t, "random1") }},
+	{"random4", func(t *testing.T) *design.Design { return testDesign(t, "random4") }},
+	{"framed-pad", framedPadDesign},
+}
+
 // TestReuseMatchesFullRounds routes every design that takes more than one
 // order round twice: with Run, which reuses a net's previous search when
 // nothing it read has changed, and with runFullRounds, which searches every
@@ -126,19 +140,10 @@ func routeTraced(t *testing.T, g *rgraph.Graph, rec obs.Recorder,
 // edge sequence, the failed nets, the round count and the rip-up count must
 // agree, and Run must actually reuse searches. A guide that changes only in
 // its gaps moves its net's version too: dense2, dense5 and random1 have
-// such commits.
+// such commits. The expansions Run reports as saved by its reuses must make
+// up the whole difference to the full rounds' expansions.
 func TestReuseMatchesFullRounds(t *testing.T) {
-	designs := []struct {
-		name string
-		d    func(*testing.T) *design.Design
-	}{
-		{"dense2", func(t *testing.T) *design.Design { return testDesign(t, "dense2") }},
-		{"dense5", func(t *testing.T) *design.Design { return testDesign(t, "dense5") }},
-		{"random1", func(t *testing.T) *design.Design { return testDesign(t, "random1") }},
-		{"random4", func(t *testing.T) *design.Design { return testDesign(t, "random4") }},
-		{"framed-pad", framedPadDesign},
-	}
-	for _, tc := range designs {
+	for _, tc := range multiRoundDesigns {
 		t.Run(tc.name, func(t *testing.T) {
 			if testing.Short() && tc.name == "dense5" {
 				t.Skip("large case")
@@ -168,6 +173,10 @@ func TestReuseMatchesFullRounds(t *testing.T) {
 			reused := rec.Counter("global.astar.reused_searches")
 			if reused == 0 {
 				t.Fatal("no search was reused; the comparison is vacuous")
+			}
+			if saved := rec.Counter("global.astar.reused_expansions"); int64(got.res.Expansions)+saved != int64(want.res.Expansions) {
+				t.Fatalf("%d expansions run and %d reported saved; full rounds ran %d",
+					got.res.Expansions, saved, want.res.Expansions)
 			}
 			if len(got.commits) != len(want.commits) {
 				t.Fatalf("%d commits, full rounds made %d", len(got.commits), len(want.commits))
@@ -202,14 +211,15 @@ func TestReuseMatchesFullRounds(t *testing.T) {
 	}
 }
 
-// TestReadBoxPremises checks, on every node of the dense cases and of the
-// random-workload designs, the premises that let a search's read boxes
-// cover every router state it reads: each neighbour of a node lies within
-// reach of it on its layer, or is a cross-via partner at its position on an
-// adjacent layer, and so does every vertex and edge node of each tile that
-// holds one of its links. "Within reach" is inside the boxes noteRead
-// widens when it expands the node on a fresh scratch.
-func TestReadBoxPremises(t *testing.T) {
+// TestReadSetPremises checks, on every node and link of the dense cases and
+// of the random-workload designs, the premises the read set rests on.
+// Expanding node u on a fresh scratch must mark u, each neighbour, and every
+// edge node of each tile that holds one of u's access-via or cross-tile
+// links. Every access-via and cross-tile link must have an end among its
+// tile's edge nodes, so a commit writes a tile's passages, and the usage of
+// a link at an expanded node, only through a link into or out of a marked
+// node.
+func TestReadSetPremises(t *testing.T) {
 	for _, name := range []string{"dense1", "dense2", "dense3", "dense4", "dense5",
 		"random0", "random1", "random2", "random3", "random4", "random5"} {
 		t.Run(name, func(t *testing.T) {
@@ -218,35 +228,170 @@ func TestReadBoxPremises(t *testing.T) {
 			}
 			r := buildRouterFor(t, testDesign(t, name), Options{})
 			g, sc := r.G, r.scratch()
+			for id := range g.Links {
+				l := g.Link(id)
+				if l.Kind == rgraph.CrossVia {
+					continue
+				}
+				ens := g.TileOf(l.Layer, l.Tile).EdgeNodes
+				if !slices.Contains(ens[:], l.A) && !slices.Contains(ens[:], l.B) {
+					t.Fatalf("%v link %d (%d–%d) has no end among its tile's edge nodes %v", l.Kind, id, l.A, l.B, ens)
+				}
+			}
 			for id := range g.Nodes {
-				u := &g.Nodes[id]
-				sc.begin(u.Pos)
-				sc.noteRead(g, rgraph.NodeID(id), u)
-				within := func(what string, v rgraph.NodeID) {
-					if n := g.Node(v); n.Layer != u.Layer || !sc.box[n.Layer].Contains(n.Pos) {
-						t.Fatalf("node %d (layer %d, %v, reach %g): %s %d (layer %d, %v) outside its read box",
-							id, u.Layer, u.Pos, sc.reach[id], what, v, n.Layer, n.Pos)
+				u := rgraph.NodeID(id)
+				sc.begin(g.Node(u).Pos)
+				sc.noteRead(g, u, g.Node(u))
+				need := func(what string, v rgraph.NodeID) {
+					if !marked(sc.read, v) {
+						t.Fatalf("node %d (kind %d, layer %d): %s %d is not in its read set",
+							id, g.Node(u).Kind, g.Node(u).Layer, what, v)
 					}
 				}
+				need("the node itself", u)
 				for _, adj := range g.Adj[id] {
-					l := g.Link(adj.Link)
-					if l.Kind == rgraph.CrossVia {
-						n := g.Node(adj.To)
-						if u.Kind != rgraph.ViaNode || (n.Layer != u.Layer-1 && n.Layer != u.Layer+1) ||
-							n.Pos != u.Pos || !sc.box[n.Layer].Contains(n.Pos) {
-							t.Fatalf("node %d: cross-via partner %d is not in its read box at its position on an adjacent layer",
-								id, adj.To)
+					need("neighbour", adj.To)
+					if l := g.Link(adj.Link); l.Kind != rgraph.CrossVia {
+						for _, e := range g.TileOf(l.Layer, l.Tile).EdgeNodes {
+							need("tile edge node", e)
 						}
-						continue
-					}
-					within("neighbour", adj.To)
-					tile := g.TileOf(l.Layer, l.Tile)
-					for k := range 3 {
-						within("tile vertex", tile.ViaNodes[k])
-						within("tile edge node", tile.EdgeNodes[k])
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestSameFootprint checks the footprint comparison on two guides of one
+// net: a change of gap at a marked node, or of a link into or out of one,
+// tells them apart, and a change that leaves the read set alone does not.
+func TestSameFootprint(t *testing.T) {
+	// The path runs 1-2-3-4-5 over links 10-13; the set marks 2 and 3.
+	read := []uint64{1<<2 | 1<<3}
+	base := func() *searchResult {
+		return &searchResult{
+			nodes: []rgraph.NodeID{1, 2, 3, 4, 5},
+			links: []int{10, 11, 12, 13},
+			gaps:  []int{-1, 0, 1, 0, -1},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*searchResult)
+		same bool
+	}{
+		{"identical", func(*searchResult) {}, true},
+		{"gap at a marked node", func(g *searchResult) { g.gaps[2] = 2 }, false},
+		{"link into a marked node", func(g *searchResult) { g.links[0] = 20 }, false},
+		{"link between marked nodes", func(g *searchResult) { g.links[1] = 21 }, false},
+		{"link out of a marked node", func(g *searchResult) { g.links[2] = 22 }, false},
+		{"marked node left out", func(g *searchResult) {
+			g.nodes, g.links, g.gaps = []rgraph.NodeID{1, 2, 4, 5}, []int{10, 11, 13}, []int{-1, 0, 0, -1}
+		}, false},
+		{"gap outside the set", func(g *searchResult) { g.gaps[3] = 1 }, true},
+		{"link outside the set", func(g *searchResult) { g.links[3] = 23 }, true},
+		{"path outside the set", func(g *searchResult) {
+			g.nodes, g.links, g.gaps = []rgraph.NodeID{6, 1, 2, 3, 4, 7, 8}, []int{14, 10, 11, 12, 15, 16}, []int{0, -1, 0, 1, 0, 2, -1}
+		}, true},
+	} {
+		a, b := base(), base()
+		tc.edit(b)
+		if got := sameFootprint(read, a, b); got != tc.same {
+			t.Errorf("%s: sameFootprint %v, want %v", tc.name, got, tc.same)
+		}
+		if got := sameFootprint(read, b, a); got != tc.same {
+			t.Errorf("%s, swapped: sameFootprint %v, want %v", tc.name, got, tc.same)
+		}
+	}
+}
+
+// readSnapshot lists the router state on a read set: for each marked node
+// in ID order, its usage and sequence, then for each of its links the link's
+// usage and, when all three edge nodes of the link's tile are marked, the
+// tile's passages.
+func readSnapshot(r *Router, read []uint64) []int {
+	var s []int
+	for w, word := range read {
+		for ; word != 0; word &= word - 1 {
+			id := rgraph.NodeID(w*64 + bits.TrailingZeros64(word))
+			s = append(s, int(id), r.nodeUse[id], len(r.seqs[id]))
+			s = append(s, r.seqs[id]...)
+			for _, adj := range r.G.Adj[id] {
+				s = append(s, adj.Link, r.linkUse[adj.Link])
+				l := r.G.Link(adj.Link)
+				if l.Kind == rgraph.CrossVia {
+					continue
+				}
+				ens := r.G.TileOf(l.Layer, l.Tile).EdgeNodes
+				if !marked(read, ens[0]) || !marked(read, ens[1]) || !marked(read, ens[2]) {
+					continue
+				}
+				ps := r.passages[r.tileIndex(l.Layer, l.Tile)]
+				s = append(s, len(ps))
+				for _, p := range ps {
+					s = append(s, p.net, p.e1.vertex, p.e1.edge, p.e2.vertex, p.e2.edge)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// TestReusedStateMatches runs the round loop with a snapshot of the router
+// state on each search's read set, taken when the search runs, and requires
+// every reuse that reusable certifies to find the live state on that set
+// equal to the snapshot. TestReuseMatchesFullRounds compares outputs, so it
+// cannot see an unsound certificate whose search would have returned the
+// same guide anyway; this test compares what the search would read.
+func TestReusedStateMatches(t *testing.T) {
+	for _, tc := range multiRoundDesigns {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.name == "dense5" {
+				t.Skip("large case")
+			}
+			r := buildRouterFor(t, tc.d(t), Options{})
+			nets := r.G.Design.Nets
+			order := r.initialOrder(context.Background())
+			failCount := make([]int, len(nets))
+			rs := newReuseState(len(nets), len(r.G.Nodes))
+			snaps := make([][]int, len(nets))
+			reused, rounds := 0, 0
+			for round := 0; round < r.Opt.MaxOrderRounds; round++ {
+				rounds++
+				rs.beginRound(r.routed == 0)
+				failed := false
+				for _, ni := range order {
+					var g *searchResult
+					if rs.reusable(ni) {
+						if now := readSnapshot(r, rs.readSet(ni)); !slices.Equal(now, snaps[ni]) {
+							t.Fatalf("round %d: net %d was reused, but the state on its read set changed", round, ni)
+						}
+						g = rs.recall(ni)
+						reused++
+					} else {
+						sc := r.scratch()
+						found, _ := r.route(sc, nets[ni])
+						g = rs.remember(ni, sc, found)
+						snaps[ni] = readSnapshot(r, rs.readSet(ni))
+					}
+					rs.noteTurn(ni)
+					if g == nil {
+						failCount[ni]++
+						failed = true
+						continue
+					}
+					r.commit(g)
+					rs.logCommit(ni)
+				}
+				if !failed || round == r.Opt.MaxOrderRounds-1 || r.ripUpForNextRound() == 0 {
+					break
+				}
+				reorderByFailures(order, failCount)
+			}
+			if reused == 0 {
+				t.Fatalf("no search was reused in %d rounds; the check is vacuous", rounds)
+			}
+			t.Logf("%d rounds, %d reuses checked", rounds, reused)
 		})
 	}
 }
@@ -288,30 +433,34 @@ func (c *roundCounts) Count(name string, delta int64) {
 	c.rounds[len(c.rounds)-1] = append(c.rounds[len(c.rounds)-1], delta)
 }
 
-// TestReusedSearchesPerRound checks the reuse counter on dense2, whose
+// TestReusedSearchesPerRound checks the reuse counters on dense2, whose
 // second round reuses searches: every global.round span carries exactly one
-// global.astar.reused_searches count, and the first round's is zero.
+// global.astar.reused_searches and one global.astar.reused_expansions
+// count, and the first round's are zero.
 func TestReusedSearchesPerRound(t *testing.T) {
-	rec := &roundCounts{Collector: obs.NewCollector(), name: "global.astar.reused_searches"}
-	res, err := buildRouter(t, "dense2", rgraph.Options{}, Options{Rec: rec}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.outside != 0 || len(rec.rounds) != res.OrderRounds || res.OrderRounds < 2 {
-		t.Fatalf("%d counts outside a round, %d round spans, %d order rounds", rec.outside, len(rec.rounds), res.OrderRounds)
-	}
-	var total int64
-	for i, deltas := range rec.rounds {
-		if len(deltas) != 1 {
-			t.Fatalf("round %d: %d reused_searches counts, want 1", i, len(deltas))
+	for _, name := range []string{"global.astar.reused_searches", "global.astar.reused_expansions"} {
+		rec := &roundCounts{Collector: obs.NewCollector(), name: name}
+		res, err := buildRouter(t, "dense2", rgraph.Options{}, Options{Rec: rec}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i == 0 && deltas[0] != 0 {
-			t.Fatalf("round 0 reused %d searches", deltas[0])
+		if rec.outside != 0 || len(rec.rounds) != res.OrderRounds || res.OrderRounds < 2 {
+			t.Fatalf("%s: %d counts outside a round, %d round spans, %d order rounds",
+				name, rec.outside, len(rec.rounds), res.OrderRounds)
 		}
-		total += deltas[0]
-	}
-	if total == 0 {
-		t.Fatal("no search was reused")
+		var total int64
+		for i, deltas := range rec.rounds {
+			if len(deltas) != 1 {
+				t.Fatalf("round %d: %d %s counts, want 1", i, len(deltas), name)
+			}
+			if i == 0 && deltas[0] != 0 {
+				t.Fatalf("round 0: %s %d", name, deltas[0])
+			}
+			total += deltas[0]
+		}
+		if total == 0 {
+			t.Fatalf("%s: 0 in every round", name)
+		}
 	}
 }
 
@@ -345,7 +494,7 @@ func TestRunReleasesSearchState(t *testing.T) {
 // makes, and nothing else, neither nodes and links nor a search result.
 func TestReusedSearchAllocatesOnlyTheGuide(t *testing.T) {
 	r := buildRouter(t, "dense1", rgraph.Options{}, Options{})
-	rs := newReuseState(len(r.G.Design.Nets), len(r.G.Layers))
+	rs := newReuseState(len(r.G.Design.Nets), len(r.G.Nodes))
 	r.reuse = rs
 	failCount := make([]int, len(r.G.Design.Nets))
 	var lastFailed []int

@@ -269,7 +269,7 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 	astarSpan := obs.StartSpan(r.rec, "global.astar")
 	progress := r.rec.Enabled()
 	var lastFailed []int
-	r.reuse = newReuseState(len(nets), len(r.G.Layers))
+	r.reuse = newReuseState(len(nets), len(r.G.Nodes))
 	for round := 0; round < r.Opt.MaxOrderRounds; round++ {
 		roundSpan := obs.StartSpan(r.rec, "global.round")
 		res.OrderRounds = round + 1
@@ -277,6 +277,7 @@ func (r *Router) Run(ctx context.Context) (*Result, error) {
 		r.reuse.beginRound(r.routed == 0)
 		stopped := r.routeRoundSerial(ctx, order, failCount, &lastFailed, progress)
 		r.rec.Count("global.astar.reused_searches", int64(r.reuse.reused))
+		r.rec.Count("global.astar.reused_expansions", int64(r.reuse.reusedExpansions))
 		done := stopped || len(lastFailed) == 0 ||
 			round == r.Opt.MaxOrderRounds-1 // keep partial result; no rip-up on the last round
 		if !done {
@@ -373,7 +374,7 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 		sc := r.scratch()
 		found, err := r.route(sc, nets[ni])
 		r.foldSearch(sc, err)
-		g = rs.remember(ni, sc.box, found)
+		g = rs.remember(ni, sc, found)
 	}
 	rs.noteTurn(ni)
 	if g == nil {
@@ -382,7 +383,7 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 		return
 	}
 	r.commit(g)
-	rs.logCommit(r.G, ni)
+	rs.logCommit(ni)
 	if r.Opt.AfterEachNet != nil {
 		r.Opt.AfterEachNet(ni)
 	}
