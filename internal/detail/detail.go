@@ -205,12 +205,15 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 		ra.End()
 	}
 	pol := obs.StartSpan(d.rec, "detail.polish")
-	out.Wirelength = PolishRoutes(out.Routes, r.G.Design)
+	polish := PolishRoutes(out.Routes, r.G.Design)
+	out.Wirelength = polish.Wirelength
 	pol.End()
 	if d.rec.Enabled() {
 		d.rec.Count("detail.reassign.vias_removed",
 			int64(out.Reassign.ViasBefore-out.Reassign.ViasAfter))
 		d.rec.Count("detail.reassign.segments_merged", int64(out.Reassign.SegmentsMerged))
+		d.rec.Count("detail.polish.polylines_changed", int64(polish.PolylinesChanged))
+		d.rec.Count("detail.polish.layer_rebuilds", int64(polish.LayerRebuilds))
 		d.rec.Count("detail.dp.heap_ops", d.dpHeapOps)
 		d.rec.Count("detail.dp.partial_nets", int64(d.processed))
 		d.rec.Count("detail.fit.tangent_constructions", d.fitTangents)

@@ -63,7 +63,7 @@ func (l *drcLayer) spacingUnit(lo, hi int, d *design.Design, scr *gridScratch) [
 	var out []Violation
 	for si := lo; si < hi; si++ {
 		s := &l.segs[si]
-		for _, ei := range l.grid.near(s.seg, len(l.segs), scr) {
+		for _, ei := range l.grid.near(s.seg, scr) {
 			e := &l.segs[ei]
 			if e.net <= s.net || d.SameGroup(e.net, s.net) {
 				continue

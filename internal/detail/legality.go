@@ -92,6 +92,7 @@ type flatGrid struct {
 	minX, minY float64
 	inv        float64 // 1 / cell edge length
 	nx, ny     int
+	n          int // items bucketed: indices 0..n-1
 	starts     []int32
 	items      []int32
 }
@@ -109,15 +110,14 @@ func (g *flatGrid) cellOf(p geom.Point) (int, int) {
 
 // near returns every item bucketed within one cell of s's cell rectangle,
 // each once, in walk order (x, then y, then ascending item index within a
-// cell). n is the number of items the grid holds. Any item closer to s
-// than one cell edge is among them. The result aliases scr and is valid
-// until its next query.
+// cell). Any item closer to s than one cell edge is among them. The result
+// aliases scr and is valid until its next query.
 //
 //rdl:noalloc
-func (g *flatGrid) near(s geom.Segment, n int, scr *gridScratch) []int32 {
+func (g *flatGrid) near(s geom.Segment, scr *gridScratch) []int32 {
 	out := scr.cand[:0]
 	if len(g.items) > 0 {
-		scr.begin(n)
+		scr.begin(g.n)
 		x0, y0 := g.cellOf(s.A)
 		x1, y1 := g.cellOf(s.B)
 		for x := max(min(x0, x1)-1, 0); x <= min(max(x0, x1)+1, g.nx-1); x++ {
@@ -147,6 +147,7 @@ func (g *flatGrid) near(s geom.Segment, n int, scr *gridScratch) []int32 {
 //rdl:noalloc
 func (g *flatGrid) fill(segs []geom.Segment, cell float64, scr *gridScratch) {
 	n := len(segs)
+	g.n = n
 	if n == 0 {
 		g.nx, g.ny = 0, 0
 		g.starts, g.items = g.starts[:0], g.items[:0]
@@ -265,12 +266,16 @@ func appendLayerSegs(dst []netSeg, routes []*Route, layer int) []netSeg {
 // legalIndex holds, per wire layer, the current segments of every route
 // and the vias touching the layer, each bucketed by a flatGrid, and
 // answers whether a candidate segment may sit on a layer. The post-assembly
-// passes refresh it as they accept edits.
+// passes keep it current as they accept edits: reassignment rebuilds the
+// layers a fold touches, and polish updates a layer in place (replace).
 type legalIndex struct {
 	d    *design.Design
 	cell float64
 	// segs[layer] and vias[layer] are the per-layer views; via layer k
-	// touches wire layers k and k+1.
+	// touches wire layers k and k+1. The layer's grid buckets the first
+	// segGrids[layer].n entries of segs[layer]; the rest are the tail
+	// replace appends, which legal scans in full. An entry with net -1 is
+	// dead: replace removed it.
 	segs     [][]netSeg
 	vias     [][]netVia
 	segGrids []flatGrid
@@ -278,6 +283,10 @@ type legalIndex struct {
 	scr      gridScratch
 }
 
+// newLegalIndex builds the index over the routes. Each layer's segment view
+// is sized once, with room for the longest tail replace lets grow and one
+// more polyline, so replace never reallocates it while polylines do not
+// grow.
 func newLegalIndex(routes []*Route, d *design.Design) *legalIndex {
 	x := &legalIndex{
 		d: d, cell: indexCell(d),
@@ -290,13 +299,15 @@ func newLegalIndex(routes []*Route, d *design.Design) *legalIndex {
 	// allocation each.
 	segN := make([]int, d.WireLayers)
 	viaN := make([]int, d.WireLayers)
+	longest := 0
 	for _, rt := range routes {
 		if rt == nil {
 			continue
 		}
 		for _, s := range rt.Segs {
-			if len(s.Pl) > 1 {
-				segN[s.Layer] += len(s.Pl) - 1
+			if n := len(s.Pl) - 1; n > 0 {
+				segN[s.Layer] += n
+				longest = max(longest, n)
 			}
 		}
 		for _, v := range rt.Vias {
@@ -305,7 +316,7 @@ func newLegalIndex(routes []*Route, d *design.Design) *legalIndex {
 		}
 	}
 	for l := range x.segs {
-		x.segs[l] = make([]netSeg, 0, segN[l])
+		x.segs[l] = make([]netSeg, 0, segN[l]+tailLimit(segN[l])+longest)
 		x.vias[l] = make([]netVia, 0, viaN[l])
 		x.refreshSegs(routes, l)
 	}
@@ -313,12 +324,65 @@ func newLegalIndex(routes []*Route, d *design.Design) *legalIndex {
 	return x
 }
 
-// refreshSegs rebuilds one layer's segment view and its grid.
+// tailLimit is the longest tail replace keeps beside a grid of bucketed
+// entries before it rebuilds the layer: the linear scan it adds to each
+// query stays a small fraction of the layer.
+//
+//rdl:noalloc
+func tailLimit(bucketed int) int { return 64 + bucketed/16 }
+
+// refreshSegs rebuilds one layer's segment view and its grid from the
+// routes, leaving no tail and no dead entry.
 //
 //rdl:noalloc
 func (x *legalIndex) refreshSegs(routes []*Route, layer int) {
 	x.segs[layer] = appendLayerSegs(x.segs[layer][:0], routes, layer)
 	x.segGrids[layer].fillNetSegs(x.segs[layer], x.cell, &x.scr)
+}
+
+// replace updates layer's view after net's polyline old was replaced by cur
+// in routes, and reports whether it rebuilt the layer. The first run of
+// live entries holding old's segments dies in place (two equal runs are
+// interchangeable), and cur's segments join the tail, so the live entries
+// are exactly those refreshSegs would build. Once the tail outgrows
+// tailLimit, the layer is rebuilt from routes. cur may be longer than old.
+//
+//rdl:noalloc
+func (x *legalIndex) replace(routes []*Route, layer, net int, old, cur geom.Polyline) bool {
+	segs := x.segs[layer]
+	if i := findRun(segs, net, old); i >= 0 {
+		for k := i; k < i+len(old)-1; k++ {
+			segs[k].net = -1
+		}
+	}
+	for i := 1; i < len(cur); i++ {
+		segs = append(segs, netSeg{net, geom.Seg(cur[i-1], cur[i])})
+	}
+	x.segs[layer] = segs
+	if n := x.segGrids[layer].n; len(segs)-n <= tailLimit(n) {
+		return false
+	}
+	x.refreshSegs(routes, layer)
+	return true
+}
+
+// findRun returns the index of the first run of entries of segs holding
+// net's segments of pl in order, or -1 when there is none. Dead entries
+// match no net.
+//
+//rdl:noalloc
+func findRun(segs []netSeg, net int, pl geom.Polyline) int {
+	n := len(pl) - 1
+	for i := 0; i+n <= len(segs); i++ {
+		k := 0
+		for k < n && segs[i+k].net == net && segs[i+k].seg == geom.Seg(pl[k], pl[k+1]) {
+			k++
+		}
+		if k == n {
+			return i
+		}
+	}
+	return -1
 }
 
 // refreshVias rebuilds the via view and via grid of every layer.
@@ -342,6 +406,9 @@ func (x *legalIndex) refreshVias(routes []*Route) {
 	}
 }
 
+// legalEps is the tolerance of every limit legal checks.
+const legalEps = 1e-9
+
 // legal reports whether segment s of net may sit on layer: outside every
 // keep-out, then clear of every other net's wires by their pairwise
 // clearance, then clear of every other net's vias by the via-wire limit.
@@ -353,40 +420,58 @@ func (x *legalIndex) refreshVias(routes []*Route) {
 // comes closer to it than both replaced segments did. o1 and o2 are
 // ignored in strict mode.
 //
+// A wire vetoes by a test of the query and that wire alone, so the verdict
+// does not depend on the order in which wires are checked. The grid yields
+// every bucketed wire within reach, and the tail is checked in full.
+//
 //rdl:noalloc
 func (x *legalIndex) legal(s geom.Segment, layer, net int, relaxed bool, o1, o2 geom.Segment) bool {
-	const eps = 1e-9
 	if x.d.SegmentBlocked(s, layer, 0) {
 		return false
 	}
-	segs := x.segs[layer]
-	for _, i := range x.segGrids[layer].near(s, len(segs), &x.scr) {
-		e := &segs[i]
-		if x.d.SameGroup(e.net, net) {
-			continue
+	segs, n := x.segs[layer], x.segGrids[layer].n
+	for _, i := range x.segGrids[layer].near(s, &x.scr) {
+		if !x.wireOK(s, net, relaxed, o1, o2, &segs[i]) {
+			return false
 		}
-		if d, _, _ := s.DistToSegment(e.seg); d < x.d.Clearance(net, e.net)-eps {
-			if !relaxed {
-				return false
-			}
-			d1, _, _ := o1.DistToSegment(e.seg)
-			d2, _, _ := o2.DistToSegment(e.seg)
-			if d < math.Min(d1, d2)-eps {
-				return false
-			}
+	}
+	for i := n; i < len(segs); i++ {
+		if !x.wireOK(s, net, relaxed, o1, o2, &segs[i]) {
+			return false
 		}
 	}
 	viaLimit := x.d.Rules.ViaWidth/2 + x.d.Rules.MinSpacing + x.d.WidthOf(net)/2
 	vias := x.vias[layer]
-	for _, i := range x.viaGrids[layer].near(s, len(vias), &x.scr) {
+	for _, i := range x.viaGrids[layer].near(s, &x.scr) {
 		v := &vias[i]
 		if x.d.SameGroup(v.net, net) {
 			continue
 		}
-		if d := s.DistToPoint(v.pos); d < viaLimit-eps {
-			if !relaxed || d < math.Min(o1.DistToPoint(v.pos), o2.DistToPoint(v.pos))-eps {
+		if d := s.DistToPoint(v.pos); d < viaLimit-legalEps {
+			if !relaxed || d < math.Min(o1.DistToPoint(v.pos), o2.DistToPoint(v.pos))-legalEps {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// wireOK reports whether wire e lets segment s of net stand, by legal's
+// wire rule. A dead entry and a wire of s's own net always do.
+//
+//rdl:noalloc
+func (x *legalIndex) wireOK(s geom.Segment, net int, relaxed bool, o1, o2 geom.Segment, e *netSeg) bool {
+	if e.net < 0 || x.d.SameGroup(e.net, net) {
+		return true
+	}
+	if d, _, _ := s.DistToSegment(e.seg); d < x.d.Clearance(net, e.net)-legalEps {
+		if !relaxed {
+			return false
+		}
+		d1, _, _ := o1.DistToSegment(e.seg)
+		d2, _, _ := o2.DistToSegment(e.seg)
+		if d < math.Min(d1, d2)-legalEps {
+			return false
 		}
 	}
 	return true

@@ -114,30 +114,41 @@ func (p *polisher) polishPolyline(in geom.Polyline, layer, net int) geom.Polylin
 	return out
 }
 
+// PolishStats summarizes one polish pass.
+type PolishStats struct {
+	// Wirelength is the total over all routes after polishing.
+	Wirelength float64
+	// PolylinesChanged counts the polylines polish shortened, and
+	// LayerRebuilds the legality-index layer rebuilds their updates caused.
+	PolylinesChanged, LayerRebuilds int
+}
+
 // PolishRoutes cleans every route in place, validating each vertex removal
 // against all other nets' current geometry and the design's keep-outs, and
-// returns the total wirelength after polishing.
-func PolishRoutes(routes []*Route, d *design.Design) float64 {
+// returns the pass statistics.
+func PolishRoutes(routes []*Route, d *design.Design) PolishStats {
+	var st PolishStats
 	p := &polisher{legalIndex: newLegalIndex(routes, d)}
 	for _, rt := range routes {
 		if rt == nil {
 			continue
 		}
 		for i := range rt.Segs {
-			cleaned := p.polishPolyline(rt.Segs[i].Pl, rt.Segs[i].Layer, rt.Net)
-			if len(cleaned) != len(rt.Segs[i].Pl) {
+			old := rt.Segs[i].Pl
+			cleaned := p.polishPolyline(old, rt.Segs[i].Layer, rt.Net)
+			if len(cleaned) != len(old) {
 				rt.Segs[i].Pl = cleaned
-				// Polishing only removes vertices, so the refilled view
-				// never outgrows the buffers the initial build sized.
-				p.refreshSegs(routes, rt.Segs[i].Layer)
+				st.PolylinesChanged++
+				if p.replace(routes, rt.Segs[i].Layer, rt.Net, old, cleaned) {
+					st.LayerRebuilds++
+				}
 			}
 		}
 	}
-	var total float64
 	for _, rt := range routes {
 		if rt != nil {
-			total += rt.Wirelength()
+			st.Wirelength += rt.Wirelength()
 		}
 	}
-	return total
+	return st
 }

@@ -3,6 +3,7 @@ package global
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
@@ -53,10 +54,11 @@ type searchState struct {
 // The best-cost scoreboard is dense: every reachable state key maps to a
 // fixed slot (via nodes get two slots, one per viaArrive flavour; edge nodes
 // get Cap+1 slots, one per insertion gap, because a sequence of length m
-// needs gaps 0..m and m never exceeds the node capacity). A generation
-// counter stamps slot validity so clearing the scoreboard between searches
-// is one integer increment, not an O(slots) wipe. The same generation
-// stamps the chord memo below, so one increment starts a search.
+// needs gaps 0..m and m never exceeds the node capacity). An unreached slot
+// holds +Inf. Every slot a search writes belongs to one of its arena states,
+// so begin clears the scoreboard by resetting the previous arena's slots,
+// not all of them. A generation counter stamps the chord memo below, so one
+// increment invalidates it.
 //
 // Router state is frozen while a search runs, so the resolved passage
 // coordinates of a tile cannot change within one search: the chord memo
@@ -65,8 +67,6 @@ type searchState struct {
 type searchScratch struct {
 	slotBase []int32 // per node: first scoreboard slot
 	bestG    []float64
-	bestGen  []uint32
-	gen      uint32
 
 	arena []searchState
 	// open holds arena indices keyed by f.
@@ -81,10 +81,13 @@ type searchScratch struct {
 	// this scratch's next search overwrites them.
 	gapsBuf []int
 
-	// dstPos is the heuristic target of the search in flight.
+	// Per-search constants: the heuristic target and the capacity units the
+	// searched net takes on an edge node.
 	dstPos geom.Point
+	units  int
 
 	// Chord memo (see type comment), indexed by the dense tile index.
+	gen    uint32
 	memo   []tileMemo
 	chords []chordCoords
 
@@ -96,8 +99,9 @@ type searchScratch struct {
 	revisit    bool
 
 	// read is the search's read set, one bit per node, cleared by begin and
-	// marked by noteRead on every expansion. The round loop keeps it to
-	// decide cross-round reuse (reuse.go).
+	// marked by route and the expansion loops (see expandVia and
+	// expandEdge). The round loop keeps it to decide cross-round reuse
+	// (reuse.go).
 	read []uint64
 }
 
@@ -131,7 +135,9 @@ func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
 	}
 	s.slotBase[len(g.Nodes)] = slots
 	s.bestG = make([]float64, slots)
-	s.bestGen = make([]uint32, slots)
+	for i := range s.bestG {
+		s.bestG[i] = math.Inf(1)
+	}
 	return s
 }
 
@@ -149,15 +155,18 @@ func (s *searchScratch) slot(key stateKey) int32 {
 	return base
 }
 
-// begin readies the scratch for one search: new generation (fresh
-// scoreboard and chord memo), empty arena, open list and chord arena,
-// zeroed work counters and failure cause, empty read set.
+// begin readies the scratch for one search of a net taking units capacity
+// units per edge node: fresh scoreboard and chord memo, empty arena, open
+// list and chord arena, zeroed work counters and failure cause, empty read
+// set.
 //
 //rdl:noalloc
-func (s *searchScratch) begin(dstPos geom.Point) {
+func (s *searchScratch) begin(dstPos geom.Point, units int) {
+	for _, st := range s.arena {
+		s.bestG[s.slot(st.key)] = math.Inf(1)
+	}
 	s.gen++
 	if s.gen == 0 { // generation counter wrapped: invalidate explicitly
-		clear(s.bestGen)
 		clear(s.memo)
 		s.gen = 1
 	}
@@ -165,36 +174,11 @@ func (s *searchScratch) begin(dstPos geom.Point) {
 	s.open.Reset()
 	s.chords = s.chords[:0]
 	s.dstPos = dstPos
+	s.units = units
 	s.expansions = 0
 	s.heapPushes = 0
 	s.revisit = false
 	clear(s.read)
-}
-
-// noteRead marks every node whose router state expanding node id reads: the
-// node itself, whose sequence places an edge node's gap, each neighbour,
-// whose usage, capacity and sequence it reads, and, for a via node, the
-// three edge nodes of each tile holding one of its access-via links, whose
-// sequences resolve the tile's passages. An edge node's tiles need no marks
-// of their own: each holds cross-tile links from the node to the other two
-// edge nodes, so they are neighbours. The usage of the node's links and the
-// passages of those tiles are written only through links into or out of a
-// marked node (see reusable).
-//
-//rdl:noalloc
-func (s *searchScratch) noteRead(g *rgraph.Graph, id rgraph.NodeID, n *rgraph.Node) {
-	s.mark(id)
-	for _, adj := range g.Adj[id] {
-		s.mark(adj.To)
-		if n.Kind != rgraph.ViaNode {
-			continue
-		}
-		if l := g.Link(adj.Link); l.Kind == rgraph.AccessVia {
-			for _, e := range g.TileOf(l.Layer, l.Tile).EdgeNodes {
-				s.mark(e)
-			}
-		}
-	}
 }
 
 // mark adds node id to the read set.
@@ -210,10 +194,9 @@ func (s *searchScratch) mark(id rgraph.NodeID) {
 //rdl:noalloc
 func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link int32) {
 	slot := sc.slot(key)
-	if sc.bestGen[slot] == sc.gen && sc.bestG[slot] <= g {
+	if sc.bestG[slot] <= g {
 		return
 	}
-	sc.bestGen[slot] = sc.gen
 	sc.bestG[slot] = g
 	f := g + r.G.Node(key.node).Pos.Dist(sc.dstPos)
 	sc.arena = append(sc.arena, searchState{key: key, g: g, parent: parent, link: link})
@@ -232,10 +215,10 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 	if err != nil {
 		// Reset the scratch so the caller's counter fold sees an empty
 		// search rather than the previous search's leftovers.
-		sc.begin(geom.Point{})
+		sc.begin(geom.Point{}, 0)
 		return nil, err
 	}
-	sc.begin(r.G.Node(dst).Pos)
+	sc.begin(r.G.Node(dst).Pos, r.edgeUnits(net.ID))
 
 	r.push(sc, stateKey{node: src, gap: -1}, 0, -1, -1)
 
@@ -269,9 +252,8 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 			break
 		}
 
-		node := r.G.Node(st.key.node)
-		sc.noteRead(r.G, st.key.node, node)
-		if node.Kind == rgraph.ViaNode {
+		sc.mark(st.key.node)
+		if r.G.Node(st.key.node).Kind == rgraph.ViaNode {
 			r.expandVia(sc, st, si, net.ID)
 		} else {
 			r.expandEdge(sc, st, si, net.ID, dst)
@@ -286,11 +268,17 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 // ascends); a via entered through a cross-via link must be left through an
 // access-via link. The start pin may use anything available.
 //
+// The expansion reads the usage, capacity and sequence of every neighbour
+// and, through each access-via link, the passages of its tile, which the
+// sequences of the tile's three edge nodes resolve. It marks all of them in
+// the read set before any check can skip the link.
+//
 //rdl:noalloc
 func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int) {
 	arrivedCross := st.key.viaArrive
 	isStart := st.link == -1
 	for _, adj := range r.G.Adj[st.key.node] {
+		sc.mark(adj.To)
 		link := r.G.Link(adj.Link)
 		switch link.Kind {
 		case rgraph.CrossVia:
@@ -301,42 +289,46 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !r.G.LayerAllowed(net, r.G.Node(adj.To).Layer) {
 				continue
 			}
-			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
+			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
 				continue
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: true}, st.g+link.Len, si, int32(adj.Link))
 		case rgraph.AccessVia:
+			tile := r.G.TileOf(link.Layer, link.Tile)
+			for _, e := range tile.EdgeNodes {
+				sc.mark(e)
+			}
 			if !isStart && !arrivedCross {
 				continue // entered by wire; must take the via down/up
 			}
-			if r.linkUse[adj.Link] >= link.Cap {
+			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] {
 				continue
 			}
-			r.pushChordToEdge(sc, st, si, net, adj, link)
+			r.pushGaps(sc, net, tile, r.coord(tile, vertexEnd(int(adj.FromOrd))), adj, st.g+link.Len, si)
 		}
 	}
 }
 
 // expandEdge expands an edge-node state through its cross-tile and
-// access-via links, enumerating crossing-free insertion gaps.
+// access-via links, enumerating crossing-free insertion gaps. Each tile of
+// the node holds cross-tile links from it to the tile's other two edge
+// nodes, so the neighbour marks, with route's mark of the node itself,
+// cover every sequence the expansion reads.
 //
 //rdl:noalloc
 func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int, dst rgraph.NodeID) {
 	for _, adj := range r.G.Adj[st.key.node] {
+		sc.mark(adj.To)
 		link := r.G.Link(adj.Link)
 		if r.linkUse[adj.Link] >= link.Cap {
 			continue
 		}
 		tile := r.G.TileOf(link.Layer, link.Tile)
-		fromOrd := edgeOrdinal(tile, st.key.node)
-		if fromOrd == -1 {
-			continue // defensive: link tile does not contain the node
-		}
-		from := gapEnd(fromOrd, int(st.key.gap))
+		from := gapEnd(int(adj.FromOrd), int(st.key.gap))
 		switch link.Kind {
 		case rgraph.AccessVia:
 			// adj.To is the via node (link.A is always the via end).
-			if r.nodeUse[adj.To] >= r.nodeCap(adj.To) {
+			if r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
 				continue
 			}
 			// Foreign pins are never intermediate hops.
@@ -344,56 +336,40 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 				!r.G.Design.SameGroup(r.G.Design.IOPads[to.Ref].Net, net) {
 				continue
 			}
-			vOrd := vertexOrdinal(tile, r.G.Node(adj.To).Vert)
-			if vOrd == -1 {
-				continue
-			}
-			if !r.chordAllowed(sc, net, tile, from, vertexEnd(vOrd)) {
+			if !r.chordAllowed(sc, net, tile, from, vertexEnd(int(adj.ToOrd))) {
 				continue
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, int32(adj.Link))
 		case rgraph.CrossTile:
-			units := r.edgeUnits(net)
-			if r.nodeUse[adj.To]+units > r.nodeCap(adj.To) || r.linkUse[adj.Link]+units > link.Cap {
+			if r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] || r.linkUse[adj.Link]+sc.units > link.Cap {
 				continue
 			}
-			toOrd := edgeOrdinal(tile, adj.To)
-			if toOrd == -1 {
-				continue
-			}
-			m := len(r.seqs[adj.To])
-			pcs := r.passageCoords(sc, net, tile)
-			q1 := r.coord(tile, from)
-			for g2 := 0; g2 <= m; g2++ {
-				if chordAllowedCoords(q1, r.coord(tile, gapEnd(toOrd, g2)), pcs) {
-					r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
-				}
-			}
+			r.pushGaps(sc, net, tile, r.coord(tile, from), adj, st.g+link.Len, si)
 		}
 	}
 }
 
-// pushChordToEdge pushes states entering an edge node from a via node,
-// trying every crossing-free insertion gap.
+// pushGaps pushes, at cost g, a state for every insertion gap of edge node
+// adj.To whose chord from boundary coordinate q1 through the tile crosses
+// no passage. It computes each gap's coordinate as coord does, with the
+// sequence length and storage direction taken out of the loop.
 //
 //rdl:noalloc
-func (r *Router) pushChordToEdge(sc *searchScratch, st searchState, si int32, net int,
-	adj rgraph.Adjacent, link *rgraph.Link) {
-	if r.nodeUse[adj.To]+r.edgeUnits(net) > r.nodeCap(adj.To) {
-		return
-	}
-	tile := r.G.TileOf(link.Layer, link.Tile)
-	vOrd := vertexOrdinal(tile, r.G.Node(st.key.node).Vert)
-	eOrd := edgeOrdinal(tile, adj.To)
-	if vOrd == -1 || eOrd == -1 {
-		return
-	}
-	m := len(r.seqs[adj.To])
+func (r *Router) pushGaps(sc *searchScratch, net int, tile *rgraph.Tile, q1 float64,
+	adj rgraph.Adjacent, g float64, si int32) {
 	pcs := r.passageCoords(sc, net, tile)
-	q1 := r.coord(tile, vertexEnd(vOrd))
+	e := int(adj.ToOrd)
+	m := len(r.seqs[adj.To])
+	sameDir := tile.Verts[e] == r.G.Node(adj.To).Edge.A
 	for g2 := 0; g2 <= m; g2++ {
-		if chordAllowedCoords(q1, r.coord(tile, gapEnd(eOrd, g2)), pcs) {
-			r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, st.g+link.Len, si, int32(adj.Link))
+		var frac float64
+		if sameDir {
+			frac = (float64(g2) + 0.5) / float64(m+1)
+		} else {
+			frac = (float64(m-g2) + 0.5) / float64(m+1)
+		}
+		if chordAllowedCoords(q1, float64(2*e)+2*frac, pcs) {
+			r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, g, si, int32(adj.Link))
 		}
 	}
 }

@@ -49,7 +49,7 @@ func referenceRoute(r *Router, sc *searchScratch, net design.Net) (*searchResult
 	if err != nil {
 		return nil, 0, err
 	}
-	sc.begin(r.G.Node(dst).Pos)
+	sc.begin(r.G.Node(dst).Pos, r.edgeUnits(net.ID))
 	r.push(sc, stateKey{node: src, gap: -1}, 0, -1, -1)
 	targetPops, expanded := 0, 0
 	for sc.open.Len() > 0 {

@@ -55,7 +55,7 @@ func (r *Router) refineDiagonal(ctx context.Context) int {
 		if newCap < 0 {
 			newCap = 0
 		}
-		r.capOverride[e] = newCap
+		r.nodeCap[e] = newCap
 		reductions++
 
 		// Rip up and reroute every net currently crossing the edge node.

@@ -133,7 +133,7 @@ func TestRefineDiagonalReducesCapacityAndReroutes(t *testing.T) {
 	if reductions == 0 {
 		t.Fatal("refinement did nothing")
 	}
-	if _, ok := r.capOverride[victim]; !ok {
+	if r.nodeCap[victim] >= r.G.Node(victim).Cap {
 		t.Error("victim edge capacity not reduced")
 	}
 	// The rerouted state must stay structurally consistent (note: the

@@ -14,7 +14,7 @@ import (
 // when nothing the search read has changed since the net was last searched,
 // and commits the stored guide (or records the stored failure) instead.
 //
-// Each search records the set of nodes it read (searchScratch.noteRead).
+// Each search records the set of nodes it read (searchScratch.read).
 // The loop keeps the ordered commit log of the round in flight and of the
 // round before, one (net, guide version) entry per commit. reusable decides
 // a net from the two logs and the footprints their guides leave on the
@@ -167,22 +167,23 @@ func (rs *reuseState) touches(read []uint64, e logEntry) bool {
 // committed.
 //
 // The answer is exact. A round starts from an empty board, and inside the
-// round loop router state changes only through commit (capOverride changes
-// only in refinement, after the loop). So the state at a net's turn is fixed
-// by the ordered list of guides committed before it.
+// round loop router state changes only through commit (nodeCap changes only
+// in refinement, after the loop). So the state at a net's turn is fixed by
+// the ordered list of guides committed before it.
 //
 // A search reads the usage, capacity and sequence of nodes in its read set,
 // the usage of the links at the nodes it expanded, and the passages of the
-// tiles it resolves; noteRead marks every node it expands, all their
-// neighbours, and all three edge nodes of every tile it resolves. A commit
-// writes usage and sequences at its guide's nodes, usage at its links, and
-// passages in the tiles of its links. Every access-via and cross-tile link
-// has an edge-node end in its tile, so a passage the search reads is written
-// through a link into or out of a marked node, and so is the usage of a link
-// at an expanded node. Only commits whose guides touch the read set
-// therefore write what the search reads, and they write it only through
-// their footprint there: the marked nodes in order, each with its gap and
-// its links into and out of it.
+// tiles it resolves. route marks every node it expands, and the expansion
+// loops mark all their neighbours and, for a via node, the edge nodes of
+// each access-via tile, so all three edge nodes of every tile the search
+// resolves are marked. A commit writes usage and sequences at its guide's
+// nodes, usage at its links, and passages in the tiles of its links. Every
+// access-via and cross-tile link has an edge-node end in its tile, so a
+// passage the search reads is written through a link into or out of a
+// marked node, and so is the usage of a link at an expanded node. Only
+// commits whose guides touch the read set therefore write what the search
+// reads, and they write it only through their footprint there: the marked
+// nodes in order, each with its gap and its links into and out of it.
 //
 // Suppose the commits of this round whose guides touch the read set are the
 // same nets, in the same order, as those that touched it before the net's

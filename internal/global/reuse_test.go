@@ -213,12 +213,16 @@ func TestReuseMatchesFullRounds(t *testing.T) {
 
 // TestReadSetPremises checks, on every node and link of the dense cases and
 // of the random-workload designs, the premises the read set rests on.
-// Expanding node u on a fresh scratch must mark u, each neighbour, and every
-// edge node of each tile that holds one of u's access-via or cross-tile
-// links. Every access-via and cross-tile link must have an end among its
-// tile's edge nodes, so a commit writes a tile's passages, and the usage of
-// a link at an expanded node, only through a link into or out of a marked
-// node.
+// Expanding a start state at node u must mark each neighbour of u, whose
+// usage, capacity and sequence the expansion reads, and every edge node
+// other than u of each tile holding one of u's links, whose sequences
+// resolve that tile's passages; route marks u itself, as checkRouteMarks
+// checks. The marks must not depend on a capacity check, so each node is
+// expanded on the empty board and again on the board Run leaves, where many
+// links are full. Every access-via and cross-tile link must have an end
+// among its tile's edge nodes, so a commit writes a tile's passages, and the
+// usage of a link at an expanded node, only through a link into or out of a
+// marked node.
 func TestReadSetPremises(t *testing.T) {
 	for _, name := range []string{"dense1", "dense2", "dense3", "dense4", "dense5",
 		"random0", "random1", "random2", "random3", "random4", "random5"} {
@@ -227,7 +231,7 @@ func TestReadSetPremises(t *testing.T) {
 				t.Skip("large case")
 			}
 			r := buildRouterFor(t, testDesign(t, name), Options{})
-			g, sc := r.G, r.scratch()
+			g := r.G
 			for id := range g.Links {
 				l := g.Link(id)
 				if l.Kind == rgraph.CrossVia {
@@ -238,28 +242,81 @@ func TestReadSetPremises(t *testing.T) {
 					t.Fatalf("%v link %d (%d–%d) has no end among its tile's edge nodes %v", l.Kind, id, l.A, l.B, ens)
 				}
 			}
-			for id := range g.Nodes {
-				u := rgraph.NodeID(id)
-				sc.begin(g.Node(u).Pos)
-				sc.noteRead(g, u, g.Node(u))
-				need := func(what string, v rgraph.NodeID) {
-					if !marked(sc.read, v) {
-						t.Fatalf("node %d (kind %d, layer %d): %s %d is not in its read set",
-							id, g.Node(u).Kind, g.Node(u).Layer, what, v)
-					}
-				}
-				need("the node itself", u)
-				for _, adj := range g.Adj[id] {
-					need("neighbour", adj.To)
-					if l := g.Link(adj.Link); l.Kind != rgraph.CrossVia {
-						for _, e := range g.TileOf(l.Layer, l.Tile).EdgeNodes {
-							need("tile edge node", e)
-						}
-					}
-				}
+			checkRouteMarks(t, r)
+			checkExpansionMarks(t, r, "empty board")
+			if _, err := r.Run(context.Background()); err != nil {
+				t.Fatal(err)
 			}
+			checkExpansionMarks(t, r, "routed board")
 		})
 	}
+}
+
+// checkRouteMarks runs the first net's search and checks that every node
+// it expanded, the parent of some pushed state, is in its read set.
+func checkRouteMarks(t *testing.T, r *Router) {
+	t.Helper()
+	sc := r.scratch()
+	if _, err := r.route(sc, r.G.Design.Nets[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range sc.arena {
+		if st.parent >= 0 && !marked(sc.read, sc.arena[st.parent].key.node) {
+			t.Fatalf("expanded node %d is not in the search's read set", sc.arena[st.parent].key.node)
+		}
+	}
+}
+
+// checkExpansionMarks expands a start state at every node, each on a
+// scratch readied for a new search, and checks the marks the expansion
+// leaves. It logs how many of the expanded links were full.
+func checkExpansionMarks(t *testing.T, r *Router, board string) {
+	t.Helper()
+	g := r.G
+	sc := newSearchScratch(g, len(r.passages))
+	net := g.Design.Nets[0]
+	_, dst, err := g.NetPins(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := 0
+	for id := range g.Nodes {
+		u := rgraph.NodeID(id)
+		n := g.Node(u)
+		sc.begin(g.Node(dst).Pos, r.edgeUnits(net.ID))
+		key := stateKey{node: u, gap: -1}
+		if n.Kind == rgraph.EdgeNode {
+			key.gap = 0
+		}
+		r.push(sc, key, 0, -1, -1)
+		if n.Kind == rgraph.ViaNode {
+			r.expandVia(sc, sc.arena[0], 0, net.ID)
+		} else {
+			r.expandEdge(sc, sc.arena[0], 0, net.ID, dst)
+		}
+		need := func(what string, v rgraph.NodeID) {
+			if !marked(sc.read, v) {
+				t.Fatalf("%s: node %d (kind %d, layer %d): %s %d is not in its read set",
+					board, id, n.Kind, n.Layer, what, v)
+			}
+		}
+		for _, adj := range g.Adj[id] {
+			l := g.Link(adj.Link)
+			if r.linkUse[adj.Link] >= l.Cap {
+				full++
+			}
+			need("neighbour", adj.To)
+			if l.Kind == rgraph.CrossVia {
+				continue
+			}
+			for _, e := range g.TileOf(l.Layer, l.Tile).EdgeNodes {
+				if e != u {
+					need("tile edge node", e)
+				}
+			}
+		}
+	}
+	t.Logf("%s: %d expanded links were full", board, full)
 }
 
 // TestSameFootprint checks the footprint comparison on two guides of one

@@ -135,9 +135,9 @@ type Router struct {
 
 	nodeUse []int
 	linkUse []int
-	// capOverride maps edge nodes whose capacity was reduced by diagonal
-	// refinement to their new capacity.
-	capOverride map[rgraph.NodeID]int
+	// nodeCap is the effective capacity of each node: the graph's, until
+	// diagonal refinement reduces it.
+	nodeCap []int
 	// seqs holds, for each edge node, the ordered net IDs crossing it
 	// (storage order: from Edge.A's position toward Edge.B's).
 	seqs [][]int
@@ -183,13 +183,16 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		rec:           obs.Or(opt.Rec),
 		nodeUse:       make([]int, len(g.Nodes)),
 		linkUse:       make([]int, len(g.Links)),
-		capOverride:   make(map[rgraph.NodeID]int),
+		nodeCap:       make([]int, len(g.Nodes)),
 		seqs:          make([][]int, len(g.Nodes)),
 		tileBase:      make([]int32, len(g.Layers)),
 		guides:        make([]*Guide, len(g.Design.Nets)),
 		nodeStamp:     make([]int64, len(g.Nodes)),
 		linkStamp:     make([]int64, len(g.Links)),
 		diagCheckedAt: make([]int64, len(g.Nodes)),
+	}
+	for id := range g.Nodes {
+		r.nodeCap[id] = g.Nodes[id].Cap
 	}
 	var nTiles int32
 	for li := range g.Layers {
@@ -240,15 +243,6 @@ func (r *Router) scratch() *searchScratch {
 		r.scr = newSearchScratch(r.G, len(r.passages))
 	}
 	return r.scr
-}
-
-// nodeCap returns the effective capacity of a node, honouring diagonal
-// refinement reductions.
-func (r *Router) nodeCap(id rgraph.NodeID) int {
-	if c, ok := r.capOverride[id]; ok {
-		return c
-	}
-	return r.G.Node(id).Cap
 }
 
 // Run executes the full global-routing flow and returns the guides. When
@@ -588,10 +582,10 @@ func (r *Router) CheckInvariants() error {
 		if nodeUse[id] != r.nodeUse[id] {
 			return fmt.Errorf("global: node %d usage %d, recomputed %d", id, r.nodeUse[id], nodeUse[id])
 		}
-		if r.nodeUse[id] > r.nodeCap(rgraph.NodeID(id)) {
+		if r.nodeUse[id] > r.nodeCap[id] {
 			n := r.G.Node(rgraph.NodeID(id))
 			return fmt.Errorf("global: node %d (%v layer %d) over capacity: %d > %d",
-				id, n.Kind, n.Layer, r.nodeUse[id], r.nodeCap(rgraph.NodeID(id)))
+				id, n.Kind, n.Layer, r.nodeUse[id], r.nodeCap[id])
 		}
 		if r.G.Nodes[id].Kind == rgraph.EdgeNode {
 			want := 0

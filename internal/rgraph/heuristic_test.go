@@ -45,6 +45,11 @@ func premiseDesigns(t *testing.T) []*design.Design {
 // its ends, and the two ends of a cross-via share a position at a cost of
 // at least zero, so the straight-line heuristic is consistent. If a graph
 // change breaks one of these, this test fails before any route moves.
+//
+// It also checks the tile ordinals every adjacency carries for the A*
+// expansion: for a tile link, FromOrd and ToOrd equal the tile scan of the
+// list's node and of To (the corner of a via node, the edge of an edge
+// node); for a cross-via link both are -1.
 func TestSearchHeuristicPremises(t *testing.T) {
 	for i, d := range premiseDesigns(t) {
 		name := fmt.Sprintf("%s#%d", d.Name, i)
@@ -67,6 +72,24 @@ func TestSearchHeuristicPremises(t *testing.T) {
 				}
 			}
 		}
+		for id := range g.Adj {
+			for _, adj := range g.Adj[id] {
+				l := g.Link(adj.Link)
+				from, to := int8(-1), int8(-1)
+				if l.Kind != CrossVia {
+					tile := g.TileOf(l.Layer, l.Tile)
+					from, to = scanOrdinal(g, tile, NodeID(id)), scanOrdinal(g, tile, adj.To)
+					if from < 0 || from > 2 || to < 0 || to > 2 {
+						t.Fatalf("%s: %v link %d: ends %d and %d scan to ordinals %d and %d in tile %d",
+							name, l.Kind, l.ID, id, adj.To, from, to, l.Tile)
+					}
+				}
+				if adj.FromOrd != from || adj.ToOrd != to {
+					t.Fatalf("%s: %v link %d from node %d: ordinals %d→%d, tile scan %d→%d",
+						name, l.Kind, l.ID, id, adj.FromOrd, adj.ToOrd, from, to)
+				}
+			}
+		}
 		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 		for _, l := range g.Links {
 			a, b := g.Node(l.A).Pos, g.Node(l.B).Pos
@@ -82,4 +105,17 @@ func TestSearchHeuristicPremises(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanOrdinal finds node id in the tile the way the global router's commit
+// does: a via node by its mesh vertex among the corners, an edge node among
+// the edges. It returns -1 when the node is not in the tile.
+func scanOrdinal(g *Graph, tile *Tile, id NodeID) int8 {
+	n := g.Node(id)
+	for i := range 3 {
+		if (n.Kind == ViaNode && tile.Verts[i] == n.Vert) || (n.Kind == EdgeNode && tile.EdgeNodes[i] == id) {
+			return int8(i)
+		}
+	}
+	return -1
 }

@@ -100,10 +100,14 @@ type Link struct {
 	Len float64
 }
 
-// Adjacent pairs a link with the neighbouring node it leads to.
+// Adjacent pairs a link with the neighbouring node it leads to. FromOrd and
+// ToOrd are the ordinals (0..2), within the link's tile, of the list's own
+// node and of To: the corner for a via node, the edge for an edge node.
+// Both are -1 for a cross-via link, which has no tile.
 type Adjacent struct {
-	Link int
-	To   NodeID
+	Link           int
+	To             NodeID
+	FromOrd, ToOrd int8
 }
 
 // Tile is one triangular tile with its node references in boundary order:
@@ -476,11 +480,34 @@ func (g *Graph) addLinks(viaNode []NodeID, tris int) error {
 		g.Adj[id] = flat[off : off : off+int(k)]
 		off += int(k)
 	}
-	for _, l := range g.Links {
-		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: l.ID, To: l.B})
-		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: l.ID, To: l.A})
+	for i := range g.Links {
+		l := &g.Links[i]
+		a, b := g.tileOrdinals(l)
+		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: l.ID, To: l.B, FromOrd: a, ToOrd: b})
+		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: l.ID, To: l.A, FromOrd: b, ToOrd: a})
 	}
 	return nil
+}
+
+// tileOrdinals returns the ordinals of a link's ends A and B within its
+// tile, or -1 and -1 for a cross-via link.
+func (g *Graph) tileOrdinals(l *Link) (a, b int8) {
+	if l.Kind == CrossVia {
+		return -1, -1
+	}
+	t := g.TileOf(l.Layer, l.Tile)
+	return t.ordinal(l.A), t.ordinal(l.B)
+}
+
+// ordinal returns the ordinal of node id within the tile: its corner when
+// it is one of the tile's via nodes, else its edge.
+func (t *Tile) ordinal(id NodeID) int8 {
+	for i := range 3 {
+		if t.ViaNodes[i] == id || t.EdgeNodes[i] == id {
+			return int8(i)
+		}
+	}
+	return -1
 }
 
 // Node returns the node with the given ID.
