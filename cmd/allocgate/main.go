@@ -44,11 +44,11 @@ var budgets = []struct {
 	{"global/dense3", 3580},
 	{"global/dense4", 5195},
 	{"global/dense5", 16623},
-	{"detail/dense1", 5555},
-	{"detail/dense2", 13790},
-	{"detail/dense3", 24895},
-	{"detail/dense4", 37415},
-	{"detail/dense5", 100845},
+	{"detail/dense1", 5044},
+	{"detail/dense2", 12650},
+	{"detail/dense3", 22564},
+	{"detail/dense4", 33897},
+	{"detail/dense5", 91747},
 }
 
 func main() {

@@ -149,6 +149,78 @@ func TestTableIIShapeSmall(t *testing.T) {
 	}
 }
 
+// TestComparisonRowColumns renders a two-row Comparison and checks that
+// every value of the Comp. row sits under its header column: the header
+// label whose column holds the value's last character.
+func TestComparisonRowColumns(t *testing.T) {
+	run := func(router string, wl float64, vias int, rt time.Duration) *CaseRun {
+		return &CaseRun{Case: "c", Router: router, Routability: 100, Wirelength: wl, Vias: vias, Runtime: rt}
+	}
+	cmp := &Comparison{Baseline: "Base", Rows: [][2]*CaseRun{
+		{run("Base", 1100, 40, 3*time.Second), run("Ours", 1000, 20, time.Second)},
+		{run("Base", 2200, 64, 12*time.Second), run("Ours", 2000, 8, 4*time.Second)},
+	}}
+	var sb strings.Builder
+	printComparison(&sb, "t", cmp)
+	lines := strings.Split(sb.String(), "\n")
+	header := lines[1]
+	var comp string
+	for _, l := range lines {
+		if strings.HasPrefix(l, "Comp.") {
+			comp = l
+		}
+	}
+	// Header labels and their start columns; a label's column runs up to
+	// the next label.
+	type field struct {
+		text       string
+		start, end int // [start, end)
+	}
+	fields := func(line string) []field {
+		var out []field
+		for i := 0; i < len(line); {
+			if line[i] == ' ' || line[i] == '|' {
+				i++
+				continue
+			}
+			j := i
+			for j < len(line) && line[j] != ' ' {
+				j++
+			}
+			out = append(out, field{line[i:j], i, j})
+			i = j
+		}
+		return out
+	}
+	labels := fields(header)
+	columnOf := func(pos int) string {
+		col := ""
+		for _, l := range labels {
+			if l.start <= pos {
+				col = l.text
+			}
+		}
+		return col
+	}
+	want := []struct{ value, column string }{
+		{"Comp.", "Case"},
+		{"1.00000", "R%(Base)"}, {"1", "R%(Ours)"},
+		{"1.100", "WL(Base)"}, {"1", "WL(Ours)"},
+		{"4.00", "V(Base)"}, {"1", "V(Ours)"}, // geomean of 40/20 and 64/8
+		{"3.00", "T(Base)"}, {"1", "T(Ours)"},
+	}
+	got := fields(comp)
+	if len(got) != len(want) {
+		t.Fatalf("Comp. row has %d fields, want %d:\n%s\n%s", len(got), len(want), header, comp)
+	}
+	for i, w := range want {
+		if got[i].text != w.value || columnOf(got[i].end-1) != w.column {
+			t.Errorf("Comp. field %d = %q under %q, want %q under %q:\n%s\n%s",
+				i, got[i].text, columnOf(got[i].end-1), w.value, w.column, header, comp)
+		}
+	}
+}
+
 func TestTableIIIShapeSmall(t *testing.T) {
 	var sb strings.Builder
 	cmp, err := TableIII(context.Background(), &sb, Config{Cases: []string{"dense1"}})

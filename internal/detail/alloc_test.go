@@ -7,12 +7,11 @@ import (
 
 // TestDetailRunDoesNotAllocate pins the zero-allocation property of the
 // detail stage's tile-routing hot path, mirroring the global stage's
-// TestRouteSearchDoesNotAllocate: after one warm attempt has grown every
-// job's scratch buffers (fit/full polylines, per-passage route buffers,
-// routed lists, the failure buffer) to steady state, re-running tile routing
-// over the whole design must not touch the heap. This is the property that
-// makes retry attempts — which re-route every tile at enlarged clearance —
-// free of allocation churn.
+// TestRouteSearchDoesNotAllocate: once a first pass has grown every job's
+// scratch buffers (fit/full polylines, per-passage route buffers, routed
+// lists, the failure buffer) to their high-water marks, routing the tiles
+// again must not touch the heap. A passage then costs no allocation of its
+// own, so a run's allocations come from job preparation alone.
 func TestDetailRunDoesNotAllocate(t *testing.T) {
 	r, gres, _ := pipeline(t, "dense1", Options{})
 	d := &Detailer{
@@ -26,12 +25,12 @@ func TestDetailRunDoesNotAllocate(t *testing.T) {
 	d.AdjustAccessPoints(context.Background())
 	d.buildTileJobs()
 	ctx := context.Background()
-	// Warm-up: the first attempt sizes every scratch to its high-water mark.
-	d.routeTiles(ctx, 1.0)
+	// Warm-up: the first pass sizes every scratch to its high-water mark.
+	d.routeTiles(ctx)
 
 	var failed int
 	allocs := testing.AllocsPerRun(20, func() {
-		failed = len(d.routeTiles(ctx, 1.0))
+		failed = len(d.routeTiles(ctx))
 	})
 	_ = failed
 	if allocs > 0 {

@@ -94,7 +94,6 @@ type Detailer struct {
 	// Counters flushed to rec at the end of Run.
 	dpHeapOps   int64 // partial-net heap pushes + pops
 	fitTangents int64 // successful tangent constructions (Fig. 12); atomic, tiles route concurrently
-	fitRetries  int64 // whole-pass retries with enlarged clearance
 
 	// Tile-routing state prepared once per run (see buildTileJobs): jobs in
 	// canonical order and the flat (net, chainIdx) → polyline hop index.

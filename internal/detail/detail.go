@@ -23,9 +23,6 @@ type Options struct {
 	// MaxFitIters bounds the tangent-construction iterations per passage.
 	// Zero selects 48.
 	MaxFitIters int
-	// Retries is how many times detailed routing re-runs tile routing with
-	// enlarged clearance after fit failures. Zero selects 2.
-	Retries int
 	// SkipAdjust disables the DP access-point adjustment (ablation): access
 	// points stay at their even initial distribution.
 	SkipAdjust bool
@@ -54,9 +51,6 @@ func (o Options) withDefaults(pitch float64) Options {
 	}
 	if o.MaxFitIters == 0 {
 		o.MaxFitIters = 48
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
 	}
 	return o
 }
@@ -106,7 +100,7 @@ type Result struct {
 	// Wirelength is the total over all routed nets.
 	Wirelength float64
 	// FitFailures counts passages whose fit routing could not clear all
-	// spacing violations within the iteration bound (after retries).
+	// spacing violations within the iteration bound.
 	FitFailures int
 	// AdjustedPartialNets is the number of partial nets processed by the DP
 	// pass.
@@ -121,8 +115,8 @@ type Result struct {
 }
 
 // Run executes detailed routing for the guides committed in the global
-// router. Cancelling ctx stops the run at the next phase boundary (between
-// the DP adjustment, retry attempts, and individual tiles); passages not
+// router. Fit routing runs once. Cancelling ctx stops the run at the next
+// phase boundary (after the DP adjustment, or between tiles); passages not
 // reached fall back to straight chain hops so the returned geometry is
 // complete but degraded, with Result.Stopped set.
 func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options) (*Result, error) {
@@ -146,17 +140,7 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 
 	fit := obs.StartSpan(d.rec, "detail.fit")
 	d.buildTileJobs()
-	scale := 1.0
-	var failures []*tilePassage
-	for attempt := 0; ; attempt++ {
-		failures = d.routeTiles(ctx, scale)
-		if len(failures) == 0 || attempt >= d.Opt.Retries || obs.Stopped(ctx) {
-			break
-		}
-		// Enlarge the distance that needs to be kept and iterate (§III-B2b).
-		d.fitRetries++
-		scale *= 1.15
-	}
+	failures := d.routeTiles(ctx)
 	fit.End()
 
 	out := &Result{
@@ -214,10 +198,10 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 		d.rec.Count("detail.reassign.segments_merged", int64(out.Reassign.SegmentsMerged))
 		d.rec.Count("detail.polish.polylines_changed", int64(polish.PolylinesChanged))
 		d.rec.Count("detail.polish.layer_rebuilds", int64(polish.LayerRebuilds))
+		d.rec.Count("detail.polish.pairs_merged", int64(polish.PairsMerged))
 		d.rec.Count("detail.dp.heap_ops", d.dpHeapOps)
 		d.rec.Count("detail.dp.partial_nets", int64(d.processed))
 		d.rec.Count("detail.fit.tangent_constructions", d.fitTangents)
-		d.rec.Count("detail.fit.retries", d.fitRetries)
 		d.rec.Count("detail.fit.failures", int64(len(failures)))
 	}
 	return out, nil

@@ -28,11 +28,11 @@ import (
 //
 // Jobs are prepared once per run: access points are frozen after the DP
 // adjustment, so passage endpoints, stub inner ends, corner order, corner
-// discs and access-point obstacles are all invariant across retry attempts
+// discs and access-point obstacles are fixed before tile routing starts
 // and live on the job. Each job also owns the scratch buffers its tile
 // routing mutates (fit/full polylines, routed list, per-passage route
-// buffers); a job is executed by exactly one worker at a time, so warm
-// attempts run without growing the heap.
+// buffers); a job is executed by exactly one worker at a time, and a
+// passage allocates nothing once those scratches are grown.
 
 // tilePassage is one chain hop to be realized inside a tile.
 type tilePassage struct {
@@ -48,8 +48,8 @@ type tilePassage struct {
 	a, b   geom.Point
 	ia, ib geom.Point
 	ref    geom.Point
-	// route is the passage's output polyline — a buffer reused across
-	// retry attempts, read by assemble after the final attempt.
+	// route is the passage's output polyline, read by assemble through
+	// the hop index.
 	route  geom.Polyline
 	failed bool
 }
@@ -123,8 +123,8 @@ func (d *Detailer) buildTileJobs() {
 		d.prepTileJob(jobs[k])
 	}
 
-	// Flat (net, chainIdx) → polyline index replacing the per-attempt hops
-	// map: chain i owns the hop slots hopOff[i] .. hopOff[i+1]-1.
+	// Flat (net, chainIdx) → polyline index: chain i owns the hop slots
+	// hopOff[i] .. hopOff[i+1]-1.
 	d.hopOff = make([]int32, len(d.Chains)+1)
 	for net, ch := range d.Chains {
 		n := 0
@@ -144,8 +144,8 @@ func (d *Detailer) hopAt(net, i int) geom.Polyline {
 	return d.hopPl[d.hopOff[net]+int32(i)]
 }
 
-// prepTileJob computes everything about a job that does not change across
-// retry attempts: passage endpoints and processing order, corner discs,
+// prepTileJob computes everything about a job that tile routing reads but
+// does not change: passage endpoints and processing order, corner discs,
 // access-point obstacles, stub inner ends and reference points.
 func (d *Detailer) prepTileJob(job *tileJob) {
 	tile := d.G.TileOf(job.key.layer, job.key.tri)
@@ -239,17 +239,10 @@ func (d *Detailer) prepTileJob(job *tileJob) {
 }
 
 // routeTiles performs tile routing over all tiles and stores the resulting
-// polylines into the flat hop index, returning the failed passages. The
-// scale parameter multiplies every pairwise clearance (>1 on retries).
+// polylines into the flat hop index, returning the failed passages.
 // Cancelling ctx stops between tiles; unreached passages keep empty routes,
 // which assemble replaces with straight hops.
-func (d *Detailer) routeTiles(ctx context.Context, scale float64) []*tilePassage {
-	for _, job := range d.tileJobs {
-		for _, p := range job.passages {
-			p.route = p.route[:0]
-			p.failed = false
-		}
-	}
+func (d *Detailer) routeTiles(ctx context.Context) []*tilePassage {
 	// One unit per tile: routeOneTile touches only its own job, and the
 	// shared Detailer state it reads — chains, access points, graph, rules —
 	// is frozen during tile routing, so tiles fan out freely across the
@@ -260,7 +253,7 @@ func (d *Detailer) routeTiles(ctx context.Context, scale float64) []*tilePassage
 	if workers := d.Opt.workers(); workers <= 1 {
 		for _, job := range d.tileJobs {
 			if !obs.Stopped(ctx) {
-				d.routeOneTile(job, scale)
+				d.routeOneTile(job)
 			}
 		}
 	} else {
@@ -269,7 +262,7 @@ func (d *Detailer) routeTiles(ctx context.Context, scale float64) []*tilePassage
 			job := job
 			units[i] = func() struct{} {
 				if !obs.Stopped(ctx) {
-					d.routeOneTile(job, scale)
+					d.routeOneTile(job)
 				}
 				return struct{}{}
 			}
@@ -298,10 +291,10 @@ func (d *Detailer) guideOf(net int) *global.Guide {
 // routeOneTile routes all passages of one tile into their route buffers.
 //
 //rdl:noalloc
-func (d *Detailer) routeOneTile(job *tileJob, scale float64) {
+func (d *Detailer) routeOneTile(job *tileJob) {
 	routed := job.routed[:0]
 	for _, p := range job.passages {
-		mid := d.fitRoute(job, p, routed, scale)
+		mid := d.fitRoute(job, p, routed)
 		full := job.fullBuf[:0]
 		if !p.ia.ApproxEq(p.a) {
 			full = append(full, p.a)
@@ -383,7 +376,7 @@ func (d *Detailer) refPoint(tile *rgraph.Tile, mesh *dt.Mesh, p *tilePassage) ge
 // returned polyline aliases the job's fit buffer; the caller copies it out.
 //
 //rdl:noalloc
-func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassage, scale float64) geom.Polyline {
+func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassage) geom.Polyline {
 	a, b, ref := self.ia, self.ib, self.ref
 	route := append(job.fitBuf[:0], a, b)
 	const slack = 1e-9
@@ -397,7 +390,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				if disc.C.ApproxEq(a) || disc.C.ApproxEq(b) {
 					continue // the passage's own terminal via/pin
 				}
-				eff := geom.Circ(disc.C, (disc.R+selfHalf)*scale)
+				eff := geom.Circ(disc.C, disc.R+selfHalf)
 				if !eff.IntersectSegment(seg) {
 					continue
 				}
@@ -415,7 +408,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				if d.G.Design.SameGroup(ob.net, self.net) {
 					continue
 				}
-				clear := d.G.Design.Clearance(self.net, ob.net) * scale
+				clear := d.G.Design.Clearance(self.net, ob.net)
 				for _, pt := range ob.pts {
 					disc := geom.Circ(pt, clear)
 					if !disc.IntersectSegment(seg) {
@@ -440,7 +433,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				if len(other.route) < 2 || d.G.Design.SameGroup(other.net, self.net) {
 					continue
 				}
-				clear := d.G.Design.Clearance(self.net, other.net) * scale
+				clear := d.G.Design.Clearance(self.net, other.net)
 				dist, pc := other.route.DistToSegment(seg)
 				if dist >= clear-slack {
 					continue

@@ -29,21 +29,21 @@ var golden = []struct {
 	drcKinds    map[string]int
 	verifyKinds map[string]int
 }{
-	{name: "dense1", wirelength: 18740, drc: 34, vias: 32, verifyOwn: 0, routability: 1,
-		drcKinds:    map[string]int{"spacing": 28, "turn-distance": 6},
+	{name: "dense1", wirelength: 18740, drc: 24, vias: 32, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 23, "turn-distance": 1},
+		verifyKinds: map[string]int{"rule": 24}},
+	{name: "dense2", wirelength: 51742, drc: 34, vias: 52, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 30, "angle": 4},
 		verifyKinds: map[string]int{"rule": 34}},
-	{name: "dense2", wirelength: 51742, drc: 48, vias: 52, verifyOwn: 0, routability: 1,
-		drcKinds:    map[string]int{"spacing": 43, "angle": 4, "turn-distance": 1},
-		verifyKinds: map[string]int{"rule": 48}},
-	{name: "dense3", wirelength: 79930, drc: 39, vias: 102, verifyOwn: 1, routability: 1,
-		drcKinds:    map[string]int{"spacing": 33, "angle": 1, "turn-distance": 5},
-		verifyKinds: map[string]int{"rule": 39, "via-wire-spacing": 1}},
-	{name: "dense4", wirelength: 120131, drc: 130, vias: 204, verifyOwn: 0, routability: 1,
-		drcKinds:    map[string]int{"spacing": 95, "angle": 8, "turn-distance": 27},
-		verifyKinds: map[string]int{"rule": 130}},
-	{name: "dense5", wirelength: 321335, drc: 548, vias: 542, verifyOwn: 5, routability: 1,
-		drcKinds:    map[string]int{"spacing": 443, "angle": 26, "turn-distance": 79},
-		verifyKinds: map[string]int{"rule": 548, "via-wire-spacing": 5}},
+	{name: "dense3", wirelength: 79930, drc: 31, vias: 102, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 26, "angle": 1, "turn-distance": 4},
+		verifyKinds: map[string]int{"rule": 31}},
+	{name: "dense4", wirelength: 120131, drc: 88, vias: 204, verifyOwn: 0, routability: 1,
+		drcKinds:    map[string]int{"spacing": 78, "angle": 8, "turn-distance": 2},
+		verifyKinds: map[string]int{"rule": 88}},
+	{name: "dense5", wirelength: 321335, drc: 378, vias: 542, verifyOwn: 3, routability: 1,
+		drcKinds:    map[string]int{"spacing": 344, "angle": 23, "turn-distance": 11},
+		verifyKinds: map[string]int{"rule": 378, "via-wire-spacing": 3}},
 }
 
 func TestGoldenMetrics(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
 	"rdlroute/internal/global"
+	"rdlroute/internal/viaplan"
 )
 
 func TestRouteDense1(t *testing.T) {
@@ -168,5 +169,34 @@ func TestRouteInvalidDesign(t *testing.T) {
 	d.WireLayers = 0
 	if _, err := Route(context.Background(), d, Options{}); err == nil {
 		t.Error("invalid design must fail")
+	}
+}
+
+// TestRouteRejectsHugeLattice checks that the via planner's lattice cap
+// reaches Route's caller: dense1 with every rule ×1e-3, and dense1 with a
+// 1e-3 µm via pitch, both fail with viaplan.ErrLatticeTooLarge.
+func TestRouteRejectsHugeLattice(t *testing.T) {
+	tiny, err := design.GenerateDense("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &tiny.Rules
+	r.WireWidth, r.ViaWidth, r.MinSpacing, r.MinTurnDist =
+		r.WireWidth*1e-3, r.ViaWidth*1e-3, r.MinSpacing*1e-3, r.MinTurnDist*1e-3
+	dense1, err := design.GenerateDense("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    *design.Design
+		opt  Options
+	}{
+		{"rules ×1e-3", tiny, Options{}},
+		{"via pitch 1e-3 µm", dense1, Options{Via: viaplan.Options{ViaPitch: 1e-3}}},
+	} {
+		if _, err := Route(context.Background(), tc.d, tc.opt); !errors.Is(err, viaplan.ErrLatticeTooLarge) {
+			t.Errorf("%s: Route error = %v, want viaplan.ErrLatticeTooLarge", tc.name, err)
+		}
 	}
 }

@@ -134,7 +134,6 @@ type DetailSpec struct {
 	Candidates   int     `json:"candidates"`
 	MinMovable   float64 `json:"min_movable"`
 	MaxFitIters  int     `json:"max_fit_iters"`
-	Retries      int     `json:"retries"`
 	SkipAdjust   bool    `json:"skip_adjust"`
 	SkipReassign bool    `json:"skip_reassign,omitempty"`
 }
@@ -167,7 +166,6 @@ func (o Options) Spec() OptionsSpec {
 			Candidates:   o.Detail.Candidates,
 			MinMovable:   o.Detail.MinMovable,
 			MaxFitIters:  o.Detail.MaxFitIters,
-			Retries:      o.Detail.Retries,
 			SkipAdjust:   o.Detail.SkipAdjust,
 			SkipReassign: o.Detail.SkipReassign,
 		},
@@ -207,7 +205,6 @@ func (s OptionsSpec) Options() Options {
 			Candidates:   s.Detail.Candidates,
 			MinMovable:   s.Detail.MinMovable,
 			MaxFitIters:  s.Detail.MaxFitIters,
-			Retries:      s.Detail.Retries,
 			SkipAdjust:   s.Detail.SkipAdjust,
 			SkipReassign: s.Detail.SkipReassign,
 		},

@@ -80,15 +80,15 @@ func TestFingerprintIgnoresObservers(t *testing.T) {
 
 // TestParallelismKeepsExistingCacheKeys pins the cache-compatibility
 // contract of the Parallelism field: a spec that never sets it canonicalizes
-// to the exact bytes it produced before the field existed, so sha256 keys of
-// previously cached results stay valid. A non-zero value must still be part
-// of the encoding (the wire view carries it to jobs).
+// to the zero-spec bytes below, which carry no trace of the field, so
+// sha256 keys of results cached without it stay valid. A non-zero value
+// must still be part of the encoding (the wire view carries it to jobs).
 func TestParallelismKeepsExistingCacheKeys(t *testing.T) {
 	legacy := `{"via":{"via_pitch":0,"boundary_step":0,"jitter_frac":0,"seed":0},` +
 		`"graph":{"via_cost":0,"naive_corner_capacity":false},` +
 		`"global":{"congestion_threshold":0,"max_order_rounds":0,"max_expansions":0,` +
 		`"disable_rudy_order":false,"disable_diagonal_refinement":false,"edge_use_per_net":0},` +
-		`"detail":{"candidates":0,"min_movable":0,"max_fit_iters":0,"retries":0,"skip_adjust":false},` +
+		`"detail":{"candidates":0,"min_movable":0,"max_fit_iters":0,"skip_adjust":false},` +
 		`"time_budget_ms":0,"verify":""}`
 	got, err := (Options{}).Fingerprint()
 	if err != nil {

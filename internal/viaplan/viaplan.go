@@ -9,6 +9,7 @@
 package viaplan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -140,13 +141,28 @@ func (o Options) withDefaults(rules design.Rules) Options {
 	return o
 }
 
+// maxLatticePoints caps the lattice sites and boundary dummies one plan may
+// lay over all its layers: 1<<17 = 131 072, 23× the 5 696 candidate vias
+// dense5 plans. Design rules and via pitches of any positive size pass
+// validation, and the lattice grows with 1/pitch², so without a cap a
+// tiny-rule design would exhaust memory before routing began.
+const maxLatticePoints = 1 << 17
+
+// ErrLatticeTooLarge reports a design and via options that imply more
+// lattice sites and boundary dummies than the planner's cap of 1<<17.
+var ErrLatticeTooLarge = errors.New("viaplan: candidate lattice too large")
+
 // Build generates the candidate vias and per-wire-layer triangulation
-// vertices for the design.
+// vertices for the design. It returns ErrLatticeTooLarge, wrapped with the
+// count, before laying any point when the lattice would exceed its cap.
 func Build(d *design.Design, opt Options) (*Plan, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults(d.Rules)
+	if n := latticePoints(d, opt); n > maxLatticePoints {
+		return nil, fmt.Errorf("%w: %.4g points, cap %d", ErrLatticeTooLarge, n, maxLatticePoints)
+	}
 	p := &Plan{Layers: make([]LayerPlan, d.WireLayers)}
 	for i := range p.Layers {
 		p.Layers[i].Index = i
@@ -207,6 +223,22 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 		rec.Count("viaplan.vertices", verts)
 	}
 	return p, nil
+}
+
+// latticePoints returns an upper bound on the lattice sites latticeSites
+// and the dummies boundaryDummies lay over all layers, in floating point so
+// that no pitch can overflow it.
+func latticePoints(d *design.Design, opt Options) float64 {
+	axis := func(lo, hi float64) float64 { // sites from lo to hi at the pitch
+		if hi < lo {
+			return 0
+		}
+		return math.Floor((hi-lo)/opt.ViaPitch) + 1
+	}
+	o, margin := d.Outline, opt.ViaPitch/2
+	sites := axis(o.Min.X+margin, o.Max.X-margin) * axis(o.Min.Y+margin, o.Max.Y-margin)
+	dummies := 2*(math.Floor(o.W()/opt.BoundaryStep)+2) + 2*math.Floor(o.H()/opt.BoundaryStep)
+	return sites*float64(d.WireLayers-1) + dummies*float64(d.WireLayers)
 }
 
 // latticeSites returns the jittered lattice positions for one via layer.

@@ -1,6 +1,8 @@
 package viaplan
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 
 	"rdlroute/internal/design"
@@ -249,5 +251,44 @@ func TestViaCostScalesLattice(t *testing.T) {
 	pinned := count(Options{ViaPitch: 30 * d.Rules.Pitch(), ViaCost: -1})
 	if pinned != def {
 		t.Errorf("explicit ViaPitch with ViaCost: %d candidates, want default %d", pinned, def)
+	}
+}
+
+// TestBuildRejectsHugeLattice checks the lattice cap against both ways of
+// asking for a huge lattice, tiny design rules and a tiny via pitch: Build
+// fails with ErrLatticeTooLarge. On designs under the cap, the count it
+// checks bounds what the planner lays.
+func TestBuildRejectsHugeLattice(t *testing.T) {
+	tiny := mustDesign(t, "dense1")
+	r := &tiny.Rules
+	r.WireWidth, r.ViaWidth, r.MinSpacing, r.MinTurnDist =
+		r.WireWidth*1e-3, r.ViaWidth*1e-3, r.MinSpacing*1e-3, r.MinTurnDist*1e-3
+	for _, tc := range []struct {
+		name string
+		d    *design.Design
+		opt  Options
+	}{
+		{"rules ×1e-3", tiny, Options{}},
+		{"via pitch 1e-3 µm", mustDesign(t, "dense1"), Options{ViaPitch: 1e-3}},
+	} {
+		if _, err := Build(tc.d, tc.opt); !errors.Is(err, ErrLatticeTooLarge) {
+			t.Errorf("%s: Build error = %v, want ErrLatticeTooLarge", tc.name, err)
+		}
+	}
+
+	for _, name := range []string{"dense1", "dense3"} {
+		d := mustDesign(t, name)
+		for _, viaCost := range []float64{0, -1} {
+			opt := Options{ViaCost: viaCost}.withDefaults(d.Rules)
+			rng := rand.New(rand.NewSource(1)) // any seed lays as many sites
+			laid := 0
+			for vl := 0; vl < d.WireLayers-1; vl++ {
+				laid += len(latticeSites(d.Outline, opt, rng, vl))
+			}
+			laid += d.WireLayers * len(boundaryDummies(d.Outline, opt.BoundaryStep))
+			if n := latticePoints(d, opt); n < float64(laid) || n > maxLatticePoints {
+				t.Errorf("%s, via cost %v: bound %v, laid %d, cap %d", name, viaCost, n, laid, maxLatticePoints)
+			}
+		}
 	}
 }
