@@ -192,10 +192,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	unrouted := 0
 	switch *which {
 	case "ours":
+		var gopt rgraph.Options
+		if *viaCost != 0 { // the flag's 0 means the default cost, not free vias
+			gopt.ViaCost = viaCost
+		}
 		out, err := router.Route(ctx, d, router.Options{
 			TimeBudget: *budget, Rec: rec, Verify: vmode, Parallelism: *workers,
 			Ordering: *ordering, Portfolio: portfolioList, OrderingProfile: profile,
-			Graph: rgraph.Options{ViaCost: rgraph.ViaCostPtr(*viaCost)},
+			Graph: gopt,
 		})
 		if out == nil {
 			return err

@@ -73,6 +73,16 @@ func DefaultRules() Rules {
 // equations of the paper.
 func (r Rules) Pitch() float64 { return r.WireWidth + r.MinSpacing }
 
+// ViaWireClearance returns w_v/2 + w_s + w/2, the least distance between a
+// via's centre and the centreline of a wire of width w on another net.
+func (r Rules) ViaWireClearance(w float64) float64 {
+	return r.ViaWidth/2 + r.MinSpacing + w/2
+}
+
+// ViaViaClearance returns w_v + w_s, the least distance between the centres
+// of two vias of different nets.
+func (r Rules) ViaViaClearance() float64 { return r.ViaWidth + r.MinSpacing }
+
 // Validate reports whether the rules are physically meaningful.
 func (r Rules) Validate() error {
 	if !finite(r.WireWidth, r.ViaWidth, r.MinSpacing, r.MinTurnDist) {

@@ -111,7 +111,7 @@ func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
 	for i, net := range seq {
 		apIdx := d.apAt[apKey{id, net}]
 		ap := &d.APs[apIdx]
-		endMargin := (rules.ViaWidth/2 + rules.MinSpacing + d.G.Design.WidthOf(net)/2) / edgeLen
+		endMargin := rules.ViaWireClearance(d.G.Design.WidthOf(net)) / edgeLen
 		lo, hi := endMargin, 1-endMargin
 		if i > 0 {
 			prev := &d.APs[d.apAt[apKey{id, seq[i-1]}]]
@@ -153,11 +153,11 @@ func (d *Detailer) packEdge(id rgraph.NodeID, seq []int, edgeLen float64) {
 	m := len(seq)
 	sep := growSlice(d.sepBuf, m+1) // sep[0]=start margin, sep[i]=gap before AP i, sep[m]=end margin
 	d.sepBuf = sep
-	sep[0] = (rules.ViaWidth/2 + rules.MinSpacing + d.G.Design.WidthOf(seq[0])/2) / edgeLen
+	sep[0] = rules.ViaWireClearance(d.G.Design.WidthOf(seq[0])) / edgeLen
 	for i := 1; i < m; i++ {
 		sep[i] = d.G.Design.Clearance(seq[i-1], seq[i]) / edgeLen
 	}
-	sep[m] = (rules.ViaWidth/2 + rules.MinSpacing + d.G.Design.WidthOf(seq[m-1])/2) / edgeLen
+	sep[m] = rules.ViaWireClearance(d.G.Design.WidthOf(seq[m-1])) / edgeLen
 	total := 0.0
 	for _, s := range sep {
 		total += s

@@ -15,29 +15,29 @@ import (
 type Options struct {
 	// Candidates is the user-defined number of candidate positions per
 	// access point in the DP adjustment. Zero selects 9.
-	Candidates int
+	Candidates int `json:"candidates"`
 	// MinMovable is the movable-range length (µm) below which an access
 	// point is classified fixed. Zero selects 2× the wire pitch (resolved
 	// at Run time).
-	MinMovable float64
+	MinMovable float64 `json:"min_movable"`
 	// MaxFitIters bounds the tangent-construction iterations per passage.
 	// Zero selects 48.
-	MaxFitIters int
+	MaxFitIters int `json:"max_fit_iters"`
 	// SkipAdjust disables the DP access-point adjustment (ablation): access
 	// points stay at their even initial distribution.
-	SkipAdjust bool
+	SkipAdjust bool `json:"skip_adjust"`
 	// SkipReassign disables the post-assembly layer-reassignment pass
 	// (ablation): avoidable layer detours keep their vias.
-	SkipReassign bool
+	SkipReassign bool `json:"skip_reassign"`
 	// Workers is the worker-pool size for tile routing and route assembly.
 	// Zero or negative selects GOMAXPROCS capped at 8; 1 runs the units
 	// serially (the reference path the differential tests compare against).
 	// Tiles are independent work units merged in canonical key order, so
 	// every pool size produces byte-identical geometry.
-	Workers int
+	Workers int `json:"-"`
 	// Rec receives stage spans and counters. Nil selects the no-op
 	// recorder.
-	Rec obs.Recorder
+	Rec obs.Recorder `json:"-"`
 }
 
 func (o Options) workers() int { return pool.Default(o.Workers) }

@@ -44,8 +44,8 @@ func indexCell(d *design.Design) float64 {
 			maxW = w
 		}
 	}
-	wire := maxW + d.Rules.MinSpacing                       // ≥ Clearance(a, b) for all pairs
-	via := d.Rules.ViaWidth/2 + d.Rules.MinSpacing + maxW/2 // ≥ every via-wire limit
+	wire := maxW + d.Rules.MinSpacing     // ≥ Clearance(a, b) for all pairs
+	via := d.Rules.ViaWireClearance(maxW) // ≥ every via-wire limit
 	return math.Max(math.Max(wire, via), math.Max(8*d.Rules.Pitch(), 50))
 }
 
@@ -440,7 +440,7 @@ func (x *legalIndex) legal(s geom.Segment, layer, net int, relaxed bool, o1, o2 
 			return false
 		}
 	}
-	viaLimit := x.d.Rules.ViaWidth/2 + x.d.Rules.MinSpacing + x.d.WidthOf(net)/2
+	viaLimit := x.d.Rules.ViaWireClearance(x.d.WidthOf(net))
 	vias := x.vias[layer]
 	for _, i := range x.viaGrids[layer].near(s, &x.scr) {
 		v := &vias[i]

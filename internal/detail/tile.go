@@ -27,8 +27,8 @@ import (
 // tangents through source and target, iterate.
 //
 // Jobs are prepared once per run: access points are frozen after the DP
-// adjustment, so passage endpoints, stub inner ends, corner order, corner
-// discs and access-point obstacles are fixed before tile routing starts
+// adjustment, so passage endpoints, stub inner ends, corner order, metal
+// corners and access-point obstacles are fixed before tile routing starts
 // and live on the job. Each job also owns the scratch buffers its tile
 // routing mutates (fit/full polylines, routed list, per-passage route
 // buffers); a job is executed by exactly one worker at a time, and a
@@ -59,11 +59,11 @@ type tilePassage struct {
 type tileJob struct {
 	key      tileKeyD
 	passages []*tilePassage
-	// Prepared once: the tile triangle, the corner discs that carry metal,
-	// and every passage's fixed access points as net-sorted obstacles.
-	tri   [3]geom.Point
-	discs []geom.Circle
-	apObs []netPoints
+	// Prepared once: the tile triangle, the corners that carry metal, and
+	// every passage's fixed access points as net-sorted obstacles.
+	tri     [3]geom.Point
+	corners []geom.Point
+	apObs   []netPoints
 	// Scratches owned by the job.
 	routed  []*tilePassage
 	fitBuf  geom.Polyline
@@ -145,7 +145,7 @@ func (d *Detailer) hopAt(net, i int) geom.Polyline {
 }
 
 // prepTileJob computes everything about a job that tile routing reads but
-// does not change: passage endpoints and processing order, corner discs,
+// does not change: passage endpoints and processing order, metal corners,
 // access-point obstacles, stub inner ends and reference points.
 func (d *Detailer) prepTileJob(job *tileJob) {
 	tile := d.G.TileOf(job.key.layer, job.key.tri)
@@ -181,17 +181,15 @@ func (d *Detailer) prepTileJob(job *tileJob) {
 		}
 	}
 
-	// Hard obstacles: the discs of the tile's corner vertices that carry
-	// metal (vias, pins, bumps). Radii stored WITHOUT the passing wire's
-	// half width, which is added per passage in fitRoute.
-	rules := d.G.Design.Rules
+	// Hard obstacles: the tile's corner vertices that carry metal (vias,
+	// pins, bumps). fitRoute sizes each one's disc by the passing wire's
+	// via-wire clearance.
 	for i := 0; i < 3; i++ {
 		vn := d.G.Node(tile.ViaNodes[i])
 		if vn.VertKind == viaplan.KindDummy {
 			continue
 		}
-		r := rules.ViaWidth/2 + rules.MinSpacing
-		job.discs = append(job.discs, geom.Circ(mesh.Points[tile.Verts[i]], r))
+		job.corners = append(job.corners, mesh.Points[tile.Verts[i]])
 	}
 	// Soft obstacles: every passage's access points. Earlier-routed wires
 	// must keep clearance from later passages' fixed entry points, or those
@@ -380,17 +378,17 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 	a, b, ref := self.ia, self.ib, self.ref
 	route := append(job.fitBuf[:0], a, b)
 	const slack = 1e-9
-	selfHalf := d.G.Design.WidthOf(self.net) / 2
+	viaLimit := d.G.Design.Rules.ViaWireClearance(d.G.Design.WidthOf(self.net))
 	for iter := 0; iter < d.Opt.MaxFitIters; iter++ {
 		found, fixed := false, false
 		for si := 0; si+1 < len(route) && !fixed; si++ {
 			seg := geom.Seg(route[si], route[si+1])
 			// Corner discs.
-			for _, disc := range job.discs {
-				if disc.C.ApproxEq(a) || disc.C.ApproxEq(b) {
+			for _, c := range job.corners {
+				if c.ApproxEq(a) || c.ApproxEq(b) {
 					continue // the passage's own terminal via/pin
 				}
-				eff := geom.Circ(disc.C, disc.R+selfHalf)
+				eff := geom.Circ(c, viaLimit)
 				if !eff.IntersectSegment(seg) {
 					continue
 				}

@@ -3,6 +3,7 @@ package global
 import (
 	"context"
 
+	"rdlroute/internal/dt"
 	"rdlroute/internal/obs"
 	"rdlroute/internal/rgraph"
 )
@@ -32,15 +33,6 @@ const maxDiagonalRounds = 200
 // rounds, keeping the reductions applied so far.
 func (r *Router) refineDiagonal(ctx context.Context) int {
 	reductions := 0
-	// The clean-edge cache assumes every usage change since an edge was
-	// proven clean went through commit/ripUp stamping. That holds inside
-	// this loop, but not necessarily for whatever ran before the call, so
-	// start from a cold cache: iteration 1 scans everything once and the
-	// remaining iterations — the expensive part on violation-heavy designs —
-	// rescan only what their reroutes touched.
-	for i := range r.diagCheckedAt {
-		r.diagCheckedAt[i] = 0
-	}
 	for round := 0; round < maxDiagonalRounds; round++ {
 		if obs.Stopped(ctx) {
 			return reductions
@@ -89,56 +81,40 @@ func (r *Router) refineDiagonal(ctx context.Context) int {
 
 // findDiagonalViolation scans all interior edge nodes and returns the first
 // violating Eq. 3, or Invalid.
-//
-// The scan is incremental across refinement iterations: the Eq. 3 predicate
-// of an edge depends only on its edge node's usage and its two wrapping
-// cross-tile link usages, all of which are stamped with the change clock on
-// every commit and rip-up. An edge proven clean at clock t stays clean until
-// one of those three stamps moves past t, so each iteration after the first
-// re-evaluates only the edges the previous reroutes actually touched.
 func (r *Router) findDiagonalViolation() rgraph.NodeID {
-	pitch := r.G.Design.Rules.Pitch()
-	now := r.clock
 	for li := range r.G.Layers {
-		lg := &r.G.Layers[li]
-		for ei, e := range lg.Mesh.Edges() {
-			tris := lg.Mesh.EdgeTris(ei)
-			if tris[1] == -1 {
-				continue // hull edge: only one tile, no diagonal
-			}
-			en := lg.EdgeNode[ei]
-			vi, okI := lg.Mesh.OppositeVertex(tris[0], e)
-			vj, okJ := lg.Mesh.OppositeVertex(tris[1], e)
-			if !okI || !okJ {
-				continue
-			}
-			l1 := r.cornerLink(li, tris[0], vi)
-			l2 := r.cornerLink(li, tris[1], vj)
-			if chk := r.diagCheckedAt[en]; chk > 0 && r.nodeStamp[en] <= chk &&
-				(l1 == -1 || r.linkStamp[l1] <= chk) &&
-				(l2 == -1 || r.linkStamp[l2] <= chk) {
-				continue // unchanged since last proven clean
-			}
-			u1, u2 := 0, 0
-			if l1 != -1 {
-				u1 = r.linkUse[l1]
-			}
-			if l2 != -1 {
-				u2 = r.linkUse[l2]
-			}
-			upsilon := r.nodeUse[en]
-			if upsilon == 0 && u1 == 0 && u2 == 0 {
-				r.diagCheckedAt[en] = now
-				continue
-			}
-			d := lg.Mesh.Points[vi].Dist(lg.Mesh.Points[vj])
-			if float64(u1+u2+upsilon+1)*pitch >= d {
+		for ei, e := range r.G.Layers[li].Mesh.Edges() {
+			if en, ok := r.diagonalViolation(li, ei, e); ok {
 				return en
 			}
-			r.diagCheckedAt[en] = now
 		}
 	}
 	return rgraph.Invalid
+}
+
+// diagonalViolation evaluates Eq. 3 on mesh edge ei (e) of layer li and
+// returns the edge's node with whether it violates. Hull edges, which bound
+// a single tile, have no diagonal and never violate.
+func (r *Router) diagonalViolation(li, ei int, e dt.Edge) (rgraph.NodeID, bool) {
+	lg := &r.G.Layers[li]
+	tris := lg.Mesh.EdgeTris(ei)
+	if tris[1] == -1 {
+		return rgraph.Invalid, false
+	}
+	en := lg.EdgeNode[ei]
+	vi, okI := lg.Mesh.OppositeVertex(tris[0], e)
+	vj, okJ := lg.Mesh.OppositeVertex(tris[1], e)
+	if !okI || !okJ {
+		return en, false
+	}
+	u1 := r.cornerUse(li, tris[0], vi)
+	u2 := r.cornerUse(li, tris[1], vj)
+	upsilon := r.nodeUse[en]
+	if upsilon == 0 && u1 == 0 && u2 == 0 {
+		return en, false
+	}
+	d := lg.Mesh.Points[vi].Dist(lg.Mesh.Points[vj])
+	return en, float64(u1+u2+upsilon+1)*r.G.Design.Rules.Pitch() >= d
 }
 
 // cornerLink returns the cross-tile link wrapping mesh vertex v in triangle
@@ -165,28 +141,9 @@ func (r *Router) cornerUse(li, tri, v int) int {
 // the ablation bench.
 func (r *Router) DiagonalViolations() int {
 	count := 0
-	pitch := r.G.Design.Rules.Pitch()
 	for li := range r.G.Layers {
-		lg := &r.G.Layers[li]
-		for ei, e := range lg.Mesh.Edges() {
-			tris := lg.Mesh.EdgeTris(ei)
-			if tris[1] == -1 {
-				continue
-			}
-			en := lg.EdgeNode[ei]
-			vi, okI := lg.Mesh.OppositeVertex(tris[0], e)
-			vj, okJ := lg.Mesh.OppositeVertex(tris[1], e)
-			if !okI || !okJ {
-				continue
-			}
-			u1 := r.cornerUse(li, tris[0], vi)
-			u2 := r.cornerUse(li, tris[1], vj)
-			upsilon := r.nodeUse[en]
-			if upsilon == 0 && u1 == 0 && u2 == 0 {
-				continue
-			}
-			d := lg.Mesh.Points[vi].Dist(lg.Mesh.Points[vj])
-			if float64(u1+u2+upsilon+1)*pitch >= d {
+		for ei, e := range r.G.Layers[li].Mesh.Edges() {
+			if _, ok := r.diagonalViolation(li, ei, e); ok {
 				count++
 			}
 		}

@@ -32,45 +32,45 @@ type Options struct {
 	// CongestionThreshold is the user-defined RUDY density above which a
 	// tile counts as congested during initial net ordering. Zero selects
 	// 0.5.
-	CongestionThreshold float64
+	CongestionThreshold float64 `json:"congestion_threshold"`
 	// MaxOrderRounds bounds the net-order adjustment loop. Zero selects 8.
-	MaxOrderRounds int
+	MaxOrderRounds int `json:"max_order_rounds"`
 	// MaxExpansions bounds the A* state expansions per net. Zero selects
 	// 400000.
-	MaxExpansions int
+	MaxExpansions int `json:"max_expansions"`
 	// DisableRUDYOrder skips congestion-based initial ordering and routes
 	// nets in ID order (ablation). It wins over Order: the standalone seed
 	// routes that feed the ordering model are not computed at all.
-	DisableRUDYOrder bool
+	DisableRUDYOrder bool `json:"disable_rudy_order"`
 	// Order is the net-ordering strategy consuming the RUDY seed features
 	// (see internal/portfolio). Nil selects portfolio.RUDY — the paper's
 	// policy — over a code path byte-identical to the pre-portfolio router.
-	Order portfolio.Strategy
+	Order portfolio.Strategy `json:"-"`
 	// DisableDiagonalRefinement skips the Eq. 3 refinement pass (ablation).
-	DisableDiagonalRefinement bool
+	DisableDiagonalRefinement bool `json:"disable_diagonal_refinement"`
 	// EdgeUsePerNet is how many capacity units each guide consumes on every
 	// edge node it crosses. The default 1 is the paper's model; the AARF*
 	// baseline uses 2 to emulate the resource waste of treating each routed
 	// net as a hard constraint corridor in a rebuilt triangulation.
-	EdgeUsePerNet int
+	EdgeUsePerNet int `json:"edge_use_per_net"`
 	// AfterRound, when non-nil, runs at the end of every net-order
 	// adjustment round (after the round's rip-ups), with the zero-based
 	// round index. Tests use it to assert CheckInvariants between rounds.
-	AfterRound func(round int)
+	AfterRound func(round int) `json:"-"`
 	// AfterEachNet, when non-nil, runs after every successfully committed
 	// net with that net's ID. The AARF* baseline re-triangulates every
 	// layer here, paying the per-net mesh-rebuild cost the original
 	// algorithm incurs.
-	AfterEachNet func(net int)
+	AfterEachNet func(net int) `json:"-"`
 	// Parallelism is the worker-pool size of the standalone ordering-seed
 	// searches, which are independent per net. Zero selects GOMAXPROCS
 	// capped at 8 (pool.Default). The round loop itself is serial, so
 	// output is byte-identical for every value.
-	Parallelism int
+	Parallelism int `json:"-"`
 	// Rec receives stage spans, counters and the per-net progress stream.
 	// Nil selects the no-op recorder. Cancellation is the context passed
 	// to Run (the paper's 1-hour wall-clock cutoff becomes a deadline).
-	Rec obs.Recorder
+	Rec obs.Recorder `json:"-"`
 }
 
 func (o Options) withDefaults() Options {
@@ -160,16 +160,6 @@ type Router struct {
 	// creates it for the round loop and drops it when the loop ends.
 	reuse *reuseState
 
-	// Change clock: advances on every commit and rip-up; nodeStamp and
-	// linkStamp record the last tick that changed a resource's usage or
-	// sequence list. Diagonal refinement uses them to rescan only the mesh
-	// edges whose inputs changed since they were last proven clean
-	// (diagCheckedAt, indexed by edge node).
-	clock         int64
-	nodeStamp     []int64
-	linkStamp     []int64
-	diagCheckedAt []int64
-
 	// orderModel is the feature model initialOrder built for the ordering
 	// strategy (nil until initialOrder runs, or with DisableRUDYOrder).
 	orderModel *portfolio.Model
@@ -178,18 +168,15 @@ type Router struct {
 // New creates a router over the graph.
 func New(g *rgraph.Graph, opt Options) *Router {
 	r := &Router{
-		G:             g,
-		Opt:           opt.withDefaults(),
-		rec:           obs.Or(opt.Rec),
-		nodeUse:       make([]int, len(g.Nodes)),
-		linkUse:       make([]int, len(g.Links)),
-		nodeCap:       make([]int, len(g.Nodes)),
-		seqs:          make([][]int, len(g.Nodes)),
-		tileBase:      make([]int32, len(g.Layers)),
-		guides:        make([]*Guide, len(g.Design.Nets)),
-		nodeStamp:     make([]int64, len(g.Nodes)),
-		linkStamp:     make([]int64, len(g.Links)),
-		diagCheckedAt: make([]int64, len(g.Nodes)),
+		G:        g,
+		Opt:      opt.withDefaults(),
+		rec:      obs.Or(opt.Rec),
+		nodeUse:  make([]int, len(g.Nodes)),
+		linkUse:  make([]int, len(g.Links)),
+		nodeCap:  make([]int, len(g.Nodes)),
+		seqs:     make([][]int, len(g.Nodes)),
+		tileBase: make([]int32, len(g.Layers)),
+		guides:   make([]*Guide, len(g.Design.Nets)),
 	}
 	for id := range g.Nodes {
 		r.nodeCap[id] = g.Nodes[id].Cap
@@ -403,17 +390,13 @@ func (r *Router) foldSearch(sc *searchScratch, err error) {
 }
 
 // commit installs a found guide: bumps usage, inserts sequence positions,
-// and records tile passages. It advances the change clock and stamps every
-// occupied node and link, so the Eq. 3 rescan revisits the edges it
-// touched.
+// and records tile passages.
 //
 //rdl:noalloc
 func (r *Router) commit(g *searchResult) {
 	//rdl:allow noalloc the Guide header is budget alloc 4 of 4 pinned by TestRouteSearchDoesNotAllocate; it outlives the round
 	guide := &Guide{Net: g.net, Nodes: g.nodes, Links: g.links}
-	r.clock++
 	for i, id := range g.nodes {
-		r.nodeStamp[id] = r.clock
 		if r.G.Node(id).Kind == rgraph.EdgeNode {
 			r.nodeUse[id] += r.edgeUnits(g.net)
 			gap := g.gaps[i]
@@ -432,7 +415,6 @@ func (r *Router) commit(g *searchResult) {
 		}
 	}
 	for _, l := range g.links {
-		r.linkStamp[l] = r.clock
 		if r.G.Link(l).Kind == rgraph.CrossTile {
 			r.linkUse[l] += r.edgeUnits(g.net)
 		} else {
@@ -466,15 +448,11 @@ func (r *Router) passageEndFor(tile *rgraph.Tile, id rgraph.NodeID) passageEnd {
 	return passageEnd{vertex: -1, edge: edgeOrdinal(tile, id)}
 }
 
-// ripUp removes a committed guide, releasing all resources. Like commit it
-// advances the change clock and stamps the released nodes and links: freed
-// capacity changes the Eq. 3 predicate as much as consumed capacity does.
+// ripUp removes a committed guide, releasing all resources.
 //
 //rdl:noalloc
 func (r *Router) ripUp(guide *Guide) {
-	r.clock++
 	for _, id := range guide.Nodes {
-		r.nodeStamp[id] = r.clock
 		if r.G.Node(id).Kind == rgraph.EdgeNode {
 			r.nodeUse[id] -= r.edgeUnits(guide.Net)
 			seq := r.seqs[id]
@@ -489,7 +467,6 @@ func (r *Router) ripUp(guide *Guide) {
 		}
 	}
 	for _, l := range guide.Links {
-		r.linkStamp[l] = r.clock
 		link := r.G.Link(l)
 		if link.Kind == rgraph.CrossTile {
 			r.linkUse[l] -= r.edgeUnits(guide.Net)

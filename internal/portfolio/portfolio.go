@@ -105,8 +105,8 @@ func Known(name string) bool {
 }
 
 // New resolves a strategy by name. The empty name is an alias for "rudy"
-// (the paper's policy). prof parameterizes the congestion scorer and is
-// ignored by the other strategies.
+// (the paper's policy). prof parameterizes the strategies for which
+// ReadsProfile reports true and is ignored by the others.
 func New(name string, prof Profile) (Strategy, error) {
 	switch name {
 	case "", "rudy":
@@ -118,6 +118,11 @@ func New(name string, prof Profile) (Strategy, error) {
 	}
 	return nil, fmt.Errorf("portfolio: unknown ordering strategy %q (have %v)", name, Names())
 }
+
+// ReadsProfile reports whether New passes its Profile to the named
+// strategy. A strategy added to New that reads the profile must be added
+// here too, or options that differ only in their profile share a cache key.
+func ReadsProfile(name string) bool { return name == "congestion" }
 
 // NormalizeNames canonicalizes a portfolio list: names are validated,
 // deduped and sorted into registration order (the Names order), so any

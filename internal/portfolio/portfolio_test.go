@@ -36,6 +36,15 @@ func TestNamesKnownNew(t *testing.T) {
 		if s.Name() != n {
 			t.Errorf("New(%q).Name() = %q", n, s.Name())
 		}
+		// A strategy reads the profile exactly when New builds it
+		// differently for another profile.
+		other, err := New(n, Profile{CongestedWeight: 7})
+		if err != nil {
+			t.Fatalf("New(%q): %v", n, err)
+		}
+		if reads := !reflect.DeepEqual(s, other); ReadsProfile(n) != reads {
+			t.Errorf("ReadsProfile(%q) = %v, but New reads the profile: %v", n, ReadsProfile(n), reads)
+		}
 	}
 	if Known("") || Known("zigzag") {
 		t.Error("Known accepted a non-strategy name")

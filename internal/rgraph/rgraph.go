@@ -151,20 +151,18 @@ type Graph struct {
 // Options tunes graph construction.
 type Options struct {
 	// ViaCost is the extra path cost of a cross-via link, discouraging
-	// gratuitous layer changes. Nil selects a default of 4× the via width;
-	// a pointer to 0 makes layer changes genuinely free (a plain zero field
-	// used to be indistinguishable from "unset" and was silently clobbered
-	// by the default). Negative values clamp to 0. Use ViaCostPtr /
-	// ViaCostValue to convert to and from the flat wire encoding.
-	ViaCost *float64
+	// gratuitous layer changes. Nil (absent on the wire) selects a default
+	// of 4× the via width; a pointer to 0 makes layer changes genuinely
+	// free, and negative values clamp to 0.
+	ViaCost *float64 `json:"via_cost"`
 	// NaiveCornerCapacity disables the Eq. 2 effective-length model and
 	// instead caps each cross-tile edge at the smaller Eq. 1 capacity of its
 	// two edge nodes. Used by the ablation benchmarks: this is the
 	// overestimate of Fig. 6(a) that causes corner spacing violations.
-	NaiveCornerCapacity bool
+	NaiveCornerCapacity bool `json:"naive_corner_capacity"`
 	// Rec receives the stage's size counters. Nil selects the no-op
 	// recorder.
-	Rec obs.Recorder
+	Rec obs.Recorder `json:"-"`
 }
 
 // ResolvedViaCost returns the effective cross-via link cost: the default
@@ -179,9 +177,9 @@ func (o Options) ResolvedViaCost(rules design.Rules) float64 {
 	return 0
 }
 
-// ViaCostValue flattens a ViaCost pointer into the wire encoding used by
-// router specs: 0 means "use the default", a positive value is an explicit
-// cost, and any negative value means "free" (explicit zero cost).
+// ViaCostValue flattens a ViaCost pointer onto the scale of
+// viaplan.Options.ViaCost: 0 means "use the default", a positive value is an
+// explicit cost, and any negative value means "free" (explicit zero cost).
 func ViaCostValue(p *float64) float64 {
 	switch {
 	case p == nil:
@@ -190,21 +188,6 @@ func ViaCostValue(p *float64) float64 {
 		return *p
 	default:
 		return -1
-	}
-}
-
-// ViaCostPtr expands the wire encoding back into a ViaCost pointer: 0 maps
-// to nil (default), positive values to themselves, negative values to an
-// explicit zero (free vias).
-func ViaCostPtr(v float64) *float64 {
-	switch {
-	case v == 0:
-		return nil
-	case v > 0:
-		return &v
-	default:
-		zero := 0.0
-		return &zero
 	}
 }
 
@@ -219,7 +202,7 @@ func EdgeNodeCapacity(a, b geom.Point, rules design.Rules) int {
 // between a pin and a nearby via would otherwise admit wires that cannot be
 // legalized. The corrected capacity never exceeds Eq. 1.
 func EffectiveEdgeCapacity(a, b geom.Point, rules design.Rules) int {
-	endClear := rules.ViaWidth/2 + rules.MinSpacing + rules.WireWidth/2
+	endClear := rules.ViaWireClearance(rules.WireWidth)
 	usable := a.Dist(b) - 2*endClear
 	if usable < 0 {
 		return 0

@@ -323,46 +323,47 @@ func TestViaCostZeroNotClobbered(t *testing.T) {
 		return 0
 	}
 
-	free := buildGraph(t, "dense1", Options{ViaCost: ViaCostPtr(-1)})
-	if got := crossViaLen(free); got != 0 {
-		t.Errorf("free vias: cross-via Len = %v, want 0", got)
+	for _, c := range []float64{0, -1} {
+		free := buildGraph(t, "dense1", Options{ViaCost: viaCost(c)})
+		if got := crossViaLen(free); got != 0 {
+			t.Errorf("free vias (&%v): cross-via Len = %v, want 0", c, got)
+		}
 	}
 	def := buildGraph(t, "dense1", Options{})
 	if want := 4 * def.Design.Rules.ViaWidth; crossViaLen(def) != want {
 		t.Errorf("default vias: cross-via Len = %v, want %v", crossViaLen(def), want)
 	}
-	expl := buildGraph(t, "dense1", Options{ViaCost: ViaCostPtr(7)})
+	expl := buildGraph(t, "dense1", Options{ViaCost: viaCost(7)})
 	if got := crossViaLen(expl); got != 7 {
 		t.Errorf("explicit vias: cross-via Len = %v, want 7", got)
 	}
 }
 
-// TestViaCostWireEncoding pins the flat encoding round trip used by router
-// specs: nil ↔ 0 (default), positive ↔ itself, explicit zero ↔ negative.
+// viaCost returns a pointer to an explicit via cost.
+func viaCost(c float64) *float64 { return &c }
+
+// TestViaCostWireEncoding pins how a ViaCost pointer resolves: nil is the
+// 4×ViaWidth default (and 0 on viaplan's scale), a positive cost is itself,
+// and zero or a negative cost is free.
 func TestViaCostWireEncoding(t *testing.T) {
-	if ViaCostPtr(0) != nil {
-		t.Error("ViaCostPtr(0) should be nil (default)")
-	}
-	if p := ViaCostPtr(7); p == nil || *p != 7 {
-		t.Errorf("ViaCostPtr(7) = %v", p)
-	}
-	if p := ViaCostPtr(-1); p == nil || *p != 0 {
-		t.Errorf("ViaCostPtr(-1) = %v, want explicit 0", p)
-	}
 	if got := ViaCostValue(nil); got != 0 {
 		t.Errorf("ViaCostValue(nil) = %v, want 0", got)
 	}
-	if got := ViaCostValue(ViaCostPtr(7)); got != 7 {
+	if got := ViaCostValue(viaCost(7)); got != 7 {
 		t.Errorf("ViaCostValue(&7) = %v, want 7", got)
 	}
-	if got := ViaCostValue(ViaCostPtr(-1)); got >= 0 {
-		t.Errorf("ViaCostValue(&0) = %v, want negative (free)", got)
+	for _, c := range []float64{0, -1} {
+		if got := ViaCostValue(viaCost(c)); got >= 0 {
+			t.Errorf("ViaCostValue(&%v) = %v, want negative (free)", c, got)
+		}
 	}
 	rules := design.DefaultRules()
 	if got := (Options{}).ResolvedViaCost(rules); got != 4*rules.ViaWidth {
 		t.Errorf("ResolvedViaCost(nil) = %v, want %v", got, 4*rules.ViaWidth)
 	}
-	if got := (Options{ViaCost: ViaCostPtr(-1)}).ResolvedViaCost(rules); got != 0 {
-		t.Errorf("ResolvedViaCost(&0) = %v, want 0", got)
+	for _, c := range []float64{0, -1} {
+		if got := (Options{ViaCost: viaCost(c)}).ResolvedViaCost(rules); got != 0 {
+			t.Errorf("ResolvedViaCost(&%v) = %v, want 0", c, got)
+		}
 	}
 }

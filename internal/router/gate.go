@@ -13,8 +13,9 @@ import (
 // zero value disables the gate, so existing callers are unaffected.
 type VerifyMode string
 
-// Gate modes. The wire names ("", "warn", "strict") are what OptionsSpec
-// carries and what rdlserved job requests accept ("off" normalizes to "").
+// Gate modes. The wire names ("", "warn", "strict") are what the JSON form
+// of Options carries as "verify"; rdlserved job requests also accept "off",
+// which Options.Validate normalizes to "".
 const (
 	// VerifyOff skips the independent verifier entirely.
 	VerifyOff VerifyMode = ""

@@ -23,8 +23,8 @@ func (o Options) orderingProfile() portfolio.Profile {
 }
 
 // orderingStrategy resolves the single-strategy knob. The empty name
-// returns nil — the legacy RUDY path, with the global stage's nil-strategy
-// short-circuit and unchanged cache keys.
+// returns nil, which the global stage routes as RUDY through its
+// nil-strategy short-circuit.
 func (o Options) orderingStrategy() (portfolio.Strategy, error) {
 	if o.Ordering == "" {
 		return nil, nil

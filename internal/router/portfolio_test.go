@@ -210,41 +210,42 @@ func TestOrderingValidation(t *testing.T) {
 	}
 }
 
-// TestSpecPortfolioCanonicalization pins the cache-identity behavior of the
-// new spec fields: submission order canonicalizes away, the profile and the
-// strategy selection are part of the key, and Validate rejects what Route
-// would reject.
+// TestSpecPortfolioCanonicalization pins the cache identity of the
+// strategy fields: submission order canonicalizes away, ordering "rudy" is
+// the default ordering, the ordering profile counts only where the
+// congestion strategy reads it, and Validate rejects what Route would
+// reject, checking ordering/portfolio exclusivity before "rudy" is
+// normalized away.
 func TestSpecPortfolioCanonicalization(t *testing.T) {
-	a := OptionsSpec{Portfolio: []string{"netlen", "rudy", "netlen"}}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
+	a := encode(t, Options{Portfolio: []string{"netlen", "rudy", "netlen"}})
+	b := encode(t, Options{Portfolio: []string{"rudy", "netlen"}})
+	if a != b {
+		t.Errorf("equivalent portfolios encode differently:\n%s\n%s", a, b)
 	}
-	b := OptionsSpec{Portfolio: []string{"rudy", "netlen"}}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(b, `"portfolio":["rudy","netlen"]`) {
+		t.Errorf("portfolio not encoded in registration order: %s", b)
 	}
-	ca, _ := a.Canonical()
-	cb, _ := b.Canonical()
-	if string(ca) != string(cb) {
-		t.Errorf("equivalent portfolios canonicalize differently:\n%s\n%s", ca, cb)
+	if encode(t, Options{Ordering: "rudy"}) != encode(t, Options{}) {
+		t.Error(`ordering "rudy" and no ordering encode differently`)
 	}
 
-	c := OptionsSpec{Ordering: "congestion",
-		OrderingProfile: &portfolio.Profile{FailWeight: 3}}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cc, _ := c.Canonical()
-	d := OptionsSpec{Ordering: "congestion"}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cd, _ := d.Canonical()
-	if string(cc) == string(cd) {
+	prof := &portfolio.Profile{FailWeight: 3}
+	c := encode(t, Options{Ordering: "congestion", OrderingProfile: prof})
+	if c == encode(t, Options{Ordering: "congestion"}) {
 		t.Error("ordering profile not part of the cache identity")
 	}
+	if encode(t, Options{Portfolio: []string{"congestion"}, OrderingProfile: prof}) ==
+		encode(t, Options{Portfolio: []string{"congestion"}}) {
+		t.Error("ordering profile of a congestion portfolio not part of the cache identity")
+	}
+	if encode(t, Options{Ordering: "netlen", OrderingProfile: prof}) != encode(t, Options{Ordering: "netlen"}) {
+		t.Error("a profile the netlen ordering never reads splits the cache identity")
+	}
+	if encode(t, Options{Portfolio: []string{"rudy", "netlen"}, OrderingProfile: prof}) != b {
+		t.Error("a profile no portfolio strategy reads splits the cache identity")
+	}
 
-	for _, bad := range []OptionsSpec{
+	for _, bad := range []Options{
 		{Ordering: "zigzag"},
 		{Portfolio: []string{"zigzag"}},
 		{Ordering: "rudy", Portfolio: []string{"netlen"}},
@@ -253,11 +254,5 @@ func TestSpecPortfolioCanonicalization(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
 		}
-	}
-
-	// Round trip: spec fields survive Options() and Spec().
-	rt := b.Options().Spec()
-	if rt.Ordering != "" || len(rt.Portfolio) != 2 || rt.Portfolio[0] != "rudy" {
-		t.Errorf("portfolio fields lost in round trip: %+v", rt)
 	}
 }

@@ -28,12 +28,15 @@ import (
 	"rdlroute/internal/viaplan"
 )
 
-// Options bundles the per-stage options plus the overall time budget.
+// Options bundles the per-stage options plus the overall time budget. Its
+// JSON form (see MarshalJSON) is the "options" object of a routing-service
+// job and the options half of the job's result-cache key; fields tagged "-"
+// observe or pace a run without changing its result.
 type Options struct {
-	Via    viaplan.Options
-	Graph  rgraph.Options
-	Global global.Options
-	Detail detail.Options
+	Via    viaplan.Options `json:"via"`
+	Graph  rgraph.Options  `json:"graph"`
+	Global global.Options  `json:"global"`
+	Detail detail.Options  `json:"detail"`
 	// Parallelism is the pipeline's one concurrency knob: it sizes the
 	// worker pools of the global stage's ordering seeds, detailed routing,
 	// the DRC stage and the verification gate. Zero selects GOMAXPROCS
@@ -41,33 +44,34 @@ type Options struct {
 	// are byte-identical for every value. A stage-level override
 	// (Global.Parallelism, Detail.Workers) or the deprecated VerifyWorkers
 	// alias wins over this knob for its own stage when non-zero.
-	Parallelism int
+	Parallelism int `json:"parallelism"`
 	// TimeBudget aborts routing when exceeded (the paper caps every run at
 	// one hour and reports the best result so far). Zero means no limit.
 	// The budget is enforced as a context deadline with ErrTimeout as its
-	// cancellation cause.
-	TimeBudget time.Duration
+	// cancellation cause. The JSON form carries it in whole milliseconds
+	// as time_budget_ms.
+	TimeBudget time.Duration `json:"-"`
 	// Rec receives spans, counters, gauges and progress events from every
 	// pipeline stage. Nil selects the no-op recorder. A stage whose own
 	// options carry a non-nil recorder keeps it.
-	Rec obs.Recorder
+	Rec obs.Recorder `json:"-"`
 	// Verify selects the verification gate: off (zero value) skips the
 	// independent verifier, warn attaches its report to the Output, strict
 	// additionally fails the run with a *VerifyError when the verifier
 	// finds problems.
-	Verify VerifyMode
+	Verify VerifyMode `json:"verify"`
 	// VerifyWorkers sizes the worker pool of the DRC stage and the
 	// verification gate.
 	//
 	// Deprecated: use Parallelism, which covers every stage. VerifyWorkers
 	// is kept as a working alias for the DRC/verify stages and wins over
 	// Parallelism there when non-zero.
-	VerifyWorkers int
+	VerifyWorkers int `json:"-"`
 	// Ordering selects the global stage's net-ordering strategy by name
-	// ("rudy", "netlen", "congestion"; see internal/portfolio).
-	// Empty selects the legacy RUDY path — byte-identical output and
-	// unchanged cache keys. Mutually exclusive with Portfolio.
-	Ordering string
+	// ("rudy", "netlen", "congestion"; see internal/portfolio). Empty
+	// selects RUDY through the global stage's nil-strategy path, which
+	// routes byte-identically to "rudy". Mutually exclusive with Portfolio.
+	Ordering string `json:"ordering"`
 	// Portfolio lists strategies raced as independent full route attempts
 	// (each on its own router instance over the shared routing graph,
 	// splitting the Parallelism budget); the winner is chosen by the
@@ -75,10 +79,10 @@ type Options struct {
 	// name, so the selected result is byte-identical for any worker count,
 	// completion order or submission order. Empty (the default) routes the
 	// single configured strategy.
-	Portfolio []string
+	Portfolio []string `json:"portfolio"`
 	// OrderingProfile parameterizes the "congestion" strategy's scorer;
 	// nil selects the built-in default weights.
-	OrderingProfile *portfolio.Profile
+	OrderingProfile *portfolio.Profile `json:"ordering_profile"`
 }
 
 // verifyWorkers resolves the DRC/verify pool size: the deprecated

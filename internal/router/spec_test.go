@@ -3,110 +3,102 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
+	"rdlroute/internal/detail"
+	"rdlroute/internal/global"
 	"rdlroute/internal/obs"
+	"rdlroute/internal/portfolio"
 	"rdlroute/internal/rgraph"
+	"rdlroute/internal/viaplan"
 )
 
-func TestOptionsSpecRoundTrip(t *testing.T) {
-	opt := Options{TimeBudget: 1500 * time.Millisecond}
-	opt.Via.Seed = 42
-	opt.Via.ViaPitch = 100
-	opt.Graph.ViaCost = rgraph.ViaCostPtr(7)
-	opt.Graph.NaiveCornerCapacity = true
-	opt.Global.MaxExpansions = 1234
-	opt.Global.DisableRUDYOrder = true
-	opt.Detail.Candidates = 5
-	opt.Detail.SkipAdjust = true
+// encode validates o and returns its JSON encoding: the options half of a
+// result-cache key.
+func encode(t *testing.T, o Options) string {
+	t.Helper()
+	if err := o.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
 
-	got := opt.Spec().Options()
-	if got.Via != opt.Via || got.Detail != opt.Detail {
-		t.Errorf("round trip changed stage options:\n got %+v\nwant %+v", got, opt)
+// TestOptionsSpecRoundTrip round-trips Options with every wire field set
+// through its JSON form.
+func TestOptionsSpecRoundTrip(t *testing.T) {
+	viaCost := 7.0
+	opt := Options{
+		Via:   viaplan.Options{ViaPitch: 100, BoundaryStep: 150, JitterFrac: 0.2, Seed: 42, ViaCost: 12},
+		Graph: rgraph.Options{ViaCost: &viaCost, NaiveCornerCapacity: true},
+		Global: global.Options{CongestionThreshold: 0.7, MaxOrderRounds: 3, MaxExpansions: 1234,
+			DisableRUDYOrder: true, DisableDiagonalRefinement: true, EdgeUsePerNet: 2},
+		Detail: detail.Options{Candidates: 5, MinMovable: 3.5, MaxFitIters: 20,
+			SkipAdjust: true, SkipReassign: true},
+		Parallelism: 4,
+		TimeBudget:  1500 * time.Millisecond,
+		Verify:      VerifyStrict,
+		// Validate, not the encoding, makes Ordering and Portfolio
+		// exclusive.
+		Ordering:        "netlen",
+		Portfolio:       []string{"rudy", "congestion"},
+		OrderingProfile: &portfolio.Profile{CongestedWeight: 2, ConflictWeight: 0.5, LengthWeight: -0.01, FailWeight: 3},
 	}
-	// Graph carries a pointer field, so compare the resolved value.
-	if rgraph.ViaCostValue(got.Graph.ViaCost) != rgraph.ViaCostValue(opt.Graph.ViaCost) ||
-		got.Graph.NaiveCornerCapacity != opt.Graph.NaiveCornerCapacity {
-		t.Errorf("round trip changed graph options:\n got %+v\nwant %+v", got.Graph, opt.Graph)
-	}
-	// global.Options carries a func field, and the spec a slice field, so
-	// compare the canonical byte encodings.
-	gb, err := got.Fingerprint()
+	b, err := json.Marshal(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob, err := opt.Fingerprint()
-	if err != nil {
+	if !bytes.Contains(b, []byte(`"time_budget_ms":1500`)) {
+		t.Errorf("time budget not encoded in milliseconds: %s", b)
+	}
+	var got Options
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gb, ob) {
-		t.Errorf("round trip changed spec:\n got %s\nwant %s", gb, ob)
-	}
-	if got.TimeBudget != opt.TimeBudget {
-		t.Errorf("TimeBudget = %v, want %v", got.TimeBudget, opt.TimeBudget)
+	if !reflect.DeepEqual(got, opt) {
+		t.Errorf("round trip changed options:\n got %+v\nwant %+v", got, opt)
 	}
 }
 
+// TestFingerprintIgnoresObservers pins what the encoding leaves out:
+// options that differ only in recorders, callbacks, the strategy object
+// or worker counts encode equally, while a configuration knob or the
+// pipeline's Parallelism changes the bytes.
 func TestFingerprintIgnoresObservers(t *testing.T) {
 	a := Options{TimeBudget: time.Second}
 	b := a
 	b.Rec = obs.NewCollector()
+	b.Via.Rec = obs.NewCollector()
+	b.Graph.Rec = obs.NewCollector()
 	b.Global.Rec = obs.NewCollector()
+	b.Global.Order = portfolio.NetLen{}
+	b.Global.AfterRound = func(int) {}
 	b.Global.AfterEachNet = func(int) {}
-
-	fa, err := a.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := b.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fa, fb) {
-		t.Error("fingerprint depends on recorders/callbacks")
+	b.Global.Parallelism = 3
+	b.Detail.Rec = obs.NewCollector()
+	b.Detail.Workers = 3
+	b.VerifyWorkers = 3
+	ea := encode(t, a)
+	if eb := encode(t, b); ea != eb {
+		t.Errorf("encoding depends on observers or worker counts:\n%s\n%s", ea, eb)
 	}
 
 	c := a
 	c.Global.MaxExpansions = 7
-	fc, err := c.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
+	if encode(t, c) == ea {
+		t.Error("encodings of different configurations collide")
 	}
-	if bytes.Equal(fa, fc) {
-		t.Error("fingerprints of different configurations collide")
-	}
-}
-
-// TestParallelismKeepsExistingCacheKeys pins the cache-compatibility
-// contract of the Parallelism field: a spec that never sets it canonicalizes
-// to the zero-spec bytes below, which carry no trace of the field, so
-// sha256 keys of results cached without it stay valid. A non-zero value
-// must still be part of the encoding (the wire view carries it to jobs).
-func TestParallelismKeepsExistingCacheKeys(t *testing.T) {
-	legacy := `{"via":{"via_pitch":0,"boundary_step":0,"jitter_frac":0,"seed":0},` +
-		`"graph":{"via_cost":0,"naive_corner_capacity":false},` +
-		`"global":{"congestion_threshold":0,"max_order_rounds":0,"max_expansions":0,` +
-		`"disable_rudy_order":false,"disable_diagonal_refinement":false,"edge_use_per_net":0},` +
-		`"detail":{"candidates":0,"min_movable":0,"max_fit_iters":0,"skip_adjust":false},` +
-		`"time_budget_ms":0,"verify":""}`
-	got, err := (Options{}).Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != legacy {
-		t.Errorf("zero-spec canonical bytes changed:\n got %s\nwant %s", got, legacy)
-	}
-
-	withP, err := (Options{Parallelism: 4}).Fingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(withP, got) {
-		t.Error("Parallelism=4 not reflected in the canonical encoding")
-	}
-	if rt := (Options{Parallelism: 4}).Spec().Options(); rt.Parallelism != 4 {
-		t.Errorf("Parallelism lost in round trip: %+v", rt)
+	p := a
+	p.Parallelism = 4
+	if encode(t, p) == ea {
+		t.Error("Parallelism=4 not reflected in the encoding")
 	}
 }
 
@@ -126,19 +118,144 @@ func TestVerifyWorkersAlias(t *testing.T) {
 }
 
 func TestSpecValidateRejectsNegativeParallelism(t *testing.T) {
-	s := OptionsSpec{Parallelism: -1}
-	if err := s.Validate(); err == nil {
+	o := Options{Parallelism: -1}
+	if err := o.Validate(); err == nil {
 		t.Error("Validate accepted negative parallelism")
 	}
 }
 
 func TestOptionsSpecIsValidWireFormat(t *testing.T) {
-	var s OptionsSpec
-	if err := json.Unmarshal([]byte(`{"global": {"max_expansions": 9}, "time_budget_ms": 250}`), &s); err != nil {
+	var opt Options
+	if err := json.Unmarshal([]byte(`{"global": {"max_expansions": 9}, "time_budget_ms": 250}`), &opt); err != nil {
 		t.Fatal(err)
 	}
-	opt := s.Options()
 	if opt.Global.MaxExpansions != 9 || opt.TimeBudget != 250*time.Millisecond {
 		t.Errorf("decoded options wrong: %+v", opt)
 	}
+	// graph.via_cost: absent selects the default, any number is explicit
+	// and 0 means free vias.
+	if opt.Graph.ViaCost != nil {
+		t.Errorf("absent via_cost decoded as %v, want nil", *opt.Graph.ViaCost)
+	}
+	if err := json.Unmarshal([]byte(`{"graph": {"via_cost": 0}}`), &opt); err != nil {
+		t.Fatal(err)
+	}
+	if opt.Graph.ViaCost == nil || *opt.Graph.ViaCost != 0 {
+		t.Errorf("via_cost 0 decoded as %v, want an explicit 0", opt.Graph.ViaCost)
+	}
+	// Unknown fields are errors at every depth, under plain json.Unmarshal
+	// too.
+	for _, bad := range []string{`{"retries": 2}`, `{"detail": {"retries": 2}}`} {
+		if err := json.Unmarshal([]byte(bad), &opt); err == nil {
+			t.Errorf("decoded %s", bad)
+		}
+	}
+}
+
+// TestTimeBudgetRange pins the time budget's bounds: time_budget_ms must
+// be non-negative and convert to a time.Duration without overflowing, and
+// Validate rejects a negative TimeBudget from Go callers.
+func TestTimeBudgetRange(t *testing.T) {
+	var opt Options
+	if err := json.Unmarshal([]byte(`{"time_budget_ms": 9223372036854}`), &opt); err != nil {
+		t.Fatalf("largest budget rejected: %v", err)
+	}
+	if opt.TimeBudget != 9223372036854*time.Millisecond {
+		t.Errorf("largest budget decoded as %v", opt.TimeBudget)
+	}
+	for _, bad := range []string{`{"time_budget_ms": 9223372036855}`, `{"time_budget_ms": 9223372036854776}`, `{"time_budget_ms": -5}`} {
+		if err := json.Unmarshal([]byte(bad), &opt); err == nil {
+			t.Errorf("decoded %s as %v", bad, opt.TimeBudget)
+		}
+	}
+	neg := Options{TimeBudget: -time.Millisecond}
+	if err := neg.Validate(); err == nil {
+		t.Error("Validate accepted a negative time budget")
+	}
+}
+
+// wireName matches an explicit snake_case JSON field name.
+var wireName = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+
+// TestEveryOptionHasAWireName walks Options and every struct it reaches.
+// Each exported field needs an explicit snake_case JSON name, or a "-" tag,
+// which is kept for what observes or paces a run without changing its
+// result (recorders, callbacks, the ordering strategy object and worker
+// counts) and for TimeBudget, which MarshalJSON carries as time_budget_ms.
+func TestEveryOptionHasAWireName(t *testing.T) {
+	recorder := reflect.TypeOf((*obs.Recorder)(nil)).Elem()
+	strategy := reflect.TypeOf((*portfolio.Strategy)(nil)).Elem()
+	workerCount := map[string]bool{"Parallelism": true, "Workers": true, "VerifyWorkers": true}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			field := path + "." + f.Name
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if name == "-" {
+				if f.Type != recorder && f.Type != strategy && f.Type.Kind() != reflect.Func &&
+					!workerCount[f.Name] && field != "Options.TimeBudget" {
+					t.Errorf("%s is tagged \"-\" but is not a recorder, a callback, the strategy object or a worker count", field)
+				}
+				continue
+			}
+			if !wireName.MatchString(name) {
+				t.Errorf("%s has no explicit snake_case JSON name (tag %q)", field, f.Tag.Get("json"))
+			}
+			ft := f.Type
+			if ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			if ft.Kind() == reflect.Struct {
+				walk(field, ft)
+			}
+		}
+	}
+	walk("Options", reflect.TypeOf(Options{}))
+}
+
+// FuzzOptionsJSON checks that the JSON form is a fixed point after one
+// decode and Validate: bytes that decode and validate re-encode to options
+// that decode and validate to an equal value with an equal encoding, so a
+// cache key names exactly one run.
+func FuzzOptionsJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"via": {"seed": 1}, "graph": {}, "global": {"max_expansions": 123}, "detail": {}, "time_budget_ms": 2000}`,
+		`{"portfolio": ["netlen", "congestion", "netlen"], "ordering_profile": {"fail_weight": 3}}`,
+		`{"graph": {"via_cost": 0}}`,
+		`{"time_budget_ms": 9223372036854776}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var a Options
+		if json.Unmarshal(b, &a) != nil || a.Validate() != nil {
+			return
+		}
+		ea, err := json.Marshal(a)
+		if err != nil {
+			t.Fatalf("encode %+v: %v", a, err)
+		}
+		var c Options
+		if err := json.Unmarshal(ea, &c); err != nil {
+			t.Fatalf("decode %s: %v", ea, err)
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("validate %s: %v", ea, err)
+		}
+		if !reflect.DeepEqual(a, c) {
+			t.Fatalf("round trip changed options:\n got %+v\nwant %+v", c, a)
+		}
+		ec, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ea, ec) {
+			t.Fatalf("encodings differ:\n%s\n%s", ea, ec)
+		}
+	})
 }

@@ -99,10 +99,10 @@ func benchThroughput(b *testing.B, d *design.Design, workers int, mode string) {
 	})
 	defer e.Close()
 
-	spec := router.OptionsSpec{}
+	var opt router.Options
 	if mode == "cachehit" {
 		// Prime the cache so every measured submission hits.
-		j, err := e.Submit(Request{Design: d, Spec: spec})
+		j, err := e.Submit(Request{Design: d, Options: opt})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,9 +118,9 @@ func benchThroughput(b *testing.B, d *design.Design, workers int, mode string) {
 		if mode == "cold" {
 			// A distinct via-plan seed gives every job a distinct cache
 			// key over the same design — the cold path of a sweep.
-			spec.Via.Seed = int64(i + 1)
+			opt.Via.Seed = int64(i + 1)
 		}
-		j, err := e.Submit(Request{Design: d, Spec: spec})
+		j, err := e.Submit(Request{Design: d, Options: opt})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"encoding/json"
 	"testing"
 
+	"rdlroute/internal/global"
 	"rdlroute/internal/router"
 )
 
@@ -96,12 +98,20 @@ func TestQueuePriorityAndBounds(t *testing.T) {
 }
 
 func TestKeyStability(t *testing.T) {
-	var spec router.OptionsSpec
-	k1, err := Key(testDesign(1), spec)
+	encode := func(o router.Options) []byte {
+		t.Helper()
+		b, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	opt := encode(router.Options{})
+	k1, err := Key(testDesign(1), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := Key(testDesign(1), spec)
+	k2, err := Key(testDesign(1), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestKeyStability(t *testing.T) {
 		t.Errorf("key length %d, want 64 hex chars", len(k1))
 	}
 
-	k3, err := Key(testDesign(2), spec)
+	k3, err := Key(testDesign(2), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +130,7 @@ func TestKeyStability(t *testing.T) {
 		t.Error("different designs produced the same key")
 	}
 
-	spec.Global.MaxExpansions = 10
-	k4, err := Key(testDesign(1), spec)
+	k4, err := Key(testDesign(1), encode(router.Options{Global: global.Options{MaxExpansions: 10}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,21 +6,16 @@ import (
 	"encoding/hex"
 
 	"rdlroute/internal/design"
-	"rdlroute/internal/router"
 )
 
 // Key returns the content-addressed cache key of a routing request: a
-// sha256 over the canonical JSON of the design and of the options spec,
-// each length-prefixed so the concatenation is unambiguous. Two requests
-// share a key exactly when they describe the same routing problem under the
-// same deterministic configuration — recorders and callbacks are excluded
-// by construction (see router.OptionsSpec).
-func Key(d *design.Design, spec router.OptionsSpec) (string, error) {
+// sha256 over the canonical JSON of the design and over the JSON encoding
+// of the validated router.Options, each length-prefixed so the
+// concatenation is unambiguous. Two requests share a key exactly when they
+// describe the same routing problem under the same configuration; the
+// options' encoding leaves out recorders and callbacks by construction.
+func Key(d *design.Design, options []byte) (string, error) {
 	db, err := d.CanonicalJSON()
-	if err != nil {
-		return "", err
-	}
-	ob, err := spec.Canonical()
 	if err != nil {
 		return "", err
 	}
@@ -29,8 +24,8 @@ func Key(d *design.Design, spec router.OptionsSpec) (string, error) {
 	binary.LittleEndian.PutUint64(n[:], uint64(len(db)))
 	h.Write(n[:])
 	h.Write(db)
-	binary.LittleEndian.PutUint64(n[:], uint64(len(ob)))
+	binary.LittleEndian.PutUint64(n[:], uint64(len(options)))
 	h.Write(n[:])
-	h.Write(ob)
+	h.Write(options)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

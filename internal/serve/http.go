@@ -56,9 +56,9 @@ func (e *Engine) instrument(next http.Handler) http.Handler {
 // submitRequest is the POST /v1/jobs body. Unknown fields are rejected:
 // a misspelled "options" must not silently route with defaults.
 type submitRequest struct {
-	Design   json.RawMessage    `json:"design"`
-	Options  router.OptionsSpec `json:"options"`
-	Priority string             `json:"priority"`
+	Design   json.RawMessage `json:"design"`
+	Options  router.Options  `json:"options"`
+	Priority string          `json:"priority"`
 	// Verify is the verification gate mode ("off", "warn" or "strict"), a
 	// top-level shorthand for options.verify; when set it wins over the
 	// options field. Strict jobs whose results fail verification finish in
@@ -129,7 +129,7 @@ func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req.Options.Portfolio = req.Portfolio
 	}
 
-	j, err := e.Submit(Request{Design: d, Spec: req.Options, Priority: prio})
+	j, err := e.Submit(Request{Design: d, Options: req.Options, Priority: prio})
 	if err != nil {
 		httpError(w, submitStatusCode(err), err)
 		return

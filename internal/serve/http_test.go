@@ -117,6 +117,10 @@ func TestHTTPBadRequests(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(e))
 	defer ts.Close()
 
+	dj, _ := json.Marshal(testDesign(1))
+	withOptions := func(options string) string {
+		return fmt.Sprintf(`{"design": %s, "options": %s}`, dj, options)
+	}
 	cases := []struct {
 		name string
 		body string
@@ -127,6 +131,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown field", `{"design": {}, "optoins": {}}`, http.StatusBadRequest},
 		{"invalid design", `{"design": {"Name": "x"}}`, http.StatusBadRequest},
 		{"bad priority", `{"design": {"Name": "x"}, "priority": "urgent"}`, http.StatusBadRequest},
+		{"nested unknown option", withOptions(`{"detail": {"retries": 2}}`), http.StatusBadRequest},
+		{"negative budget", withOptions(`{"time_budget_ms": -5}`), http.StatusBadRequest},
+		{"overflowing budget", withOptions(`{"time_budget_ms": 9223372036854776}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -262,6 +269,45 @@ func TestHTTPOptionsRoundTrip(t *testing.T) {
 	}
 	if got := gotBudget.String(); got != "2s;123" {
 		t.Errorf("router saw %q, want \"2s;123\"", got)
+	}
+}
+
+// TestHTTPEquivalentOptionsShareAKey pins that options which route
+// identically get one cache key: ordering "rudy" is the default ordering,
+// and an ordering profile counts only where the congestion strategy reads
+// it.
+func TestHTTPEquivalentOptionsShareAKey(t *testing.T) {
+	e := New(Config{Workers: 1, Route: stubRoute(nil)})
+	defer e.Close()
+	ts := httptest.NewServer(NewHandler(e))
+	defer ts.Close()
+
+	dj, _ := json.Marshal(testDesign(1))
+	key := func(options string) string {
+		t.Helper()
+		body := fmt.Sprintf(`{"design": %s, "options": %s}`, dj, options)
+		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("options %s: code = %d", options, resp.StatusCode)
+		}
+		var sr submitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+			t.Fatal(err)
+		}
+		return sr.Key
+	}
+	if key(`{}`) != key(`{"ordering": "rudy"}`) {
+		t.Error(`ordering "rudy" and no ordering get different keys`)
+	}
+	if key(`{"ordering": "netlen"}`) != key(`{"ordering": "netlen", "ordering_profile": {"fail_weight": 3}}`) {
+		t.Error("a profile the netlen ordering never reads splits the key")
+	}
+	if key(`{"ordering": "congestion"}`) == key(`{"ordering": "congestion", "ordering_profile": {"fail_weight": 3}}`) {
+		t.Error("the congestion strategy's profile is not part of the key")
 	}
 }
 

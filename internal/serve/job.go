@@ -77,7 +77,7 @@ type Job struct {
 	key      string
 	priority Priority
 	d        *design.Design
-	spec     router.OptionsSpec
+	opt      router.Options
 
 	// collect receives this job's pipeline events; the worker fans it
 	// together with the engine-wide sinks into the run's recorder.

@@ -25,6 +25,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -107,8 +108,11 @@ type Request struct {
 	// Design is the problem to route. Submit validates it; the serving
 	// layer treats it as immutable afterwards.
 	Design *design.Design
-	// Spec is the deterministic router configuration (zero = defaults).
-	Spec router.OptionsSpec
+	// Options is the router configuration (zero = defaults). Submit routes
+	// what its JSON encoding says, so recorders, callbacks, Global.Order
+	// and the stage worker counts do not reach the run, and TimeBudget
+	// counts whole milliseconds.
+	Options router.Options
 	// Priority orders the job against other queued work.
 	Priority Priority
 }
@@ -184,12 +188,22 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 	if err := req.Design.Validate(); err != nil {
 		return nil, err
 	}
-	// Normalizes enum aliases (verify "off" → "") so equivalent requests
-	// share a cache key, and rejects unknown modes before queueing.
-	if err := req.Spec.Validate(); err != nil {
+	// Validate normalizes values that route identically (verify "off" →
+	// "", …) so equivalent requests share a cache key, and rejects bad ones
+	// before queueing. The job then routes the options decoded from the
+	// bytes it is keyed on, so the key describes every run it names.
+	opt := req.Options
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	key, err := Key(req.Design, req.Spec)
+	ob, err := json.Marshal(opt)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encode options: %w", err)
+	}
+	if err := json.Unmarshal(ob, &opt); err != nil {
+		return nil, fmt.Errorf("serve: decode options: %w", err)
+	}
+	key, err := Key(req.Design, ob)
 	if err != nil {
 		return nil, fmt.Errorf("serve: cache key: %w", err)
 	}
@@ -209,7 +223,7 @@ func (e *Engine) Submit(req Request) (*Job, error) {
 		key:      key,
 		priority: req.Priority,
 		d:        req.Design,
-		spec:     req.Spec,
+		opt:      opt,
 		collect:  obs.NewCollector(),
 		ctx:      jctx,
 		cancel:   jcancel,
@@ -305,7 +319,7 @@ func (e *Engine) worker() {
 }
 
 func (e *Engine) runJob(j *Job) {
-	opt := j.spec.Options()
+	opt := j.opt
 	if opt.TimeBudget <= 0 {
 		opt.TimeBudget = e.cfg.DefaultTimeBudget
 	}
@@ -315,6 +329,8 @@ func (e *Engine) runJob(j *Job) {
 	opt.Rec = obs.Multi(j.collect, e.rec)
 
 	out, err := e.cfg.Route(j.ctx, j.d, opt)
+	// Each branch counts the outcome before finish wakes the job's
+	// waiters, so a caller that saw the job end also sees it counted.
 	switch {
 	case err == nil:
 		// Deterministic, complete-or-timed-out result. Only runs the
@@ -325,17 +341,17 @@ func (e *Engine) runJob(j *Job) {
 				e.rec.Count(CtrCacheEvict, int64(ev))
 			}
 		}
-		j.finish(out, nil, StateDone)
 		e.rec.Count(CtrCompleted, 1)
+		j.finish(out, nil, StateDone)
 	case errors.Is(err, context.Canceled), errors.Is(err, ErrCancelled):
-		j.finish(out, ErrCancelled, StateCancelled)
 		e.rec.Count(CtrCancelled, 1)
+		j.finish(out, ErrCancelled, StateCancelled)
 	default:
-		j.finish(out, err, StateFailed)
 		e.rec.Count(CtrFailed, 1)
 		if errors.Is(err, router.ErrVerifyFailed) {
 			e.rec.Count(CtrVerifyFailed, 1)
 		}
+		j.finish(out, err, StateFailed)
 	}
 }
 

@@ -1,15 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
+	"rdlroute/internal/obs"
+	"rdlroute/internal/portfolio"
 	"rdlroute/internal/router"
 )
 
@@ -422,6 +427,65 @@ func TestEndToEndRealRouter(t *testing.T) {
 	}
 	if *st1.Metrics != *st2.Metrics {
 		t.Errorf("metrics differ across cache hit:\n first %+v\nsecond %+v", st1.Metrics, st2.Metrics)
+	}
+}
+
+// TestSubmitRoutesWhatTheKeyDescribes submits dense1 twice, the second
+// time with a strategy object, a recorder and a callback in its options.
+// Both jobs get the same key and the same route, because a job routes the
+// options decoded from the bytes it is keyed on. netlen orders dense1
+// differently from the default RUDY order, so a Global.Order that reached
+// the run would show in the route.
+func TestSubmitRoutesWhatTheKeyDescribes(t *testing.T) {
+	d, err := design.GenerateDense("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workers: 1, CacheEntries: -1})
+	defer e.Close()
+	route := func(opt router.Options) (string, *router.Output) {
+		t.Helper()
+		j, err := e.Submit(Request{Design: d, Options: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		out, err := j.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.Key(), out
+	}
+
+	rec := obs.NewCollector()
+	var called atomic.Bool
+	var loaded router.Options
+	loaded.Global.Order = portfolio.NetLen{}
+	loaded.Global.AfterEachNet = func(int) { called.Store(true) }
+	loaded.Rec = rec
+	ka, a := route(router.Options{})
+	kb, b := route(loaded)
+	if ka != kb {
+		t.Errorf("observers and the strategy object split the key: %s vs %s", ka, kb)
+	}
+	ra, err := json.Marshal(a.DetailResult.Routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := json.Marshal(b.DetailResult.Routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ra, rb) {
+		t.Errorf("same key, different routes: wirelength %v vs %v", a.Metrics.Wirelength, b.Metrics.Wirelength)
+	}
+	if called.Load() {
+		t.Error("the AfterEachNet callback reached the run")
+	}
+	if n := len(rec.StageSeconds()); n != 0 {
+		t.Errorf("the request's recorder saw %d stages", n)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestVerifyStrictJobFailsAndCounts(t *testing.T) {
 	e := New(Config{Workers: 1, Route: stubVerifyRoute()})
 	defer e.Close()
 
-	j, err := e.Submit(Request{Design: testDesign(1), Spec: router.OptionsSpec{Verify: router.VerifyStrict}})
+	j, err := e.Submit(Request{Design: testDesign(1), Options: router.Options{Verify: router.VerifyStrict}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestVerifyStrictJobFailsAndCounts(t *testing.T) {
 	}
 
 	// Warn mode: same findings, but the job completes.
-	j, err = e.Submit(Request{Design: testDesign(1), Spec: router.OptionsSpec{Verify: router.VerifyWarn}})
+	j, err = e.Submit(Request{Design: testDesign(1), Options: router.Options{Verify: router.VerifyWarn}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestVerifyModeNormalizedForCacheKey(t *testing.T) {
 	e := New(Config{Workers: 1, Route: stubRoute(nil)})
 	defer e.Close()
 
-	a, err := e.Submit(Request{Design: testDesign(2), Spec: router.OptionsSpec{Verify: "off"}})
+	a, err := e.Submit(Request{Design: testDesign(2), Options: router.Options{Verify: "off"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestVerifyModeNormalizedForCacheKey(t *testing.T) {
 	if a.Key() != b.Key() {
 		t.Errorf("verify \"off\" and zero spec hash differently: %s vs %s", a.Key(), b.Key())
 	}
-	if _, err := e.Submit(Request{Design: testDesign(2), Spec: router.OptionsSpec{Verify: "bogus"}}); err == nil {
+	if _, err := e.Submit(Request{Design: testDesign(2), Options: router.Options{Verify: "bogus"}}); err == nil {
 		t.Error("unknown verify mode accepted")
 	}
 }

@@ -325,7 +325,7 @@ type viaRef struct {
 // via layer closer than w_v + w_s.
 func viaViaUnit(d *design.Design, vias []viaRef, lo, hi int) []Problem {
 	var out []Problem
-	viaClear := d.Rules.ViaWidth + d.Rules.MinSpacing
+	viaClear := d.Rules.ViaViaClearance()
 	for i := lo; i < hi; i++ {
 		for j := i + 1; j < len(vias); j++ {
 			if d.SameGroup(vias[i].net, vias[j].net) {
@@ -357,7 +357,7 @@ func viaWireUnit(d *design.Design, vias []viaRef, lo, hi int,
 				if d.SameGroup(rl.Net, v.net) {
 					continue
 				}
-				limit := d.Rules.ViaWidth/2 + d.Rules.MinSpacing + d.WidthOf(rl.Net)/2
+				limit := d.Rules.ViaWireClearance(d.WidthOf(rl.Net))
 				dd, _ := rl.Pl.DistToPoint(v.pos)
 				if dd < limit-1e-9 {
 					out = append(out, Problem{

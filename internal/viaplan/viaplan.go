@@ -86,26 +86,26 @@ type Plan struct {
 type Options struct {
 	// ViaPitch is the lattice spacing of candidate via sites in µm. Zero
 	// selects a default derived from the design rules.
-	ViaPitch float64
+	ViaPitch float64 `json:"via_pitch"`
 	// BoundaryStep is the spacing of outline dummy points in µm. Zero
 	// selects 2× ViaPitch.
-	BoundaryStep float64
+	BoundaryStep float64 `json:"boundary_step"`
 	// JitterFrac randomly (but deterministically) perturbs lattice sites by
 	// this fraction of the pitch, breaking the exact cocircularities of a
 	// perfect lattice. Zero selects 0.15.
-	JitterFrac float64
+	JitterFrac float64 `json:"jitter_frac"`
 	// Seed drives the deterministic jitter.
-	Seed int64
+	Seed int64 `json:"seed"`
 	// ViaCost biases the candidate lattice density toward the router's via
-	// objective, using the flat wire encoding of rgraph.ViaCostValue: 0
-	// leaves the default pitch untouched, a positive value is the explicit
-	// cross-via cost (pricier vias thin the lattice), and a negative value
-	// means free vias (densest lattice). Ignored when ViaPitch is set
-	// explicitly.
-	ViaCost float64
+	// objective: 0 leaves the default pitch untouched, a positive value is
+	// the explicit cross-via cost (pricier vias thin the lattice), and a
+	// negative value means free vias (densest lattice). router.Route fills
+	// an unset value from the graph's via cost through rgraph.ViaCostValue.
+	// Ignored when ViaPitch is set explicitly.
+	ViaCost float64 `json:"via_cost"`
 	// Rec receives the stage's size counters. Nil selects the no-op
 	// recorder.
-	Rec obs.Recorder
+	Rec obs.Recorder `json:"-"`
 }
 
 func (o Options) withDefaults(rules design.Rules) Options {
@@ -168,7 +168,7 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 		p.Layers[i].Index = i
 	}
 
-	clearance := d.Rules.ViaWidth + d.Rules.MinSpacing
+	clearance := d.Rules.ViaViaClearance()
 	//rdl:allow detrand jitter RNG is seeded from Options.Seed: identical design+options give an identical via lattice
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
 
