@@ -19,16 +19,16 @@ tier2: lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Focused race gate over the concurrency-bearing packages: the parallel
-# DRC/verify engines, tile routing and layer-reassignment pass of the
-# detail stage, the global router's ordering-seed pool, the
-# ordering-strategy portfolio racer, the pipeline facade's Parallelism
-# propagation (including the via-accounting differential across
-# Parallelism 1/2/4/8) and the serving layer. Faster than a full tier2
-# run.
+# Focused race gate over the concurrency-bearing packages: the per-layer
+# routing-graph build, the parallel DRC/verify engines, tile routing and
+# layer-reassignment pass of the detail stage, the global router's
+# ordering-seed pool, the ordering-strategy portfolio racer, the pipeline
+# facade's Parallelism propagation (including the via-accounting
+# differential across Parallelism 1/2/4/8) and the serving layer. Faster
+# than a full tier2 run.
 race-gate: lint lint-escape
 	$(GO) vet ./...
-	$(GO) test -race ./internal/detail/ ./internal/global/ ./internal/verify/ ./internal/serve/ ./internal/router/ ./internal/portfolio/
+	$(GO) test -race ./internal/rgraph/ ./internal/detail/ ./internal/global/ ./internal/verify/ ./internal/serve/ ./internal/router/ ./internal/portfolio/
 
 # Domain-specific static analysis (internal/lint): determinism, map
 # iteration, float equality, sanctioned concurrency and the //rdl:noalloc

@@ -178,33 +178,6 @@ func BenchmarkAblationDiagonal(b *testing.B) {
 	})
 }
 
-// BenchmarkStageBreakdown reports the per-stage wall-clock of the full
-// pipeline as extra metrics (viaplan_ms, rgraph_ms, global_ms, detail_ms,
-// drc_ms) next to ns/op, using the obs.Collector breakdown that RunOurs
-// attaches to every run.
-func BenchmarkStageBreakdown(b *testing.B) {
-	for _, name := range smallCases {
-		b.Run(name, func(b *testing.B) {
-			stageTotals := map[string]float64{}
-			for i := 0; i < b.N; i++ {
-				r, err := bench.RunOurs(context.Background(), name, benchBudget)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for stage, sec := range r.StageSeconds {
-					stageTotals[stage] += sec
-				}
-				if r.Counters["global.astar.expansions"] == 0 {
-					b.Fatal("stage breakdown lost the A* expansion counter")
-				}
-			}
-			for _, stage := range []string{"viaplan", "rgraph", "global", "detail", "drc"} {
-				b.ReportMetric(stageTotals[stage]*1000/float64(b.N), stage+"_ms")
-			}
-		})
-	}
-}
-
 // Baseline micro-benchmarks used by the runtime columns.
 
 func BenchmarkXarchOctilinearize(b *testing.B) {

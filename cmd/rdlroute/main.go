@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		tracePath  = fs.String("trace", "", "write a JSON-lines event trace (spans, counters, progress) to this file")
 		progress   = fs.Bool("progress", false, "print live per-stage progress to stderr")
 		strict     = fs.Bool("strict", false, "fail with exit code 3 on timeout, 4 on unrouted nets")
-		workers    = fs.Int("workers", 0, "pipeline parallelism: worker-pool size for global/detail/DRC/verify (0 = GOMAXPROCS capped at 8, 1 = serial); output is identical for every value")
+		workers    = fs.Int("workers", 0, "pipeline parallelism: worker-pool size for the graph build and global/detail/DRC/verify; via planning stays serial (0 = GOMAXPROCS capped at 8, 1 = serial); output is identical for every value")
 		viaCost    = fs.Float64("viacost", 0, "via cost in µm of equivalent wirelength: 0 = default (4×ViaWidth), negative = free vias")
 		ordering   = fs.String("ordering", "", "net-ordering strategy: rudy, netlen or congestion (empty = rudy)")
 		portfolioF = fs.String("portfolio", "", "comma-separated strategies raced as independent route attempts; the best result wins (e.g. rudy,netlen,congestion)")

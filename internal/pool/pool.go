@@ -1,9 +1,11 @@
 // Package pool provides the routing stack's one sanctioned concurrency
 // primitive: a deterministic fan-out over a fixed list of work units.
 //
-// Every parallel stage in the pipeline — the DRC engine, tile routing,
-// route assembly, the verify gate and the global router's standalone
-// ordering seeds — must schedule its goroutines through Run. Unit
+// Every parallel stage in the pipeline — the routing-graph build (one unit
+// per wire layer), the DRC engine, tile routing, route assembly, the verify
+// gate and the global router's standalone ordering seeds — must schedule
+// its goroutines through Run. Via planning stays serial: its jitter RNG is
+// sequential. Unit
 // boundaries are fixed by the caller and every result lands at its own
 // unit's index, so any pool size (including the serial workers<=1 path)
 // produces byte-identical output; only the scheduling varies. The
@@ -22,9 +24,9 @@ import (
 // convention: a positive request is taken as-is, anything else selects
 // GOMAXPROCS capped at 8 (routing stages are CPU-bound and stop scaling
 // well past that). Every stage that exposes a Workers/Parallelism knob —
-// detail routing, DRC, the verify gate and the global router's ordering
-// seeds — resolves it through this one function, so
-// "zero means auto" cannot drift between stages again.
+// the routing-graph build, detail routing, DRC, the verify gate and the
+// global router's ordering seeds — resolves it through this one function,
+// so "zero means auto" cannot drift between stages again.
 func Default(requested int) int {
 	if requested > 0 {
 		return requested

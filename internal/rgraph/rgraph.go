@@ -13,6 +13,7 @@ import (
 	"rdlroute/internal/dt"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/obs"
+	"rdlroute/internal/pool"
 	"rdlroute/internal/viaplan"
 )
 
@@ -160,8 +161,13 @@ type Options struct {
 	// two edge nodes. Used by the ablation benchmarks: this is the
 	// overestimate of Fig. 6(a) that causes corner spacing violations.
 	NaiveCornerCapacity bool `json:"naive_corner_capacity"`
-	// Rec receives the stage's size counters. Nil selects the no-op
-	// recorder.
+	// Workers is the worker-pool size for triangulating and assembling the
+	// wire layers, one unit per layer. Zero or negative selects GOMAXPROCS
+	// capped at 8; 1 builds serially. The graph is identical for every
+	// value. router.Route fills it from Options.Parallelism.
+	Workers int `json:"-"`
+	// Rec receives the stage's spans and size counters. Nil selects the
+	// no-op recorder.
 	Rec obs.Recorder `json:"-"`
 }
 
@@ -226,8 +232,16 @@ func CornerCapacity(v, a, b geom.Point, rules design.Rules) int {
 // IDs run layer by layer: a layer's via nodes in mesh-vertex order, then its
 // edge nodes in mesh-edge order. Link IDs run the cross-via links in plan
 // order, then every layer's tiles in triangle order.
+//
+// The wire layers are built on a pool of Options.Workers in two phases, one
+// unit per layer. Phase 1 triangulates the layer and decides which of its
+// access-via links exist, which fixes every layer's first node and link ID.
+// Phase 2 writes the layer's nodes and tile links at those IDs into arrays
+// allocated once. The pin map, the cross-via links and the adjacency lists
+// follow serially, so the graph is identical for every worker count.
 func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 	rec := obs.Or(opt.Rec)
+	workers := pool.Default(opt.Workers)
 	g := &Graph{
 		Design:  d,
 		Plan:    plan,
@@ -236,40 +250,50 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		Opt:     opt,
 	}
 
-	// Triangulate every layer first, so nodes and links are sized once.
-	nodes, tris := 0, 0
-	for li, lp := range plan.Layers {
-		span := obs.StartSpan(rec, "rgraph.dt")
-		pts := make([]geom.Point, len(lp.Verts))
-		for i, v := range lp.Verts {
-			pts[i] = v.Pos
+	// Phase 1: triangulate each layer and pick its access-via links.
+	triangulate := make([]func() layerSlots, len(g.Layers))
+	for li := range triangulate {
+		triangulate[li] = func() layerSlots { return g.triangulateLayer(li, rec) }
+	}
+	slots := pool.Run(triangulate, workers)
+	nVias := len(plan.Vias)
+	nodes, links := 0, nVias
+	for li, sl := range slots {
+		if sl.err != nil {
+			return nil, fmt.Errorf("rgraph: layer %d: %w", li, sl.err)
 		}
-		mesh, err := dt.Triangulate(pts)
-		span.End()
-		if err != nil {
-			return nil, fmt.Errorf("rgraph: layer %d: %w", li, err)
-		}
-		g.Layers[li] = LayerGraph{Index: li, Mesh: mesh}
+		slots[li].firstNode, slots[li].firstLink = nodes, links
+		mesh := g.Layers[li].Mesh
 		nodes += len(mesh.Points) + len(mesh.Edges())
-		tris += len(mesh.Tris)
+		links += sl.links
 	}
 
-	span := obs.StartSpan(rec, "rgraph.nodes")
-	g.Nodes = make([]Node, 0, nodes)
-	// viaNode[layer·len(plan.Vias) + via ID] is the via's node on a wire
-	// layer, or Invalid.
-	viaNode := make([]NodeID, len(plan.Layers)*len(plan.Vias))
+	// Phase 2: each layer's nodes and tile links at their final IDs.
+	g.Nodes = make([]Node, nodes)
+	g.Links = make([]Link, links)
+	// viaNode[layer·nVias + via ID] is the via's node on a wire layer, or
+	// Invalid. Each layer writes only its own stretch.
+	viaNode := make([]NodeID, len(plan.Layers)*nVias)
 	for i := range viaNode {
 		viaNode[i] = Invalid
 	}
 	padNetCount := d.PadNetCount()
-	for li := range g.Layers {
-		g.addLayerNodes(li, plan.Layers[li].Verts, padNetCount, viaNode)
+	build := make([]func() struct{}, len(g.Layers))
+	for li := range build {
+		build[li] = func() struct{} {
+			span := obs.StartSpan(rec, "rgraph.nodes")
+			g.addLayerNodes(li, slots[li].firstNode, padNetCount, viaNode)
+			span.End()
+			span = obs.StartSpan(rec, "rgraph.links")
+			g.addTileLinks(li, slots[li])
+			span.End()
+			return struct{}{}
+		}
 	}
-	span.End()
+	pool.Run(build, workers)
 
-	span = obs.StartSpan(rec, "rgraph.links")
-	err := g.addLinks(viaNode, tris)
+	span := obs.StartSpan(rec, "rgraph.adj")
+	err := g.finishLinks(viaNode)
 	span.End()
 	if err != nil {
 		return nil, err
@@ -283,20 +307,80 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 	return g, nil
 }
 
-// addLayerNodes appends one layer's via nodes, one per mesh vertex, then its
-// edge nodes, one per mesh edge. A pin's via capacity is the number of
-// subnets terminating at it (multi-pin groups share pads).
-func (g *Graph) addLayerNodes(li int, verts []viaplan.Vertex, padNetCount []int, viaNode []NodeID) {
+// layerSlots is phase 1's result for one layer: which access-via links its
+// tiles get and its tile-link count, or the triangulation error. Build adds
+// the layer's first node and link IDs.
+type layerSlots struct {
+	// access[ti] has bit i set when corner i of triangle ti gets the
+	// access-via link to its opposite edge.
+	access               []uint8
+	links                int
+	err                  error
+	firstNode, firstLink int
+}
+
+// triangulateLayer triangulates wire layer li, aligns the vertex metadata
+// with the (deduplicated) mesh vertex set, and picks the layer's access-via
+// links. With three cross-tile links per tile, they give the layer's
+// tile-link count.
+func (g *Graph) triangulateLayer(li int, rec obs.Recorder) layerSlots {
+	verts := g.Plan.Layers[li].Verts
+	span := obs.StartSpan(rec, "rgraph.dt")
+	pts := make([]geom.Point, len(verts))
+	for i, v := range verts {
+		pts[i] = v.Pos
+	}
+	mesh, err := dt.Triangulate(pts)
+	span.End()
+	if err != nil {
+		return layerSlots{err: err}
+	}
+	lg := &g.Layers[li]
+	*lg = LayerGraph{Index: li, Mesh: mesh, Verts: make([]viaplan.Vertex, len(mesh.Points))}
+	for in, vi := range mesh.InputVertex {
+		lg.Verts[vi] = verts[in]
+	}
+
+	// Each corner gets an access-via link to the midpoint of the opposite
+	// edge (the edge node's position), except that bumps and dummies carry
+	// no via access and a chord that would carry the wire through an
+	// in-tile keep-out is left out (cap 0 would not stop the search, since
+	// links use their own capacity). Only a layer with keep-outs needs the
+	// chord test.
+	d := g.Design
+	keepOuts := len(d.ObstaclesOnLayer(li)) > 0
+	clearance := d.Rules.Pitch()
+	edges := mesh.Edges()
+	sl := layerSlots{access: make([]uint8, len(mesh.Tris)), links: 3 * len(mesh.Tris)}
+	for ti, tri := range mesh.Tris {
+		for i := 0; i < 3; i++ {
+			if k := lg.Verts[tri.V[i]].Kind; k != viaplan.KindVia && k != viaplan.KindPin {
+				continue
+			}
+			if keepOuts {
+				opp := edges[mesh.TriEdge(ti, (i+1)%3)] // edge (i+1, i+2) is opposite corner i
+				mid := geom.Mid(mesh.Points[opp.A], mesh.Points[opp.B])
+				if d.SegmentBlocked(geom.Seg(mesh.Points[tri.V[i]], mid), li, clearance) {
+					continue
+				}
+			}
+			sl.access[ti] |= 1 << i
+			sl.links++
+		}
+	}
+	return sl
+}
+
+// addLayerNodes writes layer li's via nodes, one per mesh vertex, then its
+// edge nodes, one per mesh edge, from node ID first on. A pin's via
+// capacity is the number of subnets terminating at it (multi-pin groups
+// share pads).
+func (g *Graph) addLayerNodes(li, first int, padNetCount []int, viaNode []NodeID) {
 	d := g.Design
 	lg := &g.Layers[li]
 	mesh := lg.Mesh
 	nVias := len(g.Plan.Vias)
-
-	// Align vertex metadata with the (deduplicated) mesh vertex set.
-	lg.Verts = make([]viaplan.Vertex, len(mesh.Points))
-	for in, vi := range mesh.InputVertex {
-		lg.Verts[vi] = verts[in]
-	}
+	nodes := g.Nodes[first : first+len(mesh.Points)+len(mesh.Edges())]
 
 	lg.VertNode = make([]NodeID, len(mesh.Points))
 	for vi := range mesh.Points {
@@ -311,8 +395,7 @@ func (g *Graph) addLayerNodes(li int, verts []viaplan.Vertex, padNetCount []int,
 				capv = 1
 			}
 		}
-		id := NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{
+		nodes[vi] = Node{
 			Kind:     ViaNode,
 			Layer:    li,
 			Pos:      mesh.Points[vi],
@@ -320,11 +403,9 @@ func (g *Graph) addLayerNodes(li int, verts []viaplan.Vertex, padNetCount []int,
 			VertKind: meta.Kind,
 			Ref:      meta.Ref,
 			Vert:     vi,
-		})
-		lg.VertNode[vi] = id
-		if meta.Kind == viaplan.KindPin {
-			g.PinNode[meta.Ref] = id
 		}
+		id := NodeID(first + vi)
+		lg.VertNode[vi] = id
 		if meta.Kind == viaplan.KindVia && meta.Ref >= 0 && meta.Ref < nVias {
 			viaNode[li*nVias+meta.Ref] = id
 		}
@@ -353,8 +434,9 @@ func (g *Graph) addLayerNodes(li int, verts []viaplan.Vertex, padNetCount []int,
 				capE = 0
 			}
 		}
-		lg.EdgeNode[ei] = NodeID(len(g.Nodes))
-		g.Nodes = append(g.Nodes, Node{
+		k := len(mesh.Points) + ei
+		lg.EdgeNode[ei] = NodeID(first + k)
+		nodes[k] = Node{
 			Kind:  EdgeNode,
 			Layer: li,
 			Pos:   geom.Mid(a, b),
@@ -362,26 +444,84 @@ func (g *Graph) addLayerNodes(li int, verts []viaplan.Vertex, padNetCount []int,
 			Edge:  e,
 			EndA:  a,
 			EndB:  b,
-		})
+		}
 	}
 }
 
-// addLinks appends the cross-via links and every tile's access-via and
-// cross-tile links, then builds the adjacency lists. tris is the triangle
-// count over all layers.
-func (g *Graph) addLinks(viaNode []NodeID, tris int) error {
+// addTileLinks builds layer li's tiles and writes their access-via and
+// cross-tile links, in triangle order, into the layer's link slots.
+func (g *Graph) addTileLinks(li int, sl layerSlots) {
 	d := g.Design
-	nVias := len(g.Plan.Vias)
-	g.Links = make([]Link, 0, nVias+6*tris)
+	lg := &g.Layers[li]
+	mesh := lg.Mesh
+	links := g.Links[sl.firstLink : sl.firstLink+sl.links : sl.firstLink+sl.links]
+	k := 0
 	addLink := func(l Link) int {
-		l.ID = len(g.Links)
-		g.Links = append(g.Links, l)
+		l.ID = sl.firstLink + k
+		links[k] = l
+		k++
 		return l.ID
 	}
 
-	// Cross-via links: the two nodes of each candidate via.
-	viaCost := g.Opt.ResolvedViaCost(d.Rules)
-	for _, v := range g.Plan.Vias {
+	clearance := d.Rules.Pitch()
+	lg.Tiles = make([]Tile, len(mesh.Tris))
+	for ti, tri := range mesh.Tris {
+		t := Tile{Layer: li, Tri: ti, Verts: tri.V}
+		for i := 0; i < 3; i++ {
+			t.ViaNodes[i] = lg.VertNode[tri.V[i]]
+			t.EdgeNodes[i] = lg.EdgeNode[mesh.TriEdge(ti, i)]
+		}
+		// Access-via: each corner phase 1 admitted to the opposite edge node.
+		for i := 0; i < 3; i++ {
+			if sl.access[ti]&(1<<i) == 0 {
+				continue
+			}
+			vn, opp := t.ViaNodes[i], t.EdgeNodes[(i+1)%3]
+			addLink(Link{Kind: AccessVia, A: vn, B: opp, Cap: 1,
+				Layer: li, Tile: ti, Corner: tri.V[i],
+				Len: g.Nodes[vn].Pos.Dist(g.Nodes[opp].Pos)})
+		}
+		// Cross-tile: around each corner i, connecting the two incident
+		// edges, Edges[(i+2)%3] (joins i-1, i) and Edges[i] (joins i, i+1).
+		for i := 0; i < 3; i++ {
+			ea := t.EdgeNodes[(i+2)%3]
+			eb := t.EdgeNodes[i]
+			v := mesh.Points[tri.V[i]]
+			a := mesh.Points[tri.V[(i+1)%3]]
+			b := mesh.Points[tri.V[(i+2)%3]]
+			var capc int
+			if g.Opt.NaiveCornerCapacity {
+				capc = min(g.Nodes[ea].Cap, g.Nodes[eb].Cap)
+			} else {
+				capc = CornerCapacity(v, a, b, d.Rules)
+			}
+			if d.SegmentBlocked(geom.Seg(g.Nodes[ea].Pos, g.Nodes[eb].Pos), li, clearance) {
+				capc = 0
+			}
+			t.CrossLinks[i] = addLink(Link{Kind: CrossTile, A: ea, B: eb, Cap: capc,
+				Layer: li, Tile: ti, Corner: tri.V[i],
+				Len: g.Nodes[ea].Pos.Dist(g.Nodes[eb].Pos)})
+		}
+		lg.Tiles[ti] = t
+	}
+}
+
+// finishLinks fills the pin map in layer order, writes the cross-via links
+// (the two nodes of each candidate via) ahead of the tile links, and builds
+// the adjacency lists.
+func (g *Graph) finishLinks(viaNode []NodeID) error {
+	for li := range g.Layers {
+		lg := &g.Layers[li]
+		for vi, meta := range lg.Verts {
+			if meta.Kind == viaplan.KindPin {
+				g.PinNode[meta.Ref] = lg.VertNode[vi]
+			}
+		}
+	}
+
+	nVias := len(g.Plan.Vias)
+	viaCost := g.Opt.ResolvedViaCost(g.Design.Rules)
+	for i, v := range g.Plan.Vias {
 		a, b := Invalid, Invalid
 		if v.ID >= 0 && v.ID < nVias && v.Layer >= 0 && v.Layer+1 < len(g.Layers) {
 			a = viaNode[v.Layer*nVias+v.ID]
@@ -390,62 +530,8 @@ func (g *Graph) addLinks(viaNode []NodeID, tris int) error {
 		if a == Invalid || b == Invalid {
 			return fmt.Errorf("rgraph: via %d missing a layer node", v.ID)
 		}
-		addLink(Link{Kind: CrossVia, A: a, B: b, Cap: 1, Layer: v.Layer, Tile: -1,
-			Corner: -1, Len: viaCost})
-	}
-
-	// Per-tile access-via and cross-tile links.
-	clearance := d.Rules.Pitch()
-	for li := range g.Layers {
-		lg := &g.Layers[li]
-		mesh := lg.Mesh
-		lg.Tiles = make([]Tile, len(mesh.Tris))
-		for ti, tri := range mesh.Tris {
-			t := Tile{Layer: li, Tri: ti, Verts: tri.V}
-			for i := 0; i < 3; i++ {
-				t.ViaNodes[i] = lg.VertNode[tri.V[i]]
-				t.EdgeNodes[i] = lg.EdgeNode[mesh.TriEdge(ti, i)]
-			}
-			// Access-via: each corner to the opposite edge node. Chords
-			// that would carry the wire through an in-tile keep-out are
-			// blocked (cap 0 would not stop the search since links use
-			// their own capacity; simply skip them).
-			for i := 0; i < 3; i++ {
-				vn := t.ViaNodes[i]
-				if g.Nodes[vn].Cap == 0 {
-					continue // bumps and dummies carry no via access
-				}
-				opp := t.EdgeNodes[(i+1)%3] // edge (i+1, i+2) is opposite corner i
-				if d.SegmentBlocked(geom.Seg(g.Nodes[vn].Pos, g.Nodes[opp].Pos), li, clearance) {
-					continue
-				}
-				addLink(Link{Kind: AccessVia, A: vn, B: opp, Cap: 1,
-					Layer: li, Tile: ti, Corner: tri.V[i],
-					Len: g.Nodes[vn].Pos.Dist(g.Nodes[opp].Pos)})
-			}
-			// Cross-tile: around each corner i, connecting the two incident
-			// edges, Edges[(i+2)%3] (joins i-1, i) and Edges[i] (joins i, i+1).
-			for i := 0; i < 3; i++ {
-				ea := t.EdgeNodes[(i+2)%3]
-				eb := t.EdgeNodes[i]
-				v := mesh.Points[tri.V[i]]
-				a := mesh.Points[tri.V[(i+1)%3]]
-				b := mesh.Points[tri.V[(i+2)%3]]
-				var capc int
-				if g.Opt.NaiveCornerCapacity {
-					capc = min(g.Nodes[ea].Cap, g.Nodes[eb].Cap)
-				} else {
-					capc = CornerCapacity(v, a, b, d.Rules)
-				}
-				if d.SegmentBlocked(geom.Seg(g.Nodes[ea].Pos, g.Nodes[eb].Pos), li, clearance) {
-					capc = 0
-				}
-				t.CrossLinks[i] = addLink(Link{Kind: CrossTile, A: ea, B: eb, Cap: capc,
-					Layer: li, Tile: ti, Corner: tri.V[i],
-					Len: g.Nodes[ea].Pos.Dist(g.Nodes[eb].Pos)})
-			}
-			lg.Tiles[ti] = t
-		}
+		g.Links[i] = Link{ID: i, Kind: CrossVia, A: a, B: b, Cap: 1, Layer: v.Layer, Tile: -1,
+			Corner: -1, Len: viaCost}
 	}
 
 	// Adjacency in one backing array: each node gets a share capped at its

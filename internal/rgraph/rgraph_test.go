@@ -3,6 +3,8 @@ package rgraph
 import (
 	"math"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"rdlroute/internal/design"
@@ -86,23 +88,40 @@ func TestBuildDense1Structure(t *testing.T) {
 	}
 }
 
-// spanLog records every span start, in order, repeats included.
+// spanLog records every span start, in order, repeats included. The
+// parallel build starts spans from several workers, so it locks.
 type spanLog struct {
 	obs.Recorder
+	mu     sync.Mutex
 	starts []string
 }
 
-func (s *spanLog) Enabled() bool           { return true }
-func (s *spanLog) StageStart(stage string) { s.starts = append(s.starts, stage) }
+func (s *spanLog) Enabled() bool { return true }
+func (s *spanLog) StageStart(stage string) {
+	s.mu.Lock()
+	s.starts = append(s.starts, stage)
+	s.mu.Unlock()
+}
 
-// TestGraphBuildSubSpans pins the graph build's span layout: one rgraph.dt
-// span per wire layer, then rgraph.nodes, then rgraph.links.
+// TestGraphBuildSubSpans pins the graph build's span layout. Serially it
+// is one rgraph.dt span per wire layer, then rgraph.nodes and rgraph.links
+// per layer, then one rgraph.adj; on a pool the same spans start in
+// another order.
 func TestGraphBuildSubSpans(t *testing.T) {
+	want := []string{"rgraph.dt", "rgraph.dt", "rgraph.nodes", "rgraph.links",
+		"rgraph.nodes", "rgraph.links", "rgraph.adj"}
 	log := &spanLog{Recorder: obs.Nop}
-	g := buildGraph(t, "dense1", Options{Rec: log})
-	want := []string{"rgraph.dt", "rgraph.dt", "rgraph.nodes", "rgraph.links"}
+	g := buildGraph(t, "dense1", Options{Workers: 1, Rec: log})
 	if len(g.Layers) != 2 || !reflect.DeepEqual(log.starts, want) {
 		t.Errorf("%d layers, spans %v, want %v", len(g.Layers), log.starts, want)
+	}
+
+	log = &spanLog{Recorder: obs.Nop}
+	buildGraph(t, "dense1", Options{Workers: 4, Rec: log})
+	sort.Strings(log.starts)
+	sort.Strings(want)
+	if !reflect.DeepEqual(log.starts, want) {
+		t.Errorf("4 workers: spans %v, want %v in any order", log.starts, want)
 	}
 }
 

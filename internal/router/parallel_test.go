@@ -84,7 +84,11 @@ func TestParallelismPropagatesToStages(t *testing.T) {
 	if out.Metrics.Routability != 1 {
 		t.Fatalf("routability = %v", out.Metrics.Routability)
 	}
-	// The global stage had no override of its own, so it saw the knob.
+	// The graph build and the global stage had no override of their own,
+	// so they saw the knob.
+	if got := out.Graph.Opt.Workers; got != 8 {
+		t.Errorf("graph build Workers = %d, want the pipeline's 8", got)
+	}
 	if got := out.GlobalRouter.Opt.Parallelism; got != 8 {
 		t.Errorf("global stage Parallelism = %d, want the pipeline's 8", got)
 	}

@@ -38,11 +38,13 @@ type Options struct {
 	Global global.Options  `json:"global"`
 	Detail detail.Options  `json:"detail"`
 	// Parallelism is the pipeline's one concurrency knob: it sizes the
-	// worker pools of the global stage's ordering seeds, detailed routing,
-	// the DRC stage and the verification gate. Zero selects GOMAXPROCS
-	// capped at 8; 1 forces the serial reference path everywhere. Results
-	// are byte-identical for every value. A stage-level override
-	// (Global.Parallelism, Detail.Workers) or the deprecated VerifyWorkers
+	// worker pools of the routing-graph build (one unit per wire layer),
+	// the global stage's ordering seeds, detailed routing, the DRC stage
+	// and the verification gate. Via planning stays serial: its jitter RNG
+	// is sequential. Zero selects GOMAXPROCS capped at 8; 1 forces the
+	// serial reference path everywhere. Results are byte-identical for
+	// every value. A stage-level override (Graph.Workers,
+	// Global.Parallelism, Detail.Workers) or the deprecated VerifyWorkers
 	// alias wins over this knob for its own stage when non-zero.
 	Parallelism int `json:"parallelism"`
 	// TimeBudget aborts routing when exceeded (the paper caps every run at
@@ -182,6 +184,9 @@ func Route(ctx context.Context, d *design.Design, opt Options) (*Output, error) 
 	gropt := opt.Graph
 	if gropt.Rec == nil {
 		gropt.Rec = rec
+	}
+	if gropt.Workers == 0 {
+		gropt.Workers = opt.Parallelism
 	}
 	span = obs.StartSpan(rec, "rgraph")
 	g, err := rgraph.Build(d, plan, gropt)

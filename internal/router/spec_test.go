@@ -77,6 +77,7 @@ func TestFingerprintIgnoresObservers(t *testing.T) {
 	b.Rec = obs.NewCollector()
 	b.Via.Rec = obs.NewCollector()
 	b.Graph.Rec = obs.NewCollector()
+	b.Graph.Workers = 3
 	b.Global.Rec = obs.NewCollector()
 	b.Global.Order = portfolio.NetLen{}
 	b.Global.AfterRound = func(int) {}

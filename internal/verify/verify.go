@@ -21,6 +21,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rdlroute/internal/design"
@@ -188,13 +189,12 @@ func Check(d *design.Design, routes []*detail.Route, opt Options) *Report {
 			vias = append(vias, viaRef{net: rt.Net, layer: v.Layer, pos: v.Pos})
 		}
 	}
-	// Per-layer wire view shared read-only by the via-wire units.
-	layerLines := make(map[int][]detail.RouteOnLayer)
-	for _, v := range vias {
-		for _, layer := range []int{v.layer, v.layer + 1} {
-			if _, ok := layerLines[layer]; !ok {
-				layerLines[layer] = detail.SegmentsOnLayer(routes, layer)
-			}
+	// Per-layer wire views shared read-only by the via-wire units.
+	var views [][]wireView
+	if len(vias) > 0 {
+		views = make([][]wireView, d.WireLayers)
+		for layer := range views {
+			views[layer] = wireViews(d, routes, layer)
 		}
 	}
 
@@ -211,7 +211,7 @@ func Check(d *design.Design, routes []*detail.Route, opt Options) *Report {
 			return viaViaUnit(d, vias, lo, hi)
 		})
 		units = append(units, func() []Problem {
-			return viaWireUnit(d, vias, lo, hi, layerLines)
+			return viaWireUnit(d, routes, vias, lo, hi, views)
 		})
 	}
 	rep.Problems = runUnits(units, workers)
@@ -346,23 +346,67 @@ func viaViaUnit(d *design.Design, vias []viaRef, lo, hi int) []Problem {
 	return out
 }
 
+// wireView is one single-layer polyline of a net with its bounding box and
+// its via-wire clearance limit.
+type wireView struct {
+	net    int
+	pl     geom.Polyline
+	lo, hi geom.Point
+	limit  float64
+}
+
+// wireViews returns the views of every wire on a layer, in net order.
+func wireViews(d *design.Design, routes []*detail.Route, layer int) []wireView {
+	lines := detail.SegmentsOnLayer(routes, layer)
+	out := make([]wireView, len(lines))
+	for i, rl := range lines {
+		w := wireView{net: rl.Net, pl: rl.Pl, limit: d.Rules.ViaWireClearance(d.WidthOf(rl.Net)),
+			lo: geom.Pt(math.Inf(1), math.Inf(1)), hi: geom.Pt(math.Inf(-1), math.Inf(-1))}
+		for _, p := range rl.Pl {
+			w.lo.X, w.lo.Y = math.Min(w.lo.X, p.X), math.Min(w.lo.Y, p.Y)
+			w.hi.X, w.hi.Y = math.Max(w.hi.X, p.X), math.Max(w.hi.Y, p.Y)
+		}
+		out[i] = w
+	}
+	return out
+}
+
 // viaWireUnit checks vias[lo:hi] against every other net's wires on the two
-// layers each via touches.
-func viaWireUnit(d *design.Design, vias []viaRef, lo, hi int,
-	layerLines map[int][]detail.RouteOnLayer) []Problem {
+// layers each via touches. views holds the design's layers; a via layer
+// outside the design (a malformed route) gets its views built on the spot.
+//
+// Every pair is visited, but the distance is computed only when the via
+// lies within limit of the wire's bounding box in x and in y. Any point of
+// the wire, the closest one included, is at least that far away in one
+// axis, and a distance is at least its larger axis difference, so a
+// skipped pair is at least limit apart and cannot be a finding (which
+// needs dd < limit − 1e-9). The closest point the distance computation
+// interpolates can stray outside the box only by rounding, a few ulps of
+// the coordinates, far below the 1e-9 tolerance.
+func viaWireUnit(d *design.Design, routes []*detail.Route, vias []viaRef, lo, hi int,
+	views [][]wireView) []Problem {
 	var out []Problem
 	for _, v := range vias[lo:hi] {
 		for _, layer := range []int{v.layer, v.layer + 1} {
-			for _, rl := range layerLines[layer] {
-				if d.SameGroup(rl.Net, v.net) {
+			var lines []wireView
+			if layer >= 0 && layer < len(views) {
+				lines = views[layer]
+			} else {
+				lines = wireViews(d, routes, layer)
+			}
+			for _, w := range lines {
+				if d.SameGroup(w.net, v.net) {
 					continue
 				}
-				limit := d.Rules.ViaWireClearance(d.WidthOf(rl.Net))
-				dd, _ := rl.Pl.DistToPoint(v.pos)
-				if dd < limit-1e-9 {
+				if v.pos.X < w.lo.X-w.limit || v.pos.X > w.hi.X+w.limit ||
+					v.pos.Y < w.lo.Y-w.limit || v.pos.Y > w.hi.Y+w.limit {
+					continue
+				}
+				dd, _ := w.pl.DistToPoint(v.pos)
+				if dd < w.limit-1e-9 {
 					out = append(out, Problem{
-						Kind: ViaWireSpacing, Net: v.net, Other: rl.Net, Where: v.pos,
-						Msg: fmt.Sprintf("wire %.2f µm from via, need %.2f", dd, limit),
+						Kind: ViaWireSpacing, Net: v.net, Other: w.net, Where: v.pos,
+						Msg: fmt.Sprintf("wire %.2f µm from via, need %.2f", dd, w.limit),
 					})
 				}
 			}

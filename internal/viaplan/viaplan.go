@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
@@ -171,13 +172,14 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 	clearance := d.Rules.ViaViaClearance()
 	//rdl:allow detrand jitter RNG is seeded from Options.Seed: identical design+options give an identical via lattice
 	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	ioPads, bumpPads := sortedByX(d.IOPads), sortedByX(d.BumpPads)
 
 	// One lattice per via layer. Odd layers are offset by half a pitch so
 	// stacked meshes do not share degenerate geometry.
 	for vl := 0; vl < d.WireLayers-1; vl++ {
 		sites := latticeSites(d.Outline, opt, rng, vl)
 		for _, pos := range sites {
-			if tooClose(pos, d, vl, clearance) {
+			if tooClose(pos, d, vl, clearance, ioPads, bumpPads) {
 				continue
 			}
 			p.Vias = append(p.Vias, Via{ID: len(p.Vias), Layer: vl, Pos: pos})
@@ -273,25 +275,46 @@ func latticeSites(outline geom.Rect, opt Options, rng *rand.Rand, viaLayer int) 
 // tooClose reports whether a candidate via position violates clearance to
 // the fixed geometry relevant to its via layer: I/O pads block via layer 0
 // (directly under the pins), bump pads block the bottom via layer, and
-// obstacles block any via touching a blocked wire layer.
-func tooClose(pos geom.Point, d *design.Design, viaLayer int, clearance float64) bool {
-	if viaLayer == 0 {
-		for _, pad := range d.IOPads {
-			if pos.Dist(pad.Pos) < clearance {
-				return true
-			}
-		}
+// obstacles block any via touching a blocked wire layer. ioPads and
+// bumpPads are the design's pad positions sorted by x.
+func tooClose(pos geom.Point, d *design.Design, viaLayer int, clearance float64, ioPads, bumpPads padsByX) bool {
+	if viaLayer == 0 && ioPads.near(pos, clearance) {
+		return true
 	}
-	if viaLayer == d.WireLayers-2 {
-		for _, pad := range d.BumpPads {
-			if pos.Dist(pad.Pos) < clearance {
-				return true
-			}
-		}
+	if viaLayer == d.WireLayers-2 && bumpPads.near(pos, clearance) {
+		return true
 	}
 	// A via in via layer k touches wire layers k and k+1.
 	if d.PointBlocked(pos, viaLayer, clearance) || d.PointBlocked(pos, viaLayer+1, clearance) {
 		return true
+	}
+	return false
+}
+
+// padsByX holds pad positions sorted by x.
+type padsByX []geom.Point
+
+func sortedByX(pads []design.Pad) padsByX {
+	ps := make(padsByX, len(pads))
+	for i, p := range pads {
+		ps[i] = p.Pos
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].X < ps[j].X })
+	return ps
+}
+
+// near reports whether some pad lies closer than clearance to pos. It
+// tests only the pads with |dx| < clearance, the window where both
+// differences are below it: pos.Dist is math.Hypot(dx, dy), which is at
+// least |dx| in float64, so no pad outside the window can pass the test.
+// Both window bounds are monotone in the pad's x, so a binary search
+// finds the window's start and the scan stops at its end.
+func (ps padsByX) near(pos geom.Point, clearance float64) bool {
+	i := sort.Search(len(ps), func(i int) bool { return pos.X-ps[i].X < clearance })
+	for ; i < len(ps) && ps[i].X-pos.X < clearance; i++ {
+		if pos.Dist(ps[i]) < clearance {
+			return true
+		}
 	}
 	return false
 }
