@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race-gate lint lint-escape fmt-check bench bench-serve bench-drc bench-route alloc-gate fmt
+.PHONY: all tier1 tier2 race-gate lint fmt-check bench bench-serve bench-route alloc-gate fmt
 
 all: tier1
 
@@ -26,23 +26,17 @@ tier2: lint
 # facade's Parallelism propagation (including the via-accounting
 # differential across Parallelism 1/2/4/8) and the serving layer. Faster
 # than a full tier2 run.
-race-gate: lint lint-escape
+race-gate: lint
 	$(GO) vet ./...
 	$(GO) test -race ./internal/rgraph/ ./internal/detail/ ./internal/global/ ./internal/verify/ ./internal/serve/ ./internal/router/ ./internal/portfolio/
 
 # Domain-specific static analysis (internal/lint): determinism, map
-# iteration, float equality, sanctioned concurrency and the //rdl:noalloc
-# hot-path contract, propagated interprocedurally through the module
-# call graph. Exit 1 on any finding; see doc/LINT.md.
+# iteration, float equality, sanctioned concurrency, and the one static
+# allocation check, noalloc, over every //rdl:noalloc function and the
+# unannotated helpers it reaches through the module call graph. Exit 1
+# on any finding; see doc/LINT.md.
 lint:
 	$(GO) run ./cmd/rdllint
-
-# Compiler-backed escape gate: replays `go build -gcflags=-m=2`
-# diagnostics and fails if the optimizer moves anything to the heap
-# inside a //rdl:noalloc body beyond the audited sites — the second line
-# of defence behind the AST noalloc/transalloc passes.
-lint-escape:
-	$(GO) run ./cmd/rdllint -escape
 
 # fmt-check fails (and prints the offenders) when any file needs gofmt,
 # without rewriting anything — the CI-side counterpart of `make fmt`.
@@ -59,13 +53,6 @@ bench-serve:
 	BENCH_SERVE_OUT=$(CURDIR)/BENCH_serve.json \
 		$(GO) test -run '^$$' -bench BenchmarkServeThroughput -benchmem ./internal/serve/
 
-# Design-rule checker, serial vs. parallel pool sizes on the dense
-# benchmarks. Writes machine-readable results (ms/check, speedup vs the
-# workers=1 reference, host CPU count) to BENCH_drc.json.
-bench-drc:
-	BENCH_DRC_OUT=$(CURDIR)/BENCH_drc.json \
-		$(GO) test -run '^$$' -bench BenchmarkDRC -benchmem ./internal/detail/
-
 # Routing hot path: the routing-graph build, global A*/rip-up and detailed
 # routing per dense case, plus the K=3 ordering-portfolio race end to end.
 # Writes ns/op, allocs/op and B/op to BENCH_route.json — the allocation
@@ -76,13 +63,15 @@ bench-route:
 		$(GO) test -run '^$$' -bench 'BenchmarkGraphBuild|BenchmarkGlobalRoute|BenchmarkDetailRoute|BenchmarkPortfolioRoute' -benchmem .
 
 # Allocation regression gate, locally runnable: a one-iteration pass over
-# the routing benchmarks (allocs/op is exact even at -benchtime=1x since
-# every op runs its stage cold) checked against cmd/allocgate's pinned
-# per-stage budgets. Fails on a >10% allocs/op regression; CI's bench-smoke
-# job runs the same gate. -cpu 2 fixes the default pool size the budgets
-# were pinned at: detail workers each own a scratch, so allocs/op grows with
-# the pool. The scratch JSON is removed first so a stale file can never
-# mask a missing row.
+# the routing benchmarks checked against cmd/allocgate's pinned per-stage
+# budgets. Every op runs its stage cold, so one iteration counts a stage's
+# allocations; the rgraph rows still vary a little between processes, as
+# the pool's goroutines allocate when they first start, and the 10%
+# headroom absorbs that. Fails on a >10% allocs/op regression; CI's
+# bench-smoke job runs the same gate. -cpu 2 fixes the default pool size
+# the budgets were pinned at: detail workers each own a scratch, so
+# allocs/op grows with the pool. The scratch JSON is removed first so a
+# stale file can never mask a missing row.
 alloc-gate:
 	rm -f $(CURDIR)/.bench_route_smoke.json
 	BENCH_ROUTE_OUT=$(CURDIR)/.bench_route_smoke.json \

@@ -5,11 +5,14 @@
 //
 // Budgets are the measured allocs/op of each stage at the time its
 // allocation profile was last optimized, plus 10% headroom (rounded up), so
-// a >10% allocation regression fails the bench-smoke job. Allocation counts
-// — unlike wall-clock — are stable across hosts and -benchtime settings
-// here because every benchmark iteration runs the stage cold (fresh router
-// or detailer per op), which is what makes a hard gate practical. When an
-// intentional change moves a budget, re-pin it from a fresh
+// a >10% allocation regression fails the bench-smoke job. Every benchmark
+// iteration runs the stage cold (fresh router or detailer per op), so
+// allocation counts, unlike wall-clock, barely move between hosts, which is
+// what makes a hard gate practical. They are not exact, though: the graph
+// build starts the pool's goroutines, which allocate when they first start,
+// so the rgraph rows vary between fresh processes (dense5 read 186–195 over
+// ten -cpu 2 runs at -benchtime=1x). The 10% headroom absorbs that spread.
+// When an intentional change moves a budget, re-pin it from a fresh
 // `make bench-route` run and say so in the commit.
 //
 // Usage:

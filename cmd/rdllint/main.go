@@ -5,21 +5,12 @@
 //	rdllint -C dir     # lint the module containing dir
 //	rdllint -list      # print the analyzers, their scopes, and exit
 //	rdllint -json      # emit findings as a JSON array instead of text
-//	rdllint -escape    # compiler-backed escape gate instead of the AST suite
 //
 // Findings print one per line as file:line:col: analyzer: message, with
 // paths relative to the module root. With -json they print as one JSON
 // array of {file, line, col, analyzer, message} objects in the same
 // stable order. Exit codes: 0 clean, 1 findings, 2 usage or load failure
 // (parse error, type error, no module).
-//
-// -escape runs the second line of defence behind //rdl:noalloc: instead
-// of the AST analyzers it invokes `go build -gcflags=-m=2 ./...` and
-// fails if the compiler's own escape analysis places a heap allocation
-// inside any annotated function — catching what the syntactic passes
-// cannot see (a stack variable moved to the heap because a pointer to it
-// outlives the frame). It needs the go tool on PATH, which is why it is
-// a separate mode rather than part of the default pure-AST run.
 //
 // Suppressions: a finding is acknowledged in the source with
 // `//rdl:allow <analyzer> <reason>` on the flagged line or the line
@@ -59,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "lint the module containing this directory")
 	list := fs.Bool("list", false, "print the analyzers and their scopes, then exit")
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	escape := fs.Bool("escape", false, "run the compiler-backed escape gate instead of the AST analyzers")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,16 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	var findings []lint.Finding
-	if *escape {
-		findings, err = mod.EscapeCheck(nil)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	} else {
-		findings = mod.Lint(analyzers)
-	}
+	findings := mod.Lint(analyzers)
 	if *asJSON {
 		enc := make([]jsonFinding, 0, len(findings))
 		for _, f := range findings {

@@ -14,7 +14,7 @@ func TestListPrintsEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("run -list = %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"detrand", "mapiter", "floateq", "barego", "noalloc", "transalloc"} {
+	for _, name := range []string{"detrand", "mapiter", "floateq", "barego", "noalloc"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())
 		}
@@ -91,35 +91,6 @@ func TestJSONOutput(t *testing.T) {
 	f := findings[0]
 	if f.Analyzer != "detrand" || f.File != filepath.Join("internal", "geom", "geom.go") || f.Line == 0 || f.Message == "" {
 		t.Errorf("unexpected JSON finding: %+v", f)
-	}
-}
-
-// TestEscapeModeReportsHeapMove builds a module whose //rdl:noalloc
-// function leaks a stack variable — invisible to the AST passes — and
-// asserts the -escape mode catches it end to end through the real
-// compiler.
-func TestEscapeModeReportsHeapMove(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod":  "module tmpmod\n\ngo 1.22\n",
-		"leak.go": "package tmpmod\n\n//rdl:noalloc\nfunc Leak() *int {\n\tx := 1\n\treturn &x\n}\n",
-	})
-
-	var out, errb bytes.Buffer
-	code := run([]string{"-C", root, "-escape"}, &out, &errb)
-	if code != 1 {
-		t.Fatalf("rdllint -escape over a leaking module = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "moved to heap: x") || !strings.Contains(out.String(), "Leak") {
-		t.Errorf("heap move not reported:\n%s", out.String())
-	}
-}
-
-// TestEscapeModeRepoClean mirrors TestRepoExitsClean for the gate: the
-// real repo must pass the compiler-backed check.
-func TestEscapeModeRepoClean(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-C", "../..", "-escape"}, &out, &errb); code != 0 {
-		t.Fatalf("rdllint -escape over the repo = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
 	}
 }
 

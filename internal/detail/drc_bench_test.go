@@ -1,117 +1,22 @@
 package detail
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"sort"
-	"sync"
 	"testing"
 )
 
-// drcBenchResults accumulates the last run of every BenchmarkDRC
-// sub-benchmark; TestMain writes them as BENCH_drc.json when BENCH_DRC_OUT
-// is set (`make bench-drc`), recording the serial-vs-parallel trajectory of
-// the checker.
-var drcBenchResults = struct {
-	mu sync.Mutex
-	m  map[string]drcBenchResult
-}{m: make(map[string]drcBenchResult)}
-
-type drcBenchResult struct {
-	Name       string  `json:"name"`
-	Case       string  `json:"case"`
-	Workers    int     `json:"workers"`
-	MsPerCheck float64 `json:"ms_per_check"`
-	// SpeedupVsSerial is this run's serial ms/check divided by its own;
-	// filled in at write time from the workers=1 entry of the same case.
-	// Meaningful only when CPUs allows actual parallelism — a 1-CPU host
-	// timeslices the pool and caps the speedup near 1×.
-	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-	Violations      int     `json:"violations"`
-	N               int     `json:"n"`
-	// CPUs is the host's runtime.NumCPU() so the speedup column can be
-	// judged against the hardware it ran on.
-	CPUs int `json:"cpus"`
-	// Note flags entries whose speedup column was withheld (1-CPU host).
-	Note string `json:"note,omitempty"`
-}
-
-func recordDRCBench(r drcBenchResult) {
-	drcBenchResults.mu.Lock()
-	drcBenchResults.m[r.Name] = r
-	drcBenchResults.mu.Unlock()
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_DRC_OUT"); path != "" && code == 0 {
-		drcBenchResults.mu.Lock()
-		serialMs := map[string]float64{}
-		for _, r := range drcBenchResults.m {
-			if r.Workers == 1 {
-				serialMs[r.Case] = r.MsPerCheck
-			}
-		}
-		out := make([]drcBenchResult, 0, len(drcBenchResults.m))
-		for _, r := range drcBenchResults.m {
-			switch {
-			case r.CPUs == 1 && r.Workers > 1:
-				// The pool is timesliced on one CPU; omit the speedup
-				// (omitempty drops the zero) rather than report noise.
-				r.Note = "single-CPU host: pool is timesliced, speedup not measurable"
-			default:
-				if s, ok := serialMs[r.Case]; ok && r.MsPerCheck > 0 {
-					r.SpeedupVsSerial = s / r.MsPerCheck
-				}
-			}
-			out = append(out, r)
-		}
-		drcBenchResults.mu.Unlock()
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Case != out[j].Case {
-				return out[i].Case < out[j].Case
-			}
-			return out[i].Workers < out[j].Workers
-		})
-		if len(out) > 0 {
-			b, err := json.MarshalIndent(out, "", " ")
-			if err == nil {
-				err = os.WriteFile(path, append(b, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench json: %v\n", err)
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
-
 // BenchmarkDRC measures the full design-rule check (grid build + scan) on
-// the largest dense benchmark across pool sizes. Workers=1 is the serial
-// reference the speedup is quoted against.
+// two dense benchmarks across pool sizes. Workers=1 is the serial
+// reference; cmd/rdlbench's drc.check_s times the stage inside a whole run.
 func BenchmarkDRC(b *testing.B) {
 	for _, tc := range []string{"dense3", "dense5"} {
 		d, routes := routedCase(b, tc)
 		for _, workers := range []int{1, 2, 4, 8} {
-			name := fmt.Sprintf("%s/workers%d", tc, workers)
-			b.Run(name, func(b *testing.B) {
-				var violations int
+			b.Run(fmt.Sprintf("%s/workers%d", tc, workers), func(b *testing.B) {
 				b.ReportAllocs()
-				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					violations = len(CheckDRCParallel(routes, d, DRCOptions{Workers: workers}))
+					CheckDRCParallel(routes, d, DRCOptions{Workers: workers})
 				}
-				b.StopTimer()
-				ms := b.Elapsed().Seconds() * 1000 / float64(b.N)
-				b.ReportMetric(ms, "ms/check")
-				recordDRCBench(drcBenchResult{
-					Name: name, Case: tc, Workers: workers,
-					MsPerCheck: ms, Violations: violations, N: b.N,
-					CPUs: runtime.NumCPU(),
-				})
 			})
 		}
 	}

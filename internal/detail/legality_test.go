@@ -286,3 +286,42 @@ func TestReplaceDoesNotAllocate(t *testing.T) {
 		t.Fatal("no rebuild inside the measured runs; the check covers only the tail path")
 	}
 }
+
+// TestLegalQueryDoesNotAllocate pins that a warm legality query, the
+// question polish and reassignment ask of every candidate segment,
+// allocates nothing in either mode. On dense1 it asks the strict and the
+// relaxed query for every routed segment; with the segment as its own
+// replaced pair, the relaxed query scans every wire in reach.
+func TestLegalQueryDoesNotAllocate(t *testing.T) {
+	d, routes := routedCase(t, "dense1")
+	x := newLegalIndex(routes, d)
+	type query struct {
+		s          geom.Segment
+		layer, net int
+	}
+	var qs []query
+	for _, rt := range routes {
+		if rt == nil {
+			continue
+		}
+		for _, s := range rt.Segs {
+			for i := 1; i < len(s.Pl); i++ {
+				qs = append(qs, query{geom.Seg(s.Pl[i-1], s.Pl[i]), s.Layer, rt.Net})
+			}
+		}
+	}
+	if len(qs) == 0 {
+		t.Fatal("dense1 routed no segments")
+	}
+	run := func() {
+		for _, q := range qs {
+			x.legal(q.s, q.layer, q.net, false, q.s, q.s)
+			x.legal(q.s, q.layer, q.net, true, q.s, q.s)
+		}
+	}
+	run() // warm-up: sizes the grid scratch
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("warm legal queries over %d segments allocated %.2f allocs/run, want 0", len(qs), allocs)
+	}
+	t.Logf("%d segments, strict and relaxed", len(qs))
+}

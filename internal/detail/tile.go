@@ -393,6 +393,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 					continue
 				}
 				found = true
+				//rdl:allow noalloc resolveViolation never keeps &route, so the compiler leaves route on the stack; TestDetailRunDoesNotAllocate covers fitRoute
 				if d.resolveViolation(&route, si, eff, ref, job.tri) {
 					fixed = true
 					break
@@ -413,6 +414,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 						continue
 					}
 					found = true
+					//rdl:allow noalloc resolveViolation never keeps &route, so the compiler leaves route on the stack; TestDetailRunDoesNotAllocate covers fitRoute
 					if d.resolveViolation(&route, si, disc, ref, job.tri) {
 						fixed = true
 						break
@@ -437,6 +439,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 					continue
 				}
 				found = true
+				//rdl:allow noalloc resolveViolation never keeps &route, so the compiler leaves route on the stack; TestDetailRunDoesNotAllocate covers fitRoute
 				if d.resolveViolation(&route, si, geom.Circ(pc, clear), ref, job.tri) {
 					fixed = true
 					break

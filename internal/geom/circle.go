@@ -13,17 +13,6 @@ type Circle struct {
 // Circ is shorthand for Circle{c, r}.
 func Circ(c Point, r float64) Circle { return Circle{C: c, R: r} }
 
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Point) bool {
-	return c.C.Dist2(p) <= c.R*c.R+Eps
-}
-
-// ContainsStrict reports whether p lies strictly inside the circle beyond
-// tolerance.
-func (c Circle) ContainsStrict(p Point) bool {
-	return c.C.Dist2(p) < c.R*c.R-Eps
-}
-
 // TangentPoints returns the two points where the tangent lines from the
 // external point p touch the circle. It reports false when p lies inside
 // the circle (no tangent exists). When p lies exactly on the circle both

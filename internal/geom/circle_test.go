@@ -6,25 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestCircleContains(t *testing.T) {
-	c := Circ(Pt(0, 0), 5)
-	if !c.Contains(Pt(3, 4)) {
-		t.Error("boundary point should be contained")
-	}
-	if !c.Contains(Pt(1, 1)) {
-		t.Error("interior point should be contained")
-	}
-	if c.Contains(Pt(4, 4)) {
-		t.Error("exterior point should not be contained")
-	}
-	if c.ContainsStrict(Pt(3, 4)) {
-		t.Error("boundary point is not strictly inside")
-	}
-	if !c.ContainsStrict(Pt(0, 0)) {
-		t.Error("center is strictly inside")
-	}
-}
-
 func TestTangentPoints(t *testing.T) {
 	c := Circ(Pt(0, 0), 1)
 	p := Pt(2, 0)

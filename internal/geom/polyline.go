@@ -103,27 +103,6 @@ func (pl Polyline) DistToSegment(s Segment) (float64, Point) {
 	return best, bp
 }
 
-// DistToPolyline returns the minimum distance between two polylines.
-//
-//rdl:noalloc
-func (pl Polyline) DistToPolyline(other Polyline) float64 {
-	if len(pl) == 0 || len(other) == 0 {
-		return math.Inf(1)
-	}
-	if len(other) == 1 {
-		d, _ := pl.DistToPoint(other[0])
-		return d
-	}
-	best := math.Inf(1)
-	for i := 1; i < len(other); i++ {
-		d, _ := pl.DistToSegment(Seg(other[i-1], other[i]))
-		if d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Simplify returns a copy of the polyline with duplicate consecutive points
 // and interior points collinear with their neighbours removed. Endpoints are
 // always kept.

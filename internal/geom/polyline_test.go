@@ -95,17 +95,6 @@ func TestPolylineDistToSegment(t *testing.T) {
 	}
 }
 
-func TestPolylineDistToPolyline(t *testing.T) {
-	a := Polyline{Pt(0, 0), Pt(10, 0)}
-	b := Polyline{Pt(0, 4), Pt(10, 4), Pt(10, 8)}
-	if d := a.DistToPolyline(b); !ApproxEq(d, 4) {
-		t.Errorf("polyline dist = %v", d)
-	}
-	if d := a.DistToPolyline(nil); !math.IsInf(d, 1) {
-		t.Error("empty other should be +Inf")
-	}
-}
-
 func TestSimplify(t *testing.T) {
 	pl := Polyline{Pt(0, 0), Pt(5, 0), Pt(5, 0), Pt(10, 0), Pt(10, 5)}
 	s := pl.Simplify()

@@ -524,12 +524,6 @@ func (r *Router) Guide(net int) *Guide {
 	return r.guides[net]
 }
 
-// Usage returns the current node usage count.
-func (r *Router) Usage(id rgraph.NodeID) int { return r.nodeUse[id] }
-
-// LinkUsage returns the current link usage count.
-func (r *Router) LinkUsage(id int) int { return r.linkUse[id] }
-
 // CheckInvariants verifies internal consistency: usage matches the committed
 // guides, sequences contain exactly the committed nets, and no capacity is
 // exceeded. Intended for tests.

@@ -9,46 +9,39 @@ import (
 
 // Whole-module call graph.
 //
-// The graph is built once per interprocedural run over the packages the
-// module loader already type-checked: one node per function or method
-// declared in the module, one edge per call site the type checker can
-// resolve to a single callee. Resolvable calls are direct function
-// calls, method calls on concrete (non-interface) receivers — including
-// generic instantiations, which are folded onto their origin
-// declaration — and calls through a local variable bound exactly once
-// to a statically known function. Everything else (interface dispatch,
-// func-typed fields and parameters, reassigned function variables) is
-// recorded as a dynamic site: the analysis cannot see through it, so an
-// interprocedural contract crossing one must be discharged by a human
-// with an audited //rdl:allow.
+// The graph is built once per noalloc run over the packages the module
+// loader already type-checked: one node per function or method declared
+// in the module, one edge per call site the type checker can resolve to
+// a single callee. Resolvable calls are direct function calls, method
+// calls on concrete (non-interface) receivers — including generic
+// instantiations, which are folded onto their origin declaration — and
+// calls through a local variable bound exactly once to a statically
+// known function. Everything else (interface dispatch, func-typed fields
+// and parameters, reassigned function variables) is recorded as a
+// dynamic site: the analysis cannot see through it, so a contract
+// crossing one must be discharged by a human with an audited
+// //rdl:allow.
 //
-// Calls that leave the module (standard library) do not become edges:
-// their bodies are outside the loader's view. The local noalloc checks
-// still catch the boxing such calls perform at the call site, and the
-// compiler-backed escape gate (rdllint -escape) closes the remaining
-// gap with the optimizer's own escape verdicts.
-
-// callEdge is one statically resolved call.
-type callEdge struct {
-	callee *types.Func // origin (uninstantiated) declaration object
-	pos    token.Pos
-}
+// Resolvable calls that leave the module (standard library) do not
+// become edges, since their bodies are outside the loader's view. They
+// are kept as external calls, which the noalloc checks judge by their
+// result types.
 
 // dynSite is one call the static resolver cannot see through.
 type dynSite struct {
-	pos  token.Pos
-	desc string // what was called, for the finding message
-	why  string // why it is dynamic
+	pos token.Pos
+	why string // why it is dynamic, for the finding message
 }
 
 // funcNode is one declared function or method of the module.
 type funcNode struct {
-	fn      *types.Func
-	decl    *ast.FuncDecl
-	pkg     *Package
-	noalloc bool
-	edges   []callEdge // intra-module static calls, in source order
-	dyns    []dynSite  // unresolvable calls, in source order
+	fn       *types.Func
+	decl     *ast.FuncDecl
+	pkg      *Package
+	noalloc  bool
+	edges    []*types.Func   // intra-module static callees (origin declarations), in source order
+	external []*ast.CallExpr // static calls that leave the module, in source order
+	dyns     []dynSite       // unresolvable calls, in source order
 }
 
 // callGraph indexes the module's functions by their declaration object.
@@ -127,54 +120,38 @@ func (cg *callGraph) resolveCall(n *funcNode, call *ast.CallExpr, binds map[type
 		case *types.Builtin, *types.TypeName, *types.Nil, nil:
 			return // builtin, conversion, or unresolved: no callee body
 		case *types.Func:
-			cg.addEdge(n, obj, call.Pos())
+			cg.addEdge(n, obj, call)
 		case *types.Var:
 			if target, ok := binds[obj]; ok {
-				cg.addEdge(n, target, call.Pos())
+				cg.addEdge(n, target, call)
 				return
 			}
-			n.dyns = append(n.dyns, dynSite{
-				pos:  call.Pos(),
-				desc: types.ExprString(call.Fun),
-				why:  "call through func value " + e.Name,
-			})
+			n.dyns = append(n.dyns, dynSite{call.Pos(), "call through func value " + e.Name})
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[e]; ok {
 			switch sel.Kind() {
 			case types.FieldVal:
-				n.dyns = append(n.dyns, dynSite{
-					pos:  call.Pos(),
-					desc: types.ExprString(call.Fun),
-					why:  "call through func-typed field " + e.Sel.Name,
-				})
+				n.dyns = append(n.dyns, dynSite{call.Pos(), "call through func-typed field " + e.Sel.Name})
 			case types.MethodVal, types.MethodExpr:
 				fn, ok := sel.Obj().(*types.Func)
 				if !ok {
 					return
 				}
 				if types.IsInterface(sel.Recv()) {
-					n.dyns = append(n.dyns, dynSite{
-						pos:  call.Pos(),
-						desc: types.ExprString(call.Fun),
-						why:  "interface method call " + e.Sel.Name,
-					})
+					n.dyns = append(n.dyns, dynSite{call.Pos(), "interface method call " + e.Sel.Name})
 					return
 				}
-				cg.addEdge(n, fn, call.Pos())
+				cg.addEdge(n, fn, call)
 			}
 			return
 		}
 		// Qualified identifier: pkg.F or pkg.V.
 		switch obj := info.Uses[e.Sel].(type) {
 		case *types.Func:
-			cg.addEdge(n, obj, call.Pos())
+			cg.addEdge(n, obj, call)
 		case *types.Var:
-			n.dyns = append(n.dyns, dynSite{
-				pos:  call.Pos(),
-				desc: types.ExprString(call.Fun),
-				why:  "call through package-level func variable " + e.Sel.Name,
-			})
+			n.dyns = append(n.dyns, dynSite{call.Pos(), "call through package-level func variable " + e.Sel.Name})
 		}
 	case *ast.FuncLit:
 		// Immediately invoked literal: the literal itself is an alloc
@@ -185,24 +162,21 @@ func (cg *callGraph) resolveCall(n *funcNode, call *ast.CallExpr, binds map[type
 			return // conversion
 		}
 		if _, ok := info.Types[fun].Type.Underlying().(*types.Signature); ok {
-			n.dyns = append(n.dyns, dynSite{
-				pos:  call.Pos(),
-				desc: types.ExprString(call.Fun),
-				why:  "call through computed func value",
-			})
+			n.dyns = append(n.dyns, dynSite{call.Pos(), "call through computed func value"})
 		}
 	}
 }
 
 // addEdge records a static call, folding generic instantiations onto
-// their origin declaration and dropping callees declared outside the
-// module (no body to analyze; see the package comment).
-func (cg *callGraph) addEdge(n *funcNode, fn *types.Func, pos token.Pos) {
+// their origin declaration. A callee declared outside the module has no
+// body to analyze, so its call is kept as external instead.
+func (cg *callGraph) addEdge(n *funcNode, fn *types.Func, call *ast.CallExpr) {
 	origin := fn.Origin()
 	if _, ok := cg.nodes[origin]; !ok {
+		n.external = append(n.external, call)
 		return
 	}
-	n.edges = append(n.edges, callEdge{callee: origin, pos: pos})
+	n.edges = append(n.edges, origin)
 }
 
 // isFuncInstance reports whether expr names a (generic) function rather

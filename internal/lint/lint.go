@@ -8,7 +8,7 @@
 // (detrand), order-sensitive map iteration (mapiter), raw float equality
 // in the geometry kernels (floateq), goroutines launched outside the
 // sanctioned internal/pool fan-out (barego), and allocating constructs in
-// functions annotated //rdl:noalloc (noalloc).
+// functions annotated //rdl:noalloc and the helpers they reach (noalloc).
 //
 // The framework is stdlib only: go/parser + go/ast for syntax, go/types
 // with the source importer for name resolution. Intentional exceptions
@@ -47,7 +47,7 @@ func (f Finding) String() string {
 // Run makes the analyzer package-local (one invocation per package, the
 // original model), RunModule makes it interprocedural (one invocation
 // over the whole loaded module, with every package's call sites visible
-// at once — the model transalloc's call-graph propagation needs).
+// at once — the model noalloc's call-graph walk needs).
 type Analyzer struct {
 	// Name is the identifier used in findings and //rdl:allow comments.
 	Name string

@@ -15,14 +15,16 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 // fixtureAnalyzers maps each fixture package under testdata/src to the
 // analyzers it exercises. The framework fixture runs detrand only to
 // prove the suppression hygiene (stale allows, missing reasons) is
-// enforced by the framework, not by any particular analyzer.
+// enforced by the framework, not by any particular analyzer. noalloc has
+// two fixtures: its per-body rules, and the call graph walk into the
+// unannotated helpers a root reaches (transalloc).
 var fixtureAnalyzers = map[string][]*Analyzer{
 	"detrand":    {Detrand},
 	"mapiter":    {Mapiter},
 	"floateq":    {Floateq},
 	"barego":     {Barego},
 	"noalloc":    {Noalloc},
-	"transalloc": {Transalloc},
+	"transalloc": {Noalloc},
 	"framework":  {Detrand},
 }
 

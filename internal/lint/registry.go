@@ -42,7 +42,6 @@ func All() []*Analyzer {
 		Floateq,
 		Barego,
 		Noalloc,
-		Transalloc,
 	}
 }
 
@@ -72,7 +71,7 @@ func (m *Module) lint(analyzers []*Analyzer, suppress bool) []Finding {
 		raw = append(raw, runAnalyzers(pkg, scoped)...)
 	}
 	// Interprocedural passes run once over the whole module, after every
-	// package is loaded: a transalloc finding carries a call chain that may
+	// package is loaded: a noalloc finding carries a call chain that may
 	// cross several packages, and the allow that acknowledges it lives at
 	// the flagged site, wherever that is. Suppression is therefore applied
 	// globally — one allow inventory over all files — rather than

@@ -53,11 +53,6 @@ func TestEveryAllowIsLoadBearing(t *testing.T) {
 	mod := repoModule(t)
 	raw := mod.LintUnsuppressed(All())
 	known := analyzerNames(All())
-	// //rdl:allow escape belongs to the compiler-backed gate, not the AST
-	// suite: its reason and staleness hygiene are enforced by EscapeCheck
-	// (see TestRepoEscapeClean), so it is known here but not matched
-	// against AST findings.
-	known[EscapeAnalyzer] = true
 
 	covered := func(a *allowSite) bool {
 		for _, f := range raw {
@@ -80,7 +75,7 @@ func TestEveryAllowIsLoadBearing(t *testing.T) {
 			if a.reason == "" {
 				t.Errorf("%s: //rdl:allow %s has no written reason", a.pos, a.analyzer)
 			}
-			if a.analyzer != EscapeAnalyzer && !covered(a) {
+			if !covered(a) {
 				t.Errorf("%s: //rdl:allow %s suppresses nothing — stale, delete it", a.pos, a.analyzer)
 			}
 		}

@@ -1,21 +1,22 @@
-// Package transalloc exercises the interprocedural //rdl:noalloc
-// propagation: allocating constructs in unannotated callees reached
-// through static call chains (direct calls, concrete-receiver methods,
-// generic instantiations, once-bound local function values), dynamic
-// call sites that need an audited //rdl:allow transalloc, and the
-// traversal stopping at callees that carry their own annotation.
+// Package transalloc exercises the noalloc analyzer's call graph walk:
+// allocating constructs in unannotated helpers reached from a
+// //rdl:noalloc root through static call chains (direct calls,
+// concrete-receiver methods, generic instantiations, once-bound local
+// function values) are flagged with their call chain, dynamic call sites
+// need an audited //rdl:allow noalloc, and the walk stops at callees
+// that carry their own annotation.
 package transalloc
 
 type buf struct {
-	data []int
-	grow func(n int) []int
+	items []int
+	grow  func(n int) []int
 }
 
 // leafAlloc and midCall are unannotated helpers: their allocations are
-// only findings because a //rdl:noalloc root reaches them.
+// findings only because a root reaches them.
 
 func leafAlloc(n int) []int {
-	return make([]int, n) // REPORTED once, under the first root in source order
+	return make([]int, n) // FLAGGED once, under the first root in source order
 }
 
 func midCall(n int) []int {
@@ -31,8 +32,10 @@ func Root(n int) []int {
 
 // fill allocates inside a concrete-receiver method chain.
 func (b *buf) fill(n int) {
-	b.data = append(b.data, make([]int, n)...) // REPORTED (the make; the self-append is admitted)
+	b.data(make([]int, n)) // FLAGGED
 }
+
+func (b *buf) data(v []int) { b.items = append(b.items, v...) }
 
 //rdl:noalloc
 func (b *buf) Refill(n int) {
@@ -44,21 +47,19 @@ func (b *buf) Refill(n int) {
 //
 //rdl:noalloc
 func (b *buf) GrowDyn(n int) {
-	b.data = b.grow(n) // REPORTED: call through func-typed field
+	b.items = b.grow(n) // FLAGGED: call through func-typed field
 }
 
 //rdl:noalloc
 func (b *buf) GrowDynAllowed(n int) {
-	//rdl:allow transalloc grow is bound once at construction to a resizer that reslices a preallocated arena
-	b.data = b.grow(n) // SUPPRESSED
+	//rdl:allow noalloc grow is bound once at construction to a resizer that reslices a preallocated arena
+	b.items = b.grow(n) // SUPPRESSED
 }
-
-// viaIface dispatches through an interface inside a reachable helper.
 
 type sizer interface{ size() int }
 
 func viaIface(s sizer) int {
-	return s.size() // REPORTED: interface method call on a noalloc path
+	return s.size() // FLAGGED: interface method call on a noalloc path
 }
 
 //rdl:noalloc
@@ -66,13 +67,12 @@ func RootIface(s sizer) int {
 	return viaIface(s)
 }
 
-// annotatedLeaf carries its own //rdl:noalloc: the traversal stops at it,
-// because its body (and its allow budget) belongs to the local noalloc
-// pass. Only that pass — not transalloc — would flag the make below.
+// annotatedLeaf carries its own //rdl:noalloc: the walk from RootStops
+// ends at it, and its make is reported once, as a root of its own.
 //
 //rdl:noalloc
 func annotatedLeaf(n int) []int {
-	return make([]int, n) // NOT reported by transalloc: annotated callees are their own roots
+	return make([]int, n) // FLAGGED as a root, without a chain
 }
 
 //rdl:noalloc
@@ -81,7 +81,7 @@ func RootStops(n int) []int {
 }
 
 func leafAlloc2(n int) []int {
-	return make([]int, n) // REPORTED via the once-bound local below
+	return make([]int, n) // FLAGGED via the once-bound local below
 }
 
 // RootBound binds a local variable to a function exactly once; the call
@@ -101,11 +101,11 @@ func RootReassigned(n int, flip bool) []int {
 	if flip {
 		f = leafAlloc2
 	}
-	return f(n) // REPORTED: call through a reassigned func value
+	return f(n) // FLAGGED: call through a reassigned func value
 }
 
 func genAlloc[T any](n int) []T {
-	return make([]T, n) // REPORTED: generic instantiations fold onto this declaration
+	return make([]T, n) // FLAGGED: generic instantiations fold onto this declaration
 }
 
 //rdl:noalloc

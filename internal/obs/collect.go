@@ -94,15 +94,6 @@ func (c *Collector) Counter(name string) int64 {
 	return c.counters[name]
 }
 
-// GaugeValue returns the last-written value of one gauge and whether it has
-// ever been written.
-func (c *Collector) GaugeValue(name string) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.gauges[name]
-	return v, ok
-}
-
 // Counters returns a copy of the counter totals.
 func (c *Collector) Counters() map[string]int64 {
 	c.mu.Lock()

@@ -336,14 +336,3 @@ func boundaryDummies(outline geom.Rect, step float64) []geom.Point {
 	}
 	return pts
 }
-
-// ViasOnLayer returns the candidate vias of one via layer.
-func (p *Plan) ViasOnLayer(viaLayer int) []Via {
-	var out []Via
-	for _, v := range p.Vias {
-		if v.Layer == viaLayer {
-			out = append(out, v)
-		}
-	}
-	return out
-}

@@ -178,30 +178,6 @@ func TestBoundaryDummies(t *testing.T) {
 	}
 }
 
-func TestViasOnLayer(t *testing.T) {
-	d := mustDesign(t, "dense3")
-	p, err := Build(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for vl := 0; vl < d.WireLayers-1; vl++ {
-		vs := ViasOnLayer0(p, vl)
-		for _, v := range vs {
-			if v.Layer != vl {
-				t.Errorf("via %d on wrong layer", v.ID)
-			}
-		}
-		total += len(vs)
-	}
-	if total != len(p.Vias) {
-		t.Errorf("per-layer sum %d != total %d", total, len(p.Vias))
-	}
-}
-
-// ViasOnLayer0 wraps the method for test readability.
-func ViasOnLayer0(p *Plan, vl int) []Via { return p.ViasOnLayer(vl) }
-
 func TestOptionsDefaults(t *testing.T) {
 	rules := design.DefaultRules()
 	o := Options{}.withDefaults(rules)
