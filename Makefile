@@ -65,13 +65,15 @@ bench-route:
 # Allocation regression gate, locally runnable: a one-iteration pass over
 # the routing benchmarks checked against cmd/allocgate's pinned per-stage
 # budgets. Every op runs its stage cold, so one iteration counts a stage's
-# allocations; the rgraph rows still vary a little between processes, as
-# the pool's goroutines allocate when they first start, and the 10%
-# headroom absorbs that. Fails on a >10% allocs/op regression; CI's
+# allocations and bytes; the rgraph counts still vary a little between
+# processes, as the pool's goroutines allocate when they first start, and
+# the 10% headroom absorbs that. Fails on a >10% allocs/op regression of
+# any gated row, or a >10% B/op regression of an rgraph or global row (a
+# count alone would pass a return to capacity-sized arrays); CI's
 # bench-smoke job runs the same gate. -cpu 2 fixes the default pool size
-# the budgets were pinned at: detail workers each own a scratch, so
-# allocs/op grows with the pool. The scratch JSON is removed first so a
-# stale file can never mask a missing row.
+# the budgets were pinned at: detail workers and ordering-seed workers each
+# own a scratch, so allocations grow with the pool. The scratch JSON is
+# removed first so a stale file can never mask a missing row.
 alloc-gate:
 	rm -f $(CURDIR)/.bench_route_smoke.json
 	BENCH_ROUTE_OUT=$(CURDIR)/.bench_route_smoke.json \

@@ -1,19 +1,23 @@
-// Command allocgate enforces the pinned allocs/op budgets of the routing
-// hot paths from a BENCH_route.json-style file. It is the CI half of the
-// zero-allocation work: the benchmarks measure, TestMain records, and this
-// gate fails the build when any gated row regresses past its budget.
+// Command allocgate enforces the pinned allocs/op and B/op budgets of the
+// routing hot paths from a BENCH_route.json-style file. It is the CI half
+// of the zero-allocation work: the benchmarks measure, TestMain records,
+// and this gate fails the build when any gated row regresses past its
+// budget.
 //
 // Budgets are the measured allocs/op of each stage at the time its
 // allocation profile was last optimized, plus 10% headroom (rounded up), so
-// a >10% allocation regression fails the bench-smoke job. Every benchmark
-// iteration runs the stage cold (fresh router or detailer per op), so
-// allocation counts, unlike wall-clock, barely move between hosts, which is
+// a >10% allocation regression fails the bench-smoke job. The rgraph and
+// global rows also carry a B/op budget, the measured bytes plus 10%: a
+// count alone would pass a return to capacity-sized arrays or unpacked
+// records, which allocate as often but far more. Every benchmark iteration
+// runs the stage cold (fresh router or detailer per op), so allocation
+// counts and bytes, unlike wall-clock, barely move between hosts, which is
 // what makes a hard gate practical. They are not exact, though: the graph
 // build starts the pool's goroutines, which allocate when they first start,
-// so the rgraph rows vary between fresh processes (dense5 read 186–195 over
-// ten -cpu 2 runs at -benchtime=1x). The 10% headroom absorbs that spread.
-// When an intentional change moves a budget, re-pin it from a fresh
-// `make bench-route` run and say so in the commit.
+// so the rgraph rows vary between fresh processes (dense5 read 186–194
+// allocs/op over five -cpu 2 runs at -benchtime=1x). The 10% headroom
+// absorbs that spread. When an intentional change moves a budget, re-pin it
+// from fresh `make alloc-gate` runs and say so in the commit.
 //
 // Usage:
 //
@@ -31,29 +35,34 @@ import (
 
 // budgets pins the gated rows, measured at a pool size of 2 (the gate runs
 // its benchmarks with -cpu 2). The global round loop is serial at every
-// Parallelism. The graph build runs its layers on the pool, which adds a
-// fixed number of allocations per phase and per layer, not per design
-// element. Detail workers each own a scratch, so the detail rows grow with
-// the pool size.
-var budgets = []struct {
-	name string
-	max  float64
-}{
-	{"rgraph/dense1", 96},
-	{"rgraph/dense2", 97},
-	{"rgraph/dense3", 135},
-	{"rgraph/dense4", 139},
-	{"rgraph/dense5", 207},
-	{"global/dense1", 975},
-	{"global/dense2", 2585},
-	{"global/dense3", 3580},
-	{"global/dense4", 5195},
-	{"global/dense5", 16623},
-	{"detail/dense1", 5044},
-	{"detail/dense2", 12650},
-	{"detail/dense3", 22564},
-	{"detail/dense4", 33897},
-	{"detail/dense5", 91747},
+// Parallelism; its ordering seeds keep one scratch per pool worker. The
+// graph build runs its layers on the pool, which adds a fixed number of
+// allocations per phase and per layer, not per design element. Detail
+// workers each own a scratch, so the detail rows grow with the pool size;
+// they carry no bytes budget (maxBytes 0).
+var budgets = []budget{
+	{"rgraph/dense1", 96, 4.14e6},
+	{"rgraph/dense2", 97, 8.49e6},
+	{"rgraph/dense3", 135, 16.69e6},
+	{"rgraph/dense4", 139, 17.96e6},
+	{"rgraph/dense5", 207, 42.40e6},
+	{"global/dense1", 1012, 1.43e6},
+	{"global/dense2", 2610, 2.86e6},
+	{"global/dense3", 3594, 6.53e6},
+	{"global/dense4", 5172, 7.39e6},
+	{"global/dense5", 15828, 21.80e6},
+	{"detail/dense1", 5044, 0},
+	{"detail/dense2", 12650, 0},
+	{"detail/dense3", 22564, 0},
+	{"detail/dense4", 33897, 0},
+	{"detail/dense5", 91747, 0},
+}
+
+// budget is one gated row's ceiling.
+type budget struct {
+	name     string
+	max      float64 // allocs/op
+	maxBytes float64 // B/op; 0 leaves the row's bytes ungated
 }
 
 func main() {
@@ -103,7 +112,23 @@ func run(path string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "FAIL %-22s %.0f allocs/op exceeds budget %.0f\n", bd.name, a, bd.max)
 			continue
 		}
-		fmt.Fprintf(stdout, "ok   %-22s %.0f allocs/op within budget %.0f\n", bd.name, a, bd.max)
+		if bd.maxBytes == 0 {
+			fmt.Fprintf(stdout, "ok   %-22s %.0f allocs/op within budget %.0f\n", bd.name, a, bd.max)
+			continue
+		}
+		b, ok := e["bytes_per_op"].(float64)
+		if !ok {
+			failures++
+			fmt.Fprintf(stdout, "FAIL %-22s has no bytes_per_op\n", bd.name)
+			continue
+		}
+		if b > bd.maxBytes {
+			failures++
+			fmt.Fprintf(stdout, "FAIL %-22s %.2f MB/op exceeds budget %.2f MB\n", bd.name, b/1e6, bd.maxBytes/1e6)
+			continue
+		}
+		fmt.Fprintf(stdout, "ok   %-22s %.0f allocs/op within budget %.0f, %.2f MB/op within %.2f MB\n",
+			bd.name, a, bd.max, b/1e6, bd.maxBytes/1e6)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d budget(s) violated", failures)

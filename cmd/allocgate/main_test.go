@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,13 +23,13 @@ func writeBench(t *testing.T, entries []map[string]any) string {
 }
 
 // withinBudget builds a bench file where every gated row sits exactly at
-// its budget.
+// its budgets.
 func withinBudget(t *testing.T) []map[string]any {
 	t.Helper()
 	var entries []map[string]any
 	for _, bd := range budgets {
 		entries = append(entries, map[string]any{
-			"name": bd.name, "allocs_per_op": bd.max,
+			"name": bd.name, "allocs_per_op": bd.max, "bytes_per_op": bd.maxBytes,
 		})
 	}
 	return entries
@@ -57,6 +58,32 @@ func TestGateFailsOnRegression(t *testing.T) {
 	}
 }
 
+// TestGateFailsOnBytesRegression pins the bytes half of the gate: a row
+// within its allocs/op budget but over its B/op budget fails, and so does a
+// bytes-gated row that reports no bytes at all.
+func TestGateFailsOnBytesRegression(t *testing.T) {
+	i := slices.IndexFunc(budgets, func(bd budget) bool { return bd.name == "global/dense5" })
+	if i < 0 || budgets[i].maxBytes == 0 {
+		t.Fatal("global/dense5 has no bytes budget")
+	}
+	entries := withinBudget(t)
+	entries[i]["bytes_per_op"] = budgets[i].maxBytes * 1.01
+	var out strings.Builder
+	if err := run(writeBench(t, entries), &out); err == nil {
+		t.Fatalf("gate passed a row over its bytes budget:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL global/dense5") || !strings.Contains(out.String(), "MB/op exceeds") {
+		t.Fatalf("failure does not name the bytes regression:\n%s", out.String())
+	}
+
+	entries = withinBudget(t)
+	delete(entries[i], "bytes_per_op")
+	out.Reset()
+	if err := run(writeBench(t, entries), &out); err == nil || !strings.Contains(out.String(), "has no bytes_per_op") {
+		t.Fatalf("gate passed a bytes-gated row without bytes_per_op (err %v):\n%s", err, out.String())
+	}
+}
+
 func TestGateFailsOnMissingRow(t *testing.T) {
 	entries := withinBudget(t)[1:] // drop the first gated row
 	var out strings.Builder
@@ -79,6 +106,11 @@ func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
 			if !have[stage+"/"+c] {
 				t.Errorf("no %s budget for %s", stage, c)
 			}
+		}
+	}
+	for _, bd := range budgets {
+		if stage := strings.SplitN(bd.name, "/", 2)[0]; (stage == "rgraph" || stage == "global") && bd.maxBytes == 0 {
+			t.Errorf("%s has no bytes budget", bd.name)
 		}
 	}
 }

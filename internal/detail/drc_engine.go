@@ -73,6 +73,7 @@ func (l *drcLayer) spacingUnit(lo, hi int, d *design.Design, scr *gridScratch) [
 			if dist >= limit-eps {
 				continue
 			}
+			//rdl:allow noalloc the findings are the unit's result, which the caller keeps; it grows only when the unit finds a violation
 			out = append(out, Violation{
 				Kind: SpacingViolation, Layer: l.layer,
 				NetA: s.net, NetB: e.net, Where: pa,

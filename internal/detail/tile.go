@@ -97,13 +97,13 @@ func (d *Detailer) buildTileJobs() {
 			if link.Kind == rgraph.CrossVia {
 				continue
 			}
-			key := tileKeyD{link.Layer, link.Tile}
+			key := tileKeyD{int(link.Layer), int(link.Tile)}
 			job := jobs[key]
 			if job == nil {
 				job = &tileJob{key: key}
 				jobs[key] = job
 			}
-			job.passages = append(job.passages, &tilePassage{net: net, chainIdx: i, corner: link.Corner})
+			job.passages = append(job.passages, &tilePassage{net: net, chainIdx: i, corner: int(link.Corner)})
 		}
 	}
 	// Deterministic tile order.

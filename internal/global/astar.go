@@ -51,22 +51,23 @@ type searchState struct {
 // thousands of searches on dense designs — allocate nothing beyond the
 // result path itself.
 //
-// The best-cost scoreboard is dense: every reachable state key maps to a
-// fixed slot (via nodes get two slots, one per viaArrive flavour; edge nodes
-// get Cap+1 slots, one per insertion gap, because a sequence of length m
-// needs gaps 0..m and m never exceeds the node capacity). An unreached slot
-// holds +Inf. Every slot a search writes belongs to one of its arena states,
-// so begin clears the scoreboard by resetting the previous arena's slots,
-// not all of them. A generation counter stamps the chord memo below, so one
-// increment invalidates it.
+// The best-cost scoreboard holds only the nodes the current search touches.
+// A node's first push in a search appends its slots to the bestG slab, all
+// +Inf, and stamps the node with the search's generation and its first
+// slot: two slots for a via node, one per viaArrive flavour, and one per
+// insertion gap for an edge node, len(seq)+1 for a sequence of length len.
+// Router state is frozen while a search runs, so a node's gap count cannot
+// change under its slots. begin truncates the slab and bumps the
+// generation, which invalidates every stamp and the chord memo below at
+// once.
 //
-// Router state is frozen while a search runs, so the resolved passage
-// coordinates of a tile cannot change within one search: the chord memo
-// resolves each tile the search touches once, into the chords arena, and
-// every later expansion and gap through that tile reuses the slice.
+// The frozen state also means the resolved passage coordinates of a tile
+// cannot change within one search: the chord memo resolves each tile the
+// search touches once, into the chords arena, and every later expansion
+// and gap through that tile reuses the slice.
 type searchScratch struct {
-	slotBase []int32 // per node: first scoreboard slot
-	bestG    []float64
+	stamps []nodeStamp // per node: generation and first slot in bestG
+	bestG  []float64
 
 	arena []searchState
 	// open holds arena indices keyed by f.
@@ -86,7 +87,8 @@ type searchScratch struct {
 	dstPos geom.Point
 	units  int
 
-	// Chord memo (see type comment), indexed by the dense tile index.
+	// Search generation, stamping the scoreboard nodes and the chord memo
+	// (see type comment), which is indexed by the dense tile index.
 	gen    uint32
 	memo   []tileMemo
 	chords []chordCoords
@@ -112,40 +114,31 @@ type tileMemo struct {
 	lo, n uint32
 }
 
-// newSearchScratch sizes the scoreboard and memo arrays for a graph with
-// nTiles tiles over all layers.
-func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
-	s := &searchScratch{
-		slotBase: make([]int32, len(g.Nodes)+1),
-		seen:     make([]uint32, len(g.Nodes)),
-		memo:     make([]tileMemo, nTiles),
-		read:     make([]uint64, (len(g.Nodes)+63)/64),
-	}
-	var slots int32
-	for id := range g.Nodes {
-		s.slotBase[id] = slots
-		if g.Nodes[id].Kind == rgraph.EdgeNode {
-			// Gap 0..Cap: each committed sequence entry consumes at least
-			// one capacity unit, so len(seq) ≤ Cap and every insertion gap
-			// fits.
-			slots += int32(g.Nodes[id].Cap) + 1
-		} else {
-			slots += 2 // viaArrive false / true
-		}
-	}
-	s.slotBase[len(g.Nodes)] = slots
-	s.bestG = make([]float64, slots)
-	for i := range s.bestG {
-		s.bestG[i] = math.Inf(1)
-	}
-	return s
+// nodeStamp places one node's scoreboard slots in the bestG slab; it is
+// valid while gen matches the scratch generation.
+type nodeStamp struct {
+	gen  uint32
+	base int32
 }
 
-// slot maps a state key to its scoreboard slot.
+// newSearchScratch sizes the per-node and per-tile arrays for a graph with
+// nTiles tiles over all layers. The scoreboard slab starts empty and grows
+// to the largest search's footprint.
+func newSearchScratch(g *rgraph.Graph, nTiles int) *searchScratch {
+	return &searchScratch{
+		stamps: make([]nodeStamp, len(g.Nodes)),
+		seen:   make([]uint32, len(g.Nodes)),
+		memo:   make([]tileMemo, nTiles),
+		read:   make([]uint64, (len(g.Nodes)+63)/64),
+	}
+}
+
+// slot maps the key of a state this search has pushed to its scoreboard
+// slot.
 //
 //rdl:noalloc
 func (s *searchScratch) slot(key stateKey) int32 {
-	base := s.slotBase[key.node]
+	base := s.stamps[key.node].base
 	if key.gap >= 0 {
 		return base + int32(key.gap)
 	}
@@ -156,17 +149,16 @@ func (s *searchScratch) slot(key stateKey) int32 {
 }
 
 // begin readies the scratch for one search of a net taking units capacity
-// units per edge node: fresh scoreboard and chord memo, empty arena, open
-// list and chord arena, zeroed work counters and failure cause, empty read
-// set.
+// units per edge node: empty scoreboard, fresh chord memo, empty arena,
+// open list and chord arena, zeroed work counters and failure cause, empty
+// read set.
 //
 //rdl:noalloc
 func (s *searchScratch) begin(dstPos geom.Point, units int) {
-	for _, st := range s.arena {
-		s.bestG[s.slot(st.key)] = math.Inf(1)
-	}
+	s.bestG = s.bestG[:0]
 	s.gen++
 	if s.gen == 0 { // generation counter wrapped: invalidate explicitly
+		clear(s.stamps)
 		clear(s.memo)
 		s.gen = 1
 	}
@@ -189,10 +181,21 @@ func (s *searchScratch) mark(id rgraph.NodeID) {
 }
 
 // push relaxes a state: admits it when it improves on the scoreboard and
-// appends it to the arena and open list.
+// appends it to the arena and open list. The node's first push in the
+// search gives it its scoreboard slots (see searchScratch).
 //
 //rdl:noalloc
 func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link int32) {
+	if st := &sc.stamps[key.node]; st.gen != sc.gen {
+		st.gen, st.base = sc.gen, int32(len(sc.bestG))
+		n := 2 // a via node: viaArrive false / true
+		if key.gap >= 0 {
+			n = len(r.seqs[key.node]) + 1 // an edge node: gaps 0..len(seq)
+		}
+		for range n {
+			sc.bestG = append(sc.bestG, math.Inf(1))
+		}
+	}
 	slot := sc.slot(key)
 	if sc.bestG[slot] <= g {
 		return
@@ -279,7 +282,7 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 	isStart := st.link == -1
 	for _, adj := range r.G.Adj[st.key.node] {
 		sc.mark(adj.To)
-		link := r.G.Link(adj.Link)
+		link := r.G.Link(int(adj.Link))
 		switch link.Kind {
 		case rgraph.CrossVia:
 			if !isStart && arrivedCross {
@@ -289,19 +292,19 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !r.G.LayerAllowed(net, r.G.Node(adj.To).Layer) {
 				continue
 			}
-			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
+			if r.linkUse[adj.Link] >= int(link.Cap) || r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
 				continue
 			}
-			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: true}, st.g+link.Len, si, int32(adj.Link))
+			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: true}, st.g+link.Len, si, adj.Link)
 		case rgraph.AccessVia:
-			tile := r.G.TileOf(link.Layer, link.Tile)
+			tile := r.G.TileOf(int(link.Layer), int(link.Tile))
 			for _, e := range tile.EdgeNodes {
 				sc.mark(e)
 			}
 			if !isStart && !arrivedCross {
 				continue // entered by wire; must take the via down/up
 			}
-			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] {
+			if r.linkUse[adj.Link] >= int(link.Cap) || r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] {
 				continue
 			}
 			r.pushGaps(sc, net, tile, r.coord(tile, vertexEnd(int(adj.FromOrd))), adj, st.g+link.Len, si)
@@ -319,11 +322,11 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int, dst rgraph.NodeID) {
 	for _, adj := range r.G.Adj[st.key.node] {
 		sc.mark(adj.To)
-		link := r.G.Link(adj.Link)
-		if r.linkUse[adj.Link] >= link.Cap {
+		link := r.G.Link(int(adj.Link))
+		if r.linkUse[adj.Link] >= int(link.Cap) {
 			continue
 		}
-		tile := r.G.TileOf(link.Layer, link.Tile)
+		tile := r.G.TileOf(int(link.Layer), int(link.Tile))
 		from := gapEnd(int(adj.FromOrd), int(st.key.gap))
 		switch link.Kind {
 		case rgraph.AccessVia:
@@ -339,9 +342,9 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 			if !r.chordAllowed(sc, net, tile, from, vertexEnd(int(adj.ToOrd))) {
 				continue
 			}
-			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, int32(adj.Link))
+			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, adj.Link)
 		case rgraph.CrossTile:
-			if r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] || r.linkUse[adj.Link]+sc.units > link.Cap {
+			if r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] || r.linkUse[adj.Link]+sc.units > int(link.Cap) {
 				continue
 			}
 			r.pushGaps(sc, net, tile, r.coord(tile, from), adj, st.g+link.Len, si)
@@ -369,7 +372,7 @@ func (r *Router) pushGaps(sc *searchScratch, net int, tile *rgraph.Tile, q1 floa
 			frac = (float64(m-g2) + 0.5) / float64(m+1)
 		}
 		if chordAllowedCoords(q1, float64(2*e)+2*frac, pcs) {
-			r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, g, si, int32(adj.Link))
+			r.push(sc, stateKey{node: adj.To, gap: int16(g2)}, g, si, adj.Link)
 		}
 	}
 }

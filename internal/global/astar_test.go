@@ -124,3 +124,41 @@ func TestEarlyExitMatchesFullSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreboardSizedBySearch pins that the A* scoreboard holds only the
+// nodes a search touched: after every search of a dense3 Run, the bestG
+// slab holds len(seq)+1 slots for each distinct edge node in the arena and
+// two for each via node, and nothing for the rest of the graph.
+func TestScoreboardSizedBySearch(t *testing.T) {
+	r := buildRouter(t, "dense3", rgraph.Options{}, Options{})
+	searches, largest := 0, 0
+	seen := make(map[rgraph.NodeID]bool)
+	r.searched = func(sc *searchScratch) {
+		searches++
+		clear(seen)
+		want := 0
+		for _, st := range sc.arena {
+			if seen[st.key.node] {
+				continue
+			}
+			seen[st.key.node] = true
+			if r.G.Node(st.key.node).Kind == rgraph.EdgeNode {
+				want += len(r.seqs[st.key.node]) + 1
+			} else {
+				want += 2
+			}
+		}
+		if len(sc.bestG) != want {
+			t.Fatalf("search %d: scoreboard holds %d slots, its %d arena nodes need %d",
+				searches, len(sc.bestG), len(seen), want)
+		}
+		largest = max(largest, want)
+	}
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if searches == 0 {
+		t.Fatal("no search ran")
+	}
+	t.Logf("%d searches, at most %d scoreboard slots", searches, largest)
+}

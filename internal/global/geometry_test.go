@@ -72,7 +72,7 @@ func TestGuideChordsGeometricallyDisjoint(t *testing.T) {
 				if !ok {
 					t.Fatalf("net %d missing from a sequence", ni)
 				}
-				key := tileKey{link.Layer, link.Tile}
+				key := tileKey{int(link.Layer), int(link.Tile)}
 				tiles[key] = append(tiles[key], chord{net: ni, seg: geom.Seg(a, b)})
 			}
 		}

@@ -335,3 +335,32 @@ func TestInvariantsPerRound(t *testing.T) {
 		t.Fatalf("AfterRound ran %d times, OrderRounds = %d, want equal and ≥ 2", rounds, res.OrderRounds)
 	}
 }
+
+// TestSequenceRoomFollowsUse pins that the net-sequence lists are sized by
+// what a route puts on them, not by the Eq. 1 capacity of their edge nodes:
+// after a dense3 Run their rooms together hold under 5% of the summed
+// capacity.
+func TestSequenceRoomFollowsUse(t *testing.T) {
+	r := buildRouter(t, "dense3", rgraph.Options{}, Options{})
+	if _, err := r.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	used, room, capacity := 0, 0, 0
+	for id := range r.G.Nodes {
+		if r.G.Nodes[id].Kind != rgraph.EdgeNode {
+			continue
+		}
+		seq := r.Sequences(rgraph.NodeID(id))
+		used += len(seq)
+		room += cap(seq)
+		capacity += r.G.Nodes[id].Cap
+	}
+	t.Logf("dense3: %d sequence entries in %d rooms, against a capacity of %d", used, room, capacity)
+	if used == 0 || room*20 >= capacity {
+		t.Fatalf("sequence rooms hold %d entries (%d used), want under 5%% of the capacity %d",
+			room, used, capacity)
+	}
+}

@@ -26,30 +26,59 @@ import (
 // and the ordering falls back toward netlist order for the remainder.
 func (r *Router) initialOrder(ctx context.Context) []int {
 	n := len(r.G.Design.Nets)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
 	if r.Opt.DisableRUDYOrder {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
 		return order
 	}
+	m := r.orderModel(ctx)
+	strat := r.Opt.Order
+	if strat == nil {
+		// Legacy path: portfolio.RUDY is the verbatim extraction of the
+		// comparator that used to live here, so this is byte-identical to
+		// the pre-portfolio sort.
+		strat = portfolio.RUDY{}
+	}
+	order := strat.Order(ctx, m)
+	if !portfolio.ValidOrder(order, n) {
+		// A broken external strategy must not corrupt routing: fall back to
+		// the paper's policy rather than route a non-permutation.
+		order = portfolio.RUDY{}.Order(ctx, m)
+	}
+	return order
+}
+
+// orderModel routes every net alone, accumulates the RUDY density of the
+// standalone guides and returns the feature model the ordering strategy
+// reads. The conflict pairs are built only for a configured strategy; RUDY
+// never reads them.
+func (r *Router) orderModel(ctx context.Context) *portfolio.Model {
+	n := len(r.G.Design.Nets)
 
 	// Standalone guides, computed in parallel through the shared
 	// deterministic pool: each net's seed route ignores every other net, so
 	// the searches are independent and paths[ni] depends only on net ni.
-	// Nets are chunked so one scratch amortizes across a chunk's searches
-	// (the pool schedules units dynamically; a per-net unit would pay a
-	// scratch allocation per net).
+	// Each pool worker creates one scratch on its first chunk and reuses it
+	// for every later chunk it claims; a scratch carries no result state, so
+	// the paths are the same at every worker count.
 	paths := make([]*plainPath, n)
 	const orderChunk = 16
-	var units []func() struct{}
+	workers := r.Opt.parallelism()
+	scratches := make([]*plainScratch, workers)
+	var units []func(worker int) struct{}
 	for lo := 0; lo < n; lo += orderChunk {
 		lo, hi := lo, lo+orderChunk
 		if hi > n {
 			hi = n
 		}
-		units = append(units, func() struct{} {
-			scr := newPlainScratch(r.G)
+		units = append(units, func(worker int) struct{} {
+			scr := scratches[worker]
+			if scr == nil {
+				scr = newPlainScratch(r.G)
+				scratches[worker] = scr
+			}
 			for ni := lo; ni < hi; ni++ {
 				if obs.Stopped(ctx) {
 					return struct{}{}
@@ -59,7 +88,7 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 			return struct{}{}
 		})
 	}
-	pool.Run(units, r.Opt.parallelism())
+	pool.RunWith(units, workers)
 
 	// RUDY accumulation, keeping each net's tile footprint for the
 	// congestion features below.
@@ -77,7 +106,7 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 			if link.Kind == rgraph.CrossVia {
 				continue
 			}
-			key := tileKey{link.Layer, link.Tile}
+			key := tileKey{int(link.Layer), int(link.Tile)}
 			if _, ok := area[key]; !ok {
 				area[key] = r.tileArea(key)
 			}
@@ -100,25 +129,10 @@ func (r *Router) initialOrder(ctx context.Context) []int {
 	for ni := range m.PinDist {
 		m.PinDist[ni] = r.netPinDist(ni)
 	}
-	r.orderModel = m
-	strat := r.Opt.Order
-	if strat == nil {
-		// Legacy path: portfolio.RUDY is the verbatim extraction of the
-		// comparator that used to live here, so this is byte-identical to
-		// the pre-portfolio sort.
-		strat = portfolio.RUDY{}
-	} else {
-		// The pairwise interaction signal is only built for configured
-		// strategies; RUDY never reads it.
+	if r.Opt.Order != nil {
 		m.Conflicts = r.conflictPairs(predTiles, density)
 	}
-	order = strat.Order(ctx, m)
-	if !portfolio.ValidOrder(order, n) {
-		// A broken external strategy must not corrupt routing: fall back to
-		// the paper's policy rather than route a non-permutation.
-		order = portfolio.RUDY{}.Order(ctx, m)
-	}
-	return order
+	return m
 }
 
 // conflictPairs lists net pairs whose standalone seed paths (predTiles, the
@@ -288,7 +302,7 @@ func (r *Router) routePlain(ni int, s *plainScratch) *plainPath {
 		}
 		node := r.G.Node(it.st.node)
 		for _, adj := range r.G.Adj[it.st.node] {
-			link := r.G.Link(adj.Link)
+			link := r.G.Link(int(adj.Link))
 			to := r.G.Node(adj.To)
 			if to.Cap <= 0 && adj.To != dst {
 				continue
@@ -309,7 +323,7 @@ func (r *Router) routePlain(ni int, s *plainScratch) *plainPath {
 				continue
 			}
 			push(plainState{node: adj.To, viaArrive: link.Kind == rgraph.CrossVia},
-				it.g+link.Len, si, adj.Link)
+				it.g+link.Len, si, int(adj.Link))
 		}
 	}
 	return nil

@@ -112,9 +112,8 @@ func TestConflictPairsCanonical(t *testing.T) {
 	// conflictPairs iterates maps internally; its output must be canonical
 	// anyway. Recompute on a fresh router and compare.
 	r2 := buildRouter(t, "dense3", rgraph.Options{}, Options{Order: portfolio.Congestion{}})
-	r2.initialOrder(context.Background())
-	d1 := r.orderModel.Conflicts
-	d2 := r2.orderModel.Conflicts
+	d1 := r.orderModel(context.Background()).Conflicts
+	d2 := r2.orderModel(context.Background()).Conflicts
 	if !reflect.DeepEqual(d1, d2) {
 		t.Fatalf("conflictPairs not canonical across runs:\n%v\n%v", d1, d2)
 	}

@@ -237,7 +237,7 @@ func TestReadSetPremises(t *testing.T) {
 				if l.Kind == rgraph.CrossVia {
 					continue
 				}
-				ens := g.TileOf(l.Layer, l.Tile).EdgeNodes
+				ens := g.TileOf(int(l.Layer), int(l.Tile)).EdgeNodes
 				if !slices.Contains(ens[:], l.A) && !slices.Contains(ens[:], l.B) {
 					t.Fatalf("%v link %d (%d–%d) has no end among its tile's edge nodes %v", l.Kind, id, l.A, l.B, ens)
 				}
@@ -301,15 +301,15 @@ func checkExpansionMarks(t *testing.T, r *Router, board string) {
 			}
 		}
 		for _, adj := range g.Adj[id] {
-			l := g.Link(adj.Link)
-			if r.linkUse[adj.Link] >= l.Cap {
+			l := g.Link(int(adj.Link))
+			if r.linkUse[adj.Link] >= int(l.Cap) {
 				full++
 			}
 			need("neighbour", adj.To)
 			if l.Kind == rgraph.CrossVia {
 				continue
 			}
-			for _, e := range g.TileOf(l.Layer, l.Tile).EdgeNodes {
+			for _, e := range g.TileOf(int(l.Layer), int(l.Tile)).EdgeNodes {
 				if e != u {
 					need("tile edge node", e)
 				}
@@ -374,16 +374,16 @@ func readSnapshot(r *Router, read []uint64) []int {
 			s = append(s, int(id), r.nodeUse[id], len(r.seqs[id]))
 			s = append(s, r.seqs[id]...)
 			for _, adj := range r.G.Adj[id] {
-				s = append(s, adj.Link, r.linkUse[adj.Link])
-				l := r.G.Link(adj.Link)
+				s = append(s, int(adj.Link), r.linkUse[adj.Link])
+				l := r.G.Link(int(adj.Link))
 				if l.Kind == rgraph.CrossVia {
 					continue
 				}
-				ens := r.G.TileOf(l.Layer, l.Tile).EdgeNodes
+				ens := r.G.TileOf(int(l.Layer), int(l.Tile)).EdgeNodes
 				if !marked(read, ens[0]) || !marked(read, ens[1]) || !marked(read, ens[2]) {
 					continue
 				}
-				ps := r.passages[r.tileIndex(l.Layer, l.Tile)]
+				ps := r.passages[r.tileIndex(int(l.Layer), int(l.Tile))]
 				s = append(s, len(ps))
 				for _, p := range ps {
 					s = append(s, p.net, p.e1.vertex, p.e1.edge, p.e2.vertex, p.e2.edge)

@@ -10,6 +10,7 @@ package global
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rdlroute/internal/obs"
@@ -139,8 +140,12 @@ type Router struct {
 	// diagonal refinement reduces it.
 	nodeCap []int
 	// seqs holds, for each edge node, the ordered net IDs crossing it
-	// (storage order: from Edge.A's position toward Edge.B's).
+	// (storage order: from Edge.A's position toward Edge.B's). A list gets
+	// its room from seqSlab on its first insert and moves to a room twice
+	// its size when it is full (growSeq); rip-up keeps the room.
 	seqs [][]int
+	// seqSlab is the unused tail of the chunk the list rooms are cut from.
+	seqSlab []int
 	// passages holds the committed chords per tile, indexed by the dense
 	// tile index tileBase[layer]+tri (see tileIndex).
 	passages [][]passage
@@ -159,10 +164,9 @@ type Router struct {
 	// reuse is the round loop's cross-round search memo (reuse.go). Run
 	// creates it for the round loop and drops it when the loop ends.
 	reuse *reuseState
-
-	// orderModel is the feature model initialOrder built for the ordering
-	// strategy (nil until initialOrder runs, or with DisableRUDYOrder).
-	orderModel *portfolio.Model
+	// searched, when non-nil, runs after every search that ran, before its
+	// guide is committed. Tests use it to inspect the search's scratch.
+	searched func(sc *searchScratch)
 }
 
 // New creates a router over the graph.
@@ -187,26 +191,28 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		nTiles += int32(len(g.Layers[li].Tiles))
 	}
 	r.passages = make([][]passage, nTiles)
-	// Pre-size the sequence lists from edge capacity: a sequence entry
-	// consumes at least one capacity unit, so Cap bounds the list length
-	// and the commit-time insertions below never reallocate. All lists
-	// carve one backing array — full-capacity three-index sub-slices, so
-	// an append can never bleed into a neighbour's region.
-	total := 0
-	for id := range g.Nodes {
-		if n := &g.Nodes[id]; n.Kind == rgraph.EdgeNode && n.Cap > 0 {
-			total += n.Cap
-		}
-	}
-	backing := make([]int, total)
-	off := 0
-	for id := range g.Nodes {
-		if n := &g.Nodes[id]; n.Kind == rgraph.EdgeNode && n.Cap > 0 {
-			r.seqs[id] = backing[off : off : off+n.Cap]
-			off += n.Cap
-		}
-	}
 	return r
+}
+
+// seqChunk is the number of entries the sequence slab takes at a time.
+const seqChunk = 4096
+
+// growSeq moves a full sequence list into a room of twice its size, or of
+// one entry for a list that has none yet, cut from the sequence slab. The
+// room is a full three-index slice, so an append can never bleed into a
+// neighbour's room.
+//
+//rdl:noalloc
+func (r *Router) growSeq(seq []int) []int {
+	room := max(2*cap(seq), 1)
+	if len(r.seqSlab) < room {
+		//rdl:allow noalloc a new slab chunk is amortized over the seqChunk entries it serves; a route takes a handful
+		r.seqSlab = make([]int, max(seqChunk, room))
+	}
+	grown := r.seqSlab[:len(seq):room]
+	r.seqSlab = r.seqSlab[room:]
+	copy(grown, seq)
+	return grown
 }
 
 // edgeUnits returns the capacity units one guide of the net consumes on an
@@ -378,6 +384,9 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 // once per search, so a trace attributes every failure to the round span it
 // ran in.
 func (r *Router) foldSearch(sc *searchScratch, err error) {
+	if r.searched != nil {
+		r.searched(sc)
+	}
 	r.expansions += sc.expansions
 	r.heapPushes += sc.heapPushes
 	if err != nil {
@@ -404,8 +413,11 @@ func (r *Router) commit(g *searchResult) {
 			if gap < 0 || gap > len(seq) {
 				gap = len(seq)
 			}
-			// In-place insertion: the list was pre-sized to the node's
-			// capacity in New, so the append stays within the backing array.
+			// In-place insertion: a full list first moves to a larger room,
+			// so the append stays within the list's room.
+			if len(seq) == cap(seq) {
+				seq = r.growSeq(seq)
+			}
 			seq = append(seq, 0)
 			copy(seq[gap+1:], seq[gap:])
 			seq[gap] = g.net
@@ -427,11 +439,11 @@ func (r *Router) commit(g *searchResult) {
 		if link.Kind == rgraph.CrossVia {
 			continue
 		}
-		tile := r.G.TileOf(link.Layer, link.Tile)
+		tile := r.G.TileOf(int(link.Layer), int(link.Tile))
 		p := passage{net: g.net}
 		p.e1 = r.passageEndFor(tile, g.nodes[i])
 		p.e2 = r.passageEndFor(tile, g.nodes[i+1])
-		ti := r.tileIndex(link.Layer, link.Tile)
+		ti := r.tileIndex(int(link.Layer), int(link.Tile))
 		r.passages[ti] = append(r.passages[ti], p)
 	}
 	r.guides[g.net] = guide
@@ -476,7 +488,7 @@ func (r *Router) ripUp(guide *Guide) {
 		if link.Kind == rgraph.CrossVia {
 			continue
 		}
-		ti := r.tileIndex(link.Layer, link.Tile)
+		ti := r.tileIndex(int(link.Layer), int(link.Tile))
 		ps := r.passages[ti]
 		for j := range ps {
 			if ps[j].net == guide.Net {
@@ -561,6 +573,9 @@ func (r *Router) CheckInvariants() error {
 		if r.G.Nodes[id].Kind == rgraph.EdgeNode {
 			want := 0
 			for _, n := range r.seqs[id] {
+				if g := r.guides[n]; g == nil || !slices.Contains(g.Nodes, rgraph.NodeID(id)) {
+					return fmt.Errorf("global: edge node %d sequence holds net %d, whose guide does not cross it", id, n)
+				}
 				want += r.edgeUnits(n)
 			}
 			if want != nodeUse[id] {
@@ -573,7 +588,7 @@ func (r *Router) CheckInvariants() error {
 		if linkUse[id] != r.linkUse[id] {
 			return fmt.Errorf("global: link %d usage %d, recomputed %d", id, r.linkUse[id], linkUse[id])
 		}
-		if r.linkUse[id] > r.G.Link(id).Cap {
+		if r.linkUse[id] > int(r.G.Link(id).Cap) {
 			return fmt.Errorf("global: link %d over capacity: %d > %d", id, r.linkUse[id], r.G.Link(id).Cap)
 		}
 	}

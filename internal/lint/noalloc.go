@@ -29,7 +29,9 @@ const NoallocDirective = "//rdl:noalloc"
 //   - appends outside the two reuse idioms, the amortized self-append
 //     `x = append(x, ...)` and the in-place `append(x[:i], ...)`, which
 //     write into an existing backing array once warm. A three-index base
-//     `append(x[:0:0], ...)` is the clone idiom and allocates every call;
+//     `append(x[:0:0], ...)` is the clone idiom and allocates every call,
+//     and so does a self-append onto a local the function starts empty
+//     (`var s []int` or `s = nil`);
 //   - the address of stack memory: `&x`, `&x.f`, `&x[i]` or `x[:]` of a
 //     local variable or parameter reached without a pointer, slice or
 //     map, and a pointer-method call on such a value (an implicit `&x`).
@@ -259,8 +261,12 @@ func (c *allocChecker) scan(fd *ast.FuncDecl) {
 }
 
 // admittedAppends collects the append calls in the non-allocating
-// steady-state shapes: `x = append(x, ...)` and `y = append(x[:i], ...)`.
+// steady-state shapes, `x = append(x, ...)` and `y = append(x[:i], ...)`,
+// as true. A self-append onto a local that starts empty is no reuse, since
+// it grows a fresh backing array on every call; it is collected as false,
+// so checkCall can name the cause.
 func (c *allocChecker) admittedAppends(body *ast.BlockStmt) map[*ast.CallExpr]bool {
+	fresh := c.emptyLocals(body)
 	admitted := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -277,12 +283,60 @@ func (c *allocChecker) admittedAppends(body *ast.BlockStmt) map[*ast.CallExpr]bo
 				continue
 			}
 			if types.ExprString(as.Lhs[i]) == types.ExprString(call.Args[0]) {
-				admitted[call] = true
+				id, isIdent := as.Lhs[i].(*ast.Ident)
+				admitted[call] = !isIdent || !fresh[c.info.ObjectOf(id)]
 			}
 		}
 		return true
 	})
 	return admitted
+}
+
+// emptyLocals returns the local variables of body that start empty: those
+// declared without an initializer or with nil, and those set to nil
+// anywhere in the body.
+func (c *allocChecker) emptyLocals(body *ast.BlockStmt) map[types.Object]bool {
+	fresh := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.ValueSpec:
+			for i, name := range e.Names {
+				if len(e.Values) == 0 || (len(e.Values) == len(e.Names) && c.isNil(e.Values[i])) {
+					if v, ok := c.info.Defs[name].(*types.Var); ok {
+						fresh[v] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if len(e.Lhs) != len(e.Rhs) {
+				break
+			}
+			for i, lhs := range e.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && c.isNil(e.Rhs[i]) {
+					if v, ok := c.info.ObjectOf(id).(*types.Var); ok && isLocal(v) {
+						fresh[v] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return fresh
+}
+
+// isNil reports whether e is nil or a conversion of nil, as in []int(nil).
+func (c *allocChecker) isNil(e ast.Expr) bool {
+	e = ast.Unparen(e)
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 1 && c.info.Types[call.Fun].IsType() {
+		return c.isNil(call.Args[0])
+	}
+	return c.info.Types[e].IsNil()
+}
+
+// isLocal reports whether v is a local variable or parameter, not a
+// package-level variable or a field.
+func isLocal(v *types.Var) bool {
+	return !v.IsField() && v.Parent() != nil && v.Pkg() != nil && v.Parent() != v.Pkg().Scope()
 }
 
 func (c *allocChecker) checkCall(call *ast.CallExpr, admitted map[*ast.CallExpr]bool) {
@@ -293,7 +347,10 @@ func (c *allocChecker) checkCall(call *ast.CallExpr, admitted map[*ast.CallExpr]
 			case "make", "new":
 				c.sitef(call.Pos(), "%s in %s allocates", b.Name(), c.ctx)
 			case "append":
-				if !admitted[call] {
+				if reuse, self := admitted[call]; self && !reuse {
+					c.sitef(call.Pos(), "self-append onto %s in %s: the local starts empty, so the append grows a fresh backing array on every call",
+						types.ExprString(call.Args[0]), c.ctx)
+				} else if !reuse {
 					c.sitef(call.Pos(), "append outside the reuse idioms (x = append(x, ...) or append(x[:i], ...)) in %s can grow a fresh backing array", c.ctx)
 				}
 				if sl, ok := under(c.info.TypeOf(call.Args[0])).(*types.Slice); ok && !call.Ellipsis.IsValid() {

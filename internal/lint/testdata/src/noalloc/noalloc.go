@@ -32,7 +32,7 @@ var (
 	sinkAnys []any
 )
 
-// The fourteen kinds of allocation a reader could plausibly add to a hot
+// The fifteen kinds of allocation a reader could plausibly add to a hot
 // path, one function each. FLAGGED.
 
 //rdl:noalloc
@@ -43,6 +43,13 @@ func kindMake(n int) []int {
 //rdl:noalloc
 func kindAppend(b *buf, v int) []int {
 	fresh := append(b.items, v)
+	return fresh
+}
+
+//rdl:noalloc
+func kindSelfappend(v int) []int {
+	var fresh []int
+	fresh = append(fresh, v)
 	return fresh
 }
 
@@ -120,6 +127,21 @@ func stackShapes(n int, b buf) int {
 	return len(b.arr[:])
 }
 
+// emptyLocals self-appends onto locals that start empty: declared nil,
+// converted from nil, and set to nil after a reuse start. FLAGGED.
+//
+//rdl:noalloc
+func emptyLocals(b *buf, v int) int {
+	var s []int = nil
+	s = append(s, v)
+	t := []int(nil)
+	t = append(t, v)
+	u := b.items[:0]
+	u = nil
+	u = append(u, v)
+	return len(s) + len(t) + len(u)
+}
+
 // boxSites boxes at a call argument, an array-literal element, a channel
 // send, a map key and a return. FLAGGED.
 //
@@ -144,12 +166,18 @@ func literals(s string) *buf {
 	return &buf{}
 }
 
-// hot follows the two reuse idioms. CLEAN.
+// hot follows the two reuse idioms, on a field, on a local that starts
+// from a reused buffer and on a parameter. CLEAN.
 //
 //rdl:noalloc
-func hot(b *buf, v int) {
+func hot(b *buf, v int, p []int) []int {
 	b.items = append(b.items, v)
 	b.items = append(b.items[:0], v)
+	s := b.items[:0]
+	s = append(s, v)
+	b.items = s
+	p = append(p, v)
+	return p
 }
 
 // heapAddrs takes addresses of memory reached through a pointer or a
@@ -190,6 +218,10 @@ func allowed(b *buf, n int, failed bool) error {
 	sinkFn = b.keep
 	//rdl:allow noalloc a fresh clone is the result the caller keeps
 	b.items = append(b.items[:0:0], n)
+	var found []int
+	//rdl:allow noalloc the findings are the result the caller keeps, built only when there is one
+	found = append(found, n)
+	b.items = found
 	//rdl:allow noalloc debug label built only when tracing
 	_ = string(rune(n))
 	if failed {

@@ -67,40 +67,40 @@ func TestSearchHeuristicPremises(t *testing.T) {
 				continue
 			}
 			for _, adj := range g.Adj[id] {
-				if g.Link(adj.Link).Kind == CrossVia {
+				if g.Link(int(adj.Link)).Kind == CrossVia {
 					t.Fatalf("%s: pin node %d of pad %d has cross-via link %d", name, id, pad, adj.Link)
 				}
 			}
 		}
 		for id := range g.Adj {
 			for _, adj := range g.Adj[id] {
-				l := g.Link(adj.Link)
+				l := g.Link(int(adj.Link))
 				from, to := int8(-1), int8(-1)
 				if l.Kind != CrossVia {
-					tile := g.TileOf(l.Layer, l.Tile)
+					tile := g.TileOf(int(l.Layer), int(l.Tile))
 					from, to = scanOrdinal(g, tile, NodeID(id)), scanOrdinal(g, tile, adj.To)
 					if from < 0 || from > 2 || to < 0 || to > 2 {
 						t.Fatalf("%s: %v link %d: ends %d and %d scan to ordinals %d and %d in tile %d",
-							name, l.Kind, l.ID, id, adj.To, from, to, l.Tile)
+							name, l.Kind, adj.Link, id, adj.To, from, to, l.Tile)
 					}
 				}
 				if adj.FromOrd != from || adj.ToOrd != to {
 					t.Fatalf("%s: %v link %d from node %d: ordinals %d→%d, tile scan %d→%d",
-						name, l.Kind, l.ID, id, adj.FromOrd, adj.ToOrd, from, to)
+						name, l.Kind, adj.Link, id, adj.FromOrd, adj.ToOrd, from, to)
 				}
 			}
 		}
 		same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-		for _, l := range g.Links {
+		for id, l := range g.Links {
 			a, b := g.Node(l.A).Pos, g.Node(l.B).Pos
 			switch l.Kind {
 			case AccessVia, CrossTile:
 				if dist := a.Dist(b); !same(l.Len, dist) {
-					t.Fatalf("%s: %v link %d has Len %v, its ends are %v apart", name, l.Kind, l.ID, l.Len, dist)
+					t.Fatalf("%s: %v link %d has Len %v, its ends are %v apart", name, l.Kind, id, l.Len, dist)
 				}
 			case CrossVia:
 				if !same(a.X, b.X) || !same(a.Y, b.Y) || l.Len < 0 {
-					t.Fatalf("%s: cross-via link %d joins %v and %v at Len %v", name, l.ID, a, b, l.Len)
+					t.Fatalf("%s: cross-via link %d joins %v and %v at Len %v", name, id, a, b, l.Len)
 				}
 			}
 		}

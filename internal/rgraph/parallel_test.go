@@ -67,7 +67,7 @@ func TestAccessLinksAroundKeepOut(t *testing.T) {
 	has := make(map[corner]bool)
 	for _, l := range g.Links {
 		if l.Kind == AccessVia {
-			has[corner{l.Layer, l.Tile, l.Corner}] = true
+			has[corner{int(l.Layer), int(l.Tile), int(l.Corner)}] = true
 		}
 	}
 	blocked := 0

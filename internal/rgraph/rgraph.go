@@ -6,6 +6,7 @@
 package rgraph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -86,19 +87,23 @@ type Node struct {
 }
 
 // Link is one graph edge instance with its own capacity and usage identity.
+// Its ID is its index in Graph.Links. The integer fields are narrowed so the
+// record packs into 32 bytes; Build rejects a design whose indices do not
+// fit them (ErrGraphTooLarge).
 type Link struct {
-	ID   int
-	Kind EdgeKind
-	A, B NodeID
-	Cap  int
-	// Layer and Tile locate access-via and cross-tile links; Tile is -1 for
-	// cross-via links.
-	Layer, Tile int
-	// Corner is the mesh vertex index of the tile corner a cross-tile link
-	// wraps (or the via vertex of an access-via link).
-	Corner int
 	// Len is the nominal length cost of traversing the link.
-	Len float64
+	Len  float64
+	A, B NodeID
+	Cap  int32
+	// Tile locates access-via and cross-tile links within Layer; it is -1
+	// for cross-via links, whose Layer is the lower of the two.
+	Tile int32
+	// Corner is the mesh vertex index of the tile corner a cross-tile link
+	// wraps (or the via vertex of an access-via link), -1 for a cross-via
+	// link.
+	Corner int32
+	Layer  int16
+	Kind   EdgeKind
 }
 
 // Adjacent pairs a link with the neighbouring node it leads to. FromOrd and
@@ -106,10 +111,15 @@ type Link struct {
 // node and of To: the corner for a via node, the edge for an edge node.
 // Both are -1 for a cross-via link, which has no tile.
 type Adjacent struct {
-	Link           int
+	Link           int32
 	To             NodeID
 	FromOrd, ToOrd int8
 }
+
+// ErrGraphTooLarge is wrapped by Build's error when a design's layer count,
+// or a node, link, tile or mesh-vertex index, does not fit the packed
+// fields of Link, Adjacent and NodeID.
+var ErrGraphTooLarge = errors.New("rgraph: graph too large for its packed records")
 
 // Tile is one triangular tile with its node references in boundary order:
 // the cyclic tile boundary is Verts[0], Edges[0], Verts[1], Edges[1],
@@ -239,7 +249,14 @@ func CornerCapacity(v, a, b geom.Point, rules design.Rules) int {
 // Phase 2 writes the layer's nodes and tile links at those IDs into arrays
 // allocated once. The pin map, the cross-via links and the adjacency lists
 // follow serially, so the graph is identical for every worker count.
+//
+// A plan of more than math.MaxInt16 wire layers, or a layer or graph whose
+// vertex, tile, node or link indices exceed math.MaxInt32, fails with
+// ErrGraphTooLarge before any packed field is written.
 func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
+	if len(plan.Layers) > math.MaxInt16 {
+		return nil, fmt.Errorf("%w: %d wire layers, at most %d", ErrGraphTooLarge, len(plan.Layers), math.MaxInt16)
+	}
 	rec := obs.Or(opt.Rec)
 	workers := pool.Default(opt.Workers)
 	g := &Graph{
@@ -264,8 +281,16 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		}
 		slots[li].firstNode, slots[li].firstLink = nodes, links
 		mesh := g.Layers[li].Mesh
+		if len(mesh.Points) > math.MaxInt32 || len(mesh.Tris) > math.MaxInt32 {
+			return nil, fmt.Errorf("%w: layer %d has %d vertices and %d tiles, at most %d each",
+				ErrGraphTooLarge, li, len(mesh.Points), len(mesh.Tris), math.MaxInt32)
+		}
 		nodes += len(mesh.Points) + len(mesh.Edges())
 		links += sl.links
+	}
+	if nodes > math.MaxInt32 || links > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d nodes and %d links, at most %d each",
+			ErrGraphTooLarge, nodes, links, math.MaxInt32)
 	}
 
 	// Phase 2: each layer's nodes and tile links at their final IDs.
@@ -457,13 +482,14 @@ func (g *Graph) addTileLinks(li int, sl layerSlots) {
 	links := g.Links[sl.firstLink : sl.firstLink+sl.links : sl.firstLink+sl.links]
 	k := 0
 	addLink := func(l Link) int {
-		l.ID = sl.firstLink + k
+		id := sl.firstLink + k
 		links[k] = l
 		k++
-		return l.ID
+		return id
 	}
 
 	clearance := d.Rules.Pitch()
+	layer := int16(li) // Build bounds the layer count by math.MaxInt16
 	lg.Tiles = make([]Tile, len(mesh.Tris))
 	for ti, tri := range mesh.Tris {
 		t := Tile{Layer: li, Tri: ti, Verts: tri.V}
@@ -478,7 +504,7 @@ func (g *Graph) addTileLinks(li int, sl layerSlots) {
 			}
 			vn, opp := t.ViaNodes[i], t.EdgeNodes[(i+1)%3]
 			addLink(Link{Kind: AccessVia, A: vn, B: opp, Cap: 1,
-				Layer: li, Tile: ti, Corner: tri.V[i],
+				Layer: layer, Tile: int32(ti), Corner: int32(tri.V[i]),
 				Len: g.Nodes[vn].Pos.Dist(g.Nodes[opp].Pos)})
 		}
 		// Cross-tile: around each corner i, connecting the two incident
@@ -498,8 +524,12 @@ func (g *Graph) addTileLinks(li int, sl layerSlots) {
 			if d.SegmentBlocked(geom.Seg(g.Nodes[ea].Pos, g.Nodes[eb].Pos), li, clearance) {
 				capc = 0
 			}
-			t.CrossLinks[i] = addLink(Link{Kind: CrossTile, A: ea, B: eb, Cap: capc,
-				Layer: li, Tile: ti, Corner: tri.V[i],
+			// A corner of more than math.MaxInt32 pitches admits more nets
+			// than any design has, so saturating the packed field routes
+			// the same.
+			capc = min(capc, math.MaxInt32)
+			t.CrossLinks[i] = addLink(Link{Kind: CrossTile, A: ea, B: eb, Cap: int32(capc),
+				Layer: layer, Tile: int32(ti), Corner: int32(tri.V[i]),
 				Len: g.Nodes[ea].Pos.Dist(g.Nodes[eb].Pos)})
 		}
 		lg.Tiles[ti] = t
@@ -530,7 +560,7 @@ func (g *Graph) finishLinks(viaNode []NodeID) error {
 		if a == Invalid || b == Invalid {
 			return fmt.Errorf("rgraph: via %d missing a layer node", v.ID)
 		}
-		g.Links[i] = Link{ID: i, Kind: CrossVia, A: a, B: b, Cap: 1, Layer: v.Layer, Tile: -1,
+		g.Links[i] = Link{Kind: CrossVia, A: a, B: b, Cap: 1, Layer: int16(v.Layer), Tile: -1,
 			Corner: -1, Len: viaCost}
 	}
 
@@ -552,8 +582,9 @@ func (g *Graph) finishLinks(viaNode []NodeID) error {
 	for i := range g.Links {
 		l := &g.Links[i]
 		a, b := g.tileOrdinals(l)
-		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: l.ID, To: l.B, FromOrd: a, ToOrd: b})
-		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: l.ID, To: l.A, FromOrd: b, ToOrd: a})
+		id := int32(i) // Build bounds the link count by math.MaxInt32
+		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: id, To: l.B, FromOrd: a, ToOrd: b})
+		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: id, To: l.A, FromOrd: b, ToOrd: a})
 	}
 	return nil
 }
@@ -564,7 +595,7 @@ func (g *Graph) tileOrdinals(l *Link) (a, b int8) {
 	if l.Kind == CrossVia {
 		return -1, -1
 	}
-	t := g.TileOf(l.Layer, l.Tile)
+	t := g.TileOf(int(l.Layer), int(l.Tile))
 	return t.ordinal(l.A), t.ordinal(l.B)
 }
 

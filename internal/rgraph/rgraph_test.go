@@ -1,11 +1,13 @@
 package rgraph
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
@@ -174,9 +176,9 @@ func TestAdjacencySymmetry(t *testing.T) {
 	g := buildGraph(t, "dense1", Options{})
 	for id := range g.Nodes {
 		for _, adj := range g.Adj[id] {
-			l := g.Link(adj.Link)
+			l := g.Link(int(adj.Link))
 			if l.A != NodeID(id) && l.B != NodeID(id) {
-				t.Fatalf("node %d lists link %d it is not part of", id, l.ID)
+				t.Fatalf("node %d lists link %d it is not part of", id, adj.Link)
 			}
 			// The reverse adjacency must exist.
 			found := false
@@ -186,7 +188,7 @@ func TestAdjacencySymmetry(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Fatalf("link %d missing reverse adjacency", l.ID)
+				t.Fatalf("link %d missing reverse adjacency", adj.Link)
 			}
 		}
 	}
@@ -194,44 +196,44 @@ func TestAdjacencySymmetry(t *testing.T) {
 
 func TestLinkKindEndpoints(t *testing.T) {
 	g := buildGraph(t, "dense3", Options{})
-	for _, l := range g.Links {
+	for id, l := range g.Links {
 		a, b := g.Node(l.A), g.Node(l.B)
 		switch l.Kind {
 		case CrossVia:
 			if a.Kind != ViaNode || b.Kind != ViaNode {
-				t.Fatalf("cross-via link %d endpoints not via nodes", l.ID)
+				t.Fatalf("cross-via link %d endpoints not via nodes", id)
 			}
 			if abs(a.Layer-b.Layer) != 1 {
-				t.Fatalf("cross-via link %d spans layers %d-%d", l.ID, a.Layer, b.Layer)
+				t.Fatalf("cross-via link %d spans layers %d-%d", id, a.Layer, b.Layer)
 			}
 			if a.Ref != b.Ref {
-				t.Fatalf("cross-via link %d connects different vias", l.ID)
+				t.Fatalf("cross-via link %d connects different vias", id)
 			}
 		case AccessVia:
 			if a.Kind != ViaNode || b.Kind != EdgeNode {
-				t.Fatalf("access-via link %d endpoint kinds wrong", l.ID)
+				t.Fatalf("access-via link %d endpoint kinds wrong", id)
 			}
 			if a.Layer != b.Layer {
-				t.Fatalf("access-via link %d crosses layers", l.ID)
+				t.Fatalf("access-via link %d crosses layers", id)
 			}
 			if l.Cap != 1 {
-				t.Fatalf("access-via link %d cap = %d", l.ID, l.Cap)
+				t.Fatalf("access-via link %d cap = %d", id, l.Cap)
 			}
 			// The via vertex must not be an endpoint of the opposite edge.
 			if a.Vert == b.Edge.A || a.Vert == b.Edge.B {
-				t.Fatalf("access-via link %d: via %d on its own edge", l.ID, a.Vert)
+				t.Fatalf("access-via link %d: via %d on its own edge", id, a.Vert)
 			}
 		case CrossTile:
 			if a.Kind != EdgeNode || b.Kind != EdgeNode {
-				t.Fatalf("cross-tile link %d endpoints not edge nodes", l.ID)
+				t.Fatalf("cross-tile link %d endpoints not edge nodes", id)
 			}
 			if a.Layer != b.Layer {
-				t.Fatalf("cross-tile link %d crosses layers", l.ID)
+				t.Fatalf("cross-tile link %d crosses layers", id)
 			}
 			// The two edges share exactly the corner vertex.
 			shared := sharedVert(a.Edge.A, a.Edge.B, b.Edge.A, b.Edge.B)
-			if shared != l.Corner {
-				t.Fatalf("cross-tile link %d corner = %d, shared vertex = %d", l.ID, l.Corner, shared)
+			if shared != int(l.Corner) {
+				t.Fatalf("cross-tile link %d corner = %d, shared vertex = %d", id, l.Corner, shared)
 			}
 		}
 	}
@@ -246,7 +248,7 @@ func TestNoAccessToDeadVertices(t *testing.T) {
 			continue
 		}
 		for _, adj := range g.Adj[id] {
-			if g.Link(adj.Link).Kind == AccessVia {
+			if g.Link(int(adj.Link)).Kind == AccessVia {
 				t.Fatalf("capacity-0 node %d (%v) has an access-via link", id, n.VertKind)
 			}
 		}
@@ -271,10 +273,10 @@ func TestTileBoundaryOrder(t *testing.T) {
 				// CrossLinks[i] wraps corner Verts[i] inside this tile, joining
 				// Edges[(i+2)%3] and Edges[i].
 				cl := g.Link(tile.CrossLinks[i])
-				if cl.Corner != tile.Verts[i] {
+				if int(cl.Corner) != tile.Verts[i] {
 					t.Fatalf("tile %d cross link %d corner = %d, want %d", ti, i, cl.Corner, tile.Verts[i])
 				}
-				if cl.Tile != ti || cl.A != tile.EdgeNodes[(i+2)%3] || cl.B != tile.EdgeNodes[i] {
+				if int(cl.Tile) != ti || cl.A != tile.EdgeNodes[(i+2)%3] || cl.B != tile.EdgeNodes[i] {
 					t.Fatalf("tile %d cross link %d is tile %d, %d–%d", ti, i, cl.Tile, cl.A, cl.B)
 				}
 			}
@@ -384,5 +386,31 @@ func TestViaCostWireEncoding(t *testing.T) {
 		if got := (Options{ViaCost: viaCost(c)}).ResolvedViaCost(rules); got != 0 {
 			t.Errorf("ResolvedViaCost(&%v) = %v, want 0", c, got)
 		}
+	}
+}
+
+// TestPackedRecordSizes pins the packed layout of the two records the A*
+// reads on every expansion.
+func TestPackedRecordSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got != 32 {
+		t.Errorf("Link is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Adjacent{}); got != 12 {
+		t.Errorf("Adjacent is %d bytes, want 12", got)
+	}
+}
+
+// TestBuildRejectsTooManyLayers pins that a layer count past Link.Layer's
+// int16 range fails with ErrGraphTooLarge instead of wrapping.
+func TestBuildRejectsTooManyLayers(t *testing.T) {
+	d, err := design.GenerateDense("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.WireLayers = math.MaxInt16 + 1
+	plan := &viaplan.Plan{Layers: make([]viaplan.LayerPlan, d.WireLayers)}
+	g, err := Build(d, plan, Options{Workers: 1})
+	if !errors.Is(err, ErrGraphTooLarge) || g != nil {
+		t.Fatalf("Build with %d wire layers = %v, %v; want ErrGraphTooLarge", d.WireLayers, g, err)
 	}
 }

@@ -43,14 +43,14 @@ func topologyHash(g *Graph) uint64 {
 		put(int(l.Kind))
 		put(int(l.A))
 		put(int(l.B))
-		put(l.Cap)
-		put(l.Tile)
-		put(l.Corner)
+		put(int(l.Cap))
+		put(int(l.Tile))
+		put(int(l.Corner))
 	}
 	for _, adj := range g.Adj {
 		put(len(adj))
 		for _, a := range adj {
-			put(a.Link)
+			put(int(a.Link))
 			put(int(a.To))
 		}
 	}
