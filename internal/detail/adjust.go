@@ -87,12 +87,12 @@ func (d *Detailer) refreshAllRanges() {
 // refreshEdgeRanges recomputes the ranges of all access points on one edge
 // node from current positions.
 func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
-	node := d.G.Node(id)
 	seq := d.R.Sequences(id)
 	if len(seq) == 0 {
 		return
 	}
-	edgeLen := node.EndA.Dist(node.EndB)
+	endA, endB := d.G.EdgeEnds(id)
+	edgeLen := endA.Dist(endB)
 	if edgeLen <= 0 {
 		return
 	}
@@ -194,8 +194,8 @@ func (d *Detailer) incidenceFactor(id rgraph.NodeID, net int) float64 {
 	if ch == nil || ap.ElemIdx <= 0 || ap.ElemIdx+1 >= len(ch.Elems) {
 		return maxFactor
 	}
-	node := d.G.Node(id)
-	edgeDir := node.EndB.Sub(node.EndA).Unit()
+	endA, endB := d.G.EdgeEnds(id)
+	edgeDir := endB.Sub(endA).Unit()
 	here := d.Pos(apIdx)
 	worst := 1.0
 	for _, nb := range [2]int{ap.ElemIdx - 1, ap.ElemIdx + 1} {
@@ -221,8 +221,8 @@ func (d *Detailer) incidenceFactor(id rgraph.NodeID, net int) float64 {
 //
 //rdl:noalloc
 func (d *Detailer) apPosAt(apIdx int, t float64) (x, y float64) {
-	node := d.G.Node(d.APs[apIdx].Node)
-	p := node.EndA.Lerp(node.EndB, t)
+	endA, endB := d.G.EdgeEnds(d.APs[apIdx].Node)
+	p := endA.Lerp(endB, t)
 	return p.X, p.Y
 }
 

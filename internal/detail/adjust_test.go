@@ -124,14 +124,14 @@ func TestDPBeatsGreedyOnChains(t *testing.T) {
 			if ch == nil || ap.ElemIdx <= 0 || ap.ElemIdx+1 >= len(ch.Elems) {
 				continue
 			}
-			node := grD.G.Node(ap.Node)
+			endA, endB := grD.G.EdgeEnds(ap.Node)
 			prev := grD.ElemPos(ch.Elems[ap.ElemIdx-1])
 			next := grD.ElemPos(ch.Elems[ap.ElemIdx+1])
 			// Best parameter on the edge for the local detour: sample.
 			bestT, bestC := ap.T, math.Inf(1)
 			for k := 0; k <= 32; k++ {
 				tt := ap.Lo + (ap.Hi-ap.Lo)*float64(k)/32
-				p := node.EndA.Lerp(node.EndB, tt)
+				p := endA.Lerp(endB, tt)
 				c := prev.Dist(p) + p.Dist(next)
 				if c < bestC {
 					bestC, bestT = c, tt

@@ -51,7 +51,7 @@ type Chain struct {
 type AccessPoint struct {
 	Node   rgraph.NodeID // edge node
 	Net    int
-	T      float64 // position parameter along the edge (EndA→EndB)
+	T      float64 // position parameter along the edge (Edge.A→Edge.B)
 	Lo, Hi float64 // current movable range (parameters)
 	// Fixed marks points whose range is too small to matter or that have
 	// already been placed by the DP pass.
@@ -63,8 +63,8 @@ type AccessPoint struct {
 // Pos returns the access point's position in the plane.
 func (d *Detailer) Pos(apIdx int) geom.Point {
 	ap := &d.APs[apIdx]
-	n := d.G.Node(ap.Node)
-	return n.EndA.Lerp(n.EndB, ap.T)
+	endA, endB := d.G.EdgeEnds(ap.Node)
+	return endA.Lerp(endB, ap.T)
 }
 
 // ElemPos returns the current position of a chain element.
@@ -172,13 +172,13 @@ func (d *Detailer) buildChains(guides []*global.Guide) error {
 					return fmt.Errorf("detail: net %d not in sequence of node %d", ni, nid)
 				}
 				d.APs[apIdx].ElemIdx = len(ch.Elems)
-				ch.Elems = append(ch.Elems, Elem{Kind: ElemAP, Node: nid, AP: apIdx, Layer: node.Layer})
+				ch.Elems = append(ch.Elems, Elem{Kind: ElemAP, Node: nid, AP: apIdx, Layer: int(node.Layer)})
 			case node.VertKind == viaplan.KindPin:
-				ch.Elems = append(ch.Elems, Elem{Kind: ElemPin, Node: nid, AP: -1, Layer: node.Layer})
+				ch.Elems = append(ch.Elems, Elem{Kind: ElemPin, Node: nid, AP: -1, Layer: int(node.Layer)})
 			case node.VertKind == viaplan.KindVia:
 				// The two via nodes of one cross-via hop share a position;
 				// keep both (they carry their layers) but skip nothing.
-				ch.Elems = append(ch.Elems, Elem{Kind: ElemVia, Node: nid, AP: -1, Layer: node.Layer})
+				ch.Elems = append(ch.Elems, Elem{Kind: ElemVia, Node: nid, AP: -1, Layer: int(node.Layer)})
 				prevVia = nid
 			default:
 				return fmt.Errorf("detail: net %d passes through %v vertex", ni, node.VertKind)

@@ -320,7 +320,6 @@ func (d *Detailer) stubEnd(tile *rgraph.Tile, mesh *dt.Mesh, p *tilePassage, ele
 	if el.Kind != ElemAP {
 		return pos
 	}
-	node := d.G.Node(el.Node)
 	// Inward normal: perpendicular to the edge, toward the opposite vertex.
 	ord := -1
 	for i, en := range tile.EdgeNodes {
@@ -332,8 +331,9 @@ func (d *Detailer) stubEnd(tile *rgraph.Tile, mesh *dt.Mesh, p *tilePassage, ele
 		return pos
 	}
 	opp := mesh.Points[tile.Verts[(ord+2)%3]]
-	n := node.EndB.Sub(node.EndA).Perp().Unit()
-	if n.Dot(opp.Sub(node.EndA)) < 0 {
+	endA, endB := d.G.EdgeEnds(el.Node)
+	n := endB.Sub(endA).Perp().Unit()
+	if n.Dot(opp.Sub(endA)) < 0 {
 		n = n.Scale(-1)
 	}
 	// Through-traffic only: the continuation toward the other endpoint must
@@ -508,7 +508,7 @@ func vertexOrd(tile *rgraph.Tile, v int) int {
 		return -1
 	}
 	for i, tv := range tile.Verts {
-		if tv == v {
+		if int(tv) == v {
 			return i
 		}
 	}

@@ -2,16 +2,18 @@ package dt
 
 import (
 	"errors"
+	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"rdlroute/internal/geom"
 )
 
-// wtri is a working triangle during incremental construction.
+// wtri is a working triangle during incremental construction. Its indices
+// are int32, which packs the record into 28 bytes.
 type wtri struct {
-	v     [3]int
-	n     [3]int // neighbour across edge opposite v[i]; -1 = none
+	v     [3]int32
+	n     [3]int32 // neighbour across edge opposite v[i]; -1 = none
 	alive bool
 }
 
@@ -19,30 +21,68 @@ type bowyerWatson struct {
 	pts      []geom.Point // deduped input points + 3 super vertices at the end
 	inputIdx []int        // input index -> vertex index
 	nReal    int          // number of real (non-super) vertices
-	tris     []wtri
-	lastTri  int // walk hint
+	tris     []wtri       // the room: live and dead triangles in slot order
+	slack    int          // compact when fewer slots than this are free
+	lastTri  int32        // walk hint
+	mergeTol float64      // how far a merged point may lie from its vertex
+	merged   [][2]int32   // (vertex, earlier vertex it was merged onto)
 
 	// Scratch reused across insertions. A triangle is in the current
 	// insertion's cavity when its badStamp equals stamp; badStamp grows with
-	// tris, and new triangles start at 0, which no insertion's stamp is.
-	badStamp []int32
-	stamp    int32
-	cavity   []int
-	boundary []boundaryEdge
-	stack    []int
+	// tris, and new triangles start at 0, which no insertion's stamp is. A
+	// vertex is on the current cavity's boundary when its vertStamp equals
+	// stamp.
+	badStamp  []int32
+	vertStamp []int32
+	stamp     int32
+	cavity    []int32
+	boundary  []boundaryEdge
+	stack     []int32
 }
 
-// trisPerVertex sizes the working triangle slice. Inserting the dense
-// benchmarks' layers in plan order creates 8–13 triangles per vertex, and
-// dead slots are never reused: reuse would renumber the mesh.
-const trisPerVertex = 12
+// roomSlack is the free room, in working triangles, below which an
+// insertion first compacts the live triangles. An insertion makes one
+// triangle per cavity boundary edge, about six on the dense layers.
+const roomSlack = 64
 
-func newBowyerWatson(points []geom.Point) *bowyerWatson {
+// workRoom is the working-triangle room for n distinct points. A mesh of
+// n+3 vertices (the super vertices included) has at most 2(n+3) live
+// triangles, so after a compaction at least half the room is free.
+func workRoom(n int) int { return 4*(n+3) + roomSlack }
+
+// maxPoints is the largest input whose working room and vertex indices fit
+// the int32 fields of wtri.
+const maxPoints = (math.MaxInt32-roomSlack)/4 - 3
+
+// ErrTooManyPoints is returned for an input of more than maxPoints points,
+// whose triangle and vertex indices would not fit the working records.
+var ErrTooManyPoints = fmt.Errorf("dt: more than %d points", maxPoints)
+
+// triangulate is Triangulate with the working room chosen by the caller:
+// room(n) triangle slots for n distinct points, compacted at the start of
+// an insertion that finds fewer than slack of them free. A fan that does
+// not fit grows the room. The mesh is the same for every choice.
+func triangulate(points []geom.Point, room func(n int) int, slack int) (*Mesh, error) {
+	if len(points) > maxPoints {
+		return nil, ErrTooManyPoints
+	}
+	bw := newBowyerWatson(points, room, slack)
+	if bw.nReal < 3 {
+		return nil, ErrTooFewPoints
+	}
+	if err := bw.run(); err != nil {
+		return nil, err
+	}
+	return bw.finish()
+}
+
+func newBowyerWatson(points []geom.Point, room func(n int) int, slack int) *bowyerWatson {
 	bw := &bowyerWatson{
 		pts:      make([]geom.Point, 0, len(points)+3),
-		cavity:   make([]int, 0, 64),
+		slack:    slack,
+		cavity:   make([]int32, 0, 64),
 		boundary: make([]boundaryEdge, 0, 64),
-		stack:    make([]int, 0, 64),
+		stack:    make([]int32, 0, 64),
 	}
 	seen := make(map[geom.Point]int, len(points))
 	bw.inputIdx = make([]int, len(points))
@@ -67,6 +107,7 @@ func newBowyerWatson(points []geom.Point) *bowyerWatson {
 	if size <= 0 {
 		size = 1
 	}
+	bw.mergeTol = 1e-9 * size
 	c := r.Center()
 	m := 64 * size
 	bw.pts = append(bw.pts,
@@ -74,10 +115,12 @@ func newBowyerWatson(points []geom.Point) *bowyerWatson {
 		geom.Pt(c.X+2*m, c.Y-m),
 		geom.Pt(c.X, c.Y+2*m),
 	)
-	s0, s1, s2 := bw.nReal, bw.nReal+1, bw.nReal+2
-	bw.tris = make([]wtri, 1, trisPerVertex*bw.nReal+1)
-	bw.tris[0] = wtri{v: [3]int{s0, s1, s2}, n: [3]int{-1, -1, -1}, alive: true}
-	bw.badStamp = make([]int32, 1, cap(bw.tris))
+	s0, s1, s2 := int32(bw.nReal), int32(bw.nReal+1), int32(bw.nReal+2)
+	slots := max(room(bw.nReal), 1)
+	bw.tris = make([]wtri, 1, slots)
+	bw.tris[0] = wtri{v: [3]int32{s0, s1, s2}, n: [3]int32{-1, -1, -1}, alive: true}
+	bw.badStamp = make([]int32, 1, slots)
+	bw.vertStamp = make([]int32, len(bw.pts))
 	// pts[] for super triangle chosen CCW already: (-2m,-m),(2m,-m),(0,2m).
 	return bw
 }
@@ -87,22 +130,56 @@ var errDegenerate = errors.New("dt: degenerate configuration during insertion")
 
 func (bw *bowyerWatson) run() error {
 	for v := 0; v < bw.nReal; v++ {
-		if err := bw.insert(v); err != nil {
+		if err := bw.insert(int32(v)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// compact moves the live triangles to the front of the room in slot order
+// and rewrites every neighbour index and the walk hint through one
+// old→new table, which borrows badStamp: between insertions no triangle
+// is in a cavity. The order of the live triangles is kept, so everything
+// that depends on slot order reads the same order as without compaction:
+// the sorted cavity and with it the fan, locate's scans, and finish's
+// numbering. locate's step cap and the boundary walk's guard shrink with
+// the room, but neither is reached while it exceeds the live count: a walk
+// that revisits a triangle cycles forever, and the cavity grows at most
+// once per live triangle.
+func (bw *bowyerWatson) compact() {
+	to := bw.badStamp
+	live := int32(0)
+	for i := range bw.tris {
+		if bw.tris[i].alive {
+			to[i] = live
+			bw.tris[live] = bw.tris[i]
+			live++
+		}
+	}
+	bw.tris = bw.tris[:live]
+	for i := range bw.tris {
+		t := &bw.tris[i]
+		for j, nb := range t.n {
+			if nb != -1 {
+				t.n[j] = to[nb]
+			}
+		}
+	}
+	bw.lastTri = to[bw.lastTri]
+	bw.badStamp = to[:live]
+	clear(bw.badStamp)
+}
+
 // locate walks from the hint triangle toward p and returns the index of an
 // alive triangle containing p.
-func (bw *bowyerWatson) locate(p geom.Point) int {
+func (bw *bowyerWatson) locate(p geom.Point) int32 {
 	t := bw.lastTri
-	if t < 0 || t >= len(bw.tris) || !bw.tris[t].alive {
+	if t < 0 || int(t) >= len(bw.tris) || !bw.tris[t].alive {
 		t = -1
 		for i := len(bw.tris) - 1; i >= 0; i-- {
 			if bw.tris[i].alive {
-				t = i
+				t = int32(i)
 				break
 			}
 		}
@@ -140,18 +217,21 @@ func (bw *bowyerWatson) locate(p geom.Point) int {
 			continue
 		}
 		if geom.PointInTriangle(p, bw.pts[tr.v[0]], bw.pts[tr.v[1]], bw.pts[tr.v[2]]) {
-			return i
+			return int32(i)
 		}
 	}
 	return -1
 }
 
 type boundaryEdge struct {
-	a, b    int // directed per the dead triangle's CCW winding
-	outside int // triangle index across the edge, or -1
+	a, b    int32 // directed per the dead triangle's CCW winding
+	outside int32 // triangle index across the edge, or -1
 }
 
-func (bw *bowyerWatson) insert(v int) error {
+func (bw *bowyerWatson) insert(v int32) error {
+	if cap(bw.tris)-len(bw.tris) < bw.slack {
+		bw.compact()
+	}
 	p := bw.pts[v]
 	seed := bw.locate(p)
 	if seed == -1 {
@@ -198,7 +278,7 @@ func (bw *bowyerWatson) insert(v int) error {
 	// resulting triangle numbering — and with it every downstream node ID —
 	// is deterministic run to run.
 	for guard := 0; guard < len(bw.tris)+8; guard++ {
-		sort.Ints(bw.cavity)
+		slices.Sort(bw.cavity)
 		bw.boundary = bw.boundary[:0]
 		grew := false
 		for _, t := range bw.cavity {
@@ -232,21 +312,38 @@ func (bw *bowyerWatson) insert(v int) error {
 		return errDegenerate
 	}
 
+	// Every corner of the cavity must stay a corner of the fan. One that is
+	// not on the boundary coincides with p within the predicates'
+	// tolerance: every edge around it reads as collinear with p, which
+	// pulls all its triangles into the cavity. p is merged onto it, and the
+	// mesh stays as it is.
+	if w := bw.enclosedCorner(); w != -1 {
+		if w == -2 || bw.pts[w].Dist(p) > bw.mergeTol {
+			return errDegenerate
+		}
+		bw.merged = append(bw.merged, [2]int32{v, w})
+		return nil
+	}
+
 	// Kill cavity triangles.
 	for _, t := range bw.cavity {
 		bw.tris[t].alive = false
 	}
 
 	// Create the fan of new triangles around p, one per boundary edge in
-	// boundary order, and stitch adjacency.
-	first := len(bw.tris)
+	// boundary order, and stitch adjacency. A fan that does not fit the
+	// room grows it.
+	if len(bw.tris)+len(boundary) > math.MaxInt32 {
+		return ErrTooManyPoints
+	}
+	first := int32(len(bw.tris))
 	for _, be := range boundary {
-		idx := len(bw.tris)
+		idx := int32(len(bw.tris))
 		// Vertices [p, a, b]: CCW because the dead triangle was CCW and p
 		// lies on its interior side of a→b.
 		bw.tris = append(bw.tris, wtri{
-			v:     [3]int{v, be.a, be.b},
-			n:     [3]int{be.outside, -1, -1},
+			v:     [3]int32{v, be.a, be.b},
+			n:     [3]int32{be.outside, -1, -1},
 			alive: true,
 		})
 		bw.badStamp = append(bw.badStamp, 0)
@@ -268,15 +365,15 @@ func (bw *bowyerWatson) insert(v int) error {
 	// triangle [p, a, b]: edge opposite a is (b, p) — shared with the new
 	// triangle whose boundary edge starts at b; edge opposite b is (p, a) —
 	// shared with the one whose boundary edge ends at a.
-	for i := first; i < len(bw.tris); i++ {
+	for i := int(first); i < len(bw.tris); i++ {
 		tr := &bw.tris[i]
 		a, b := tr.v[1], tr.v[2]
 		for j, be := range boundary {
 			if be.a == b { // triangle [p, b, x] shares edge (p, b)
-				tr.n[1] = first + j
+				tr.n[1] = first + int32(j)
 			}
 			if be.b == a { // triangle [p, x, a] shares edge (p, a)
-				tr.n[2] = first + j
+				tr.n[2] = first + int32(j)
 			}
 		}
 	}
@@ -284,11 +381,34 @@ func (bw *bowyerWatson) insert(v int) error {
 	return nil
 }
 
+// enclosedCorner returns the corner of a cavity triangle that is not on
+// the cavity boundary, -1 when every corner is, and -2 when more than one
+// is not.
+func (bw *bowyerWatson) enclosedCorner() int32 {
+	for _, be := range bw.boundary {
+		bw.vertStamp[be.a] = bw.stamp
+		bw.vertStamp[be.b] = bw.stamp
+	}
+	w := int32(-1)
+	for _, t := range bw.cavity {
+		for _, c := range bw.tris[t].v {
+			if bw.vertStamp[c] == bw.stamp || c == w {
+				continue
+			}
+			if w != -1 {
+				return -2
+			}
+			w = c
+		}
+	}
+	return w
+}
+
 // inCavity reports whether triangle t is in the current insertion's cavity.
-func (bw *bowyerWatson) inCavity(t int) bool { return bw.badStamp[t] == bw.stamp }
+func (bw *bowyerWatson) inCavity(t int32) bool { return bw.badStamp[t] == bw.stamp }
 
 // addToCavity marks triangle t as part of the current insertion's cavity.
-func (bw *bowyerWatson) addToCavity(t int) {
+func (bw *bowyerWatson) addToCavity(t int32) {
 	bw.badStamp[t] = bw.stamp
 	bw.cavity = append(bw.cavity, t)
 }
@@ -447,8 +567,8 @@ func (m *Mesh) buildEdges() {
 	}
 }
 
-// finish strips the super-triangle, compacts the mesh, repairs its hull and
-// numbers its edges.
+// finish strips the super-triangle, compacts the mesh, drops the merged
+// vertices, repairs its hull and numbers its edges.
 func (bw *bowyerWatson) finish() (*Mesh, error) {
 	keep := make([]int, len(bw.tris)) // old index -> new index or -1
 	for i := range keep {
@@ -461,7 +581,7 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 		}
 		touchesSuper := false
 		for _, v := range t.v {
-			if v >= bw.nReal {
+			if int(v) >= bw.nReal {
 				touchesSuper = true
 			}
 		}
@@ -472,6 +592,9 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 		count++
 	}
 	if count == 0 {
+		if bw.nReal-len(bw.merged) < 3 {
+			return nil, ErrTooFewPoints
+		}
 		return nil, ErrAllCollinear
 	}
 	m := &Mesh{
@@ -485,8 +608,8 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 			continue
 		}
 		var out Triangle
-		out.V = t.v
 		for j := 0; j < 3; j++ {
+			out.V[j] = int(t.v[j])
 			if t.n[j] == -1 {
 				out.N[j] = -1
 			} else {
@@ -495,7 +618,39 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 		}
 		m.Tris[ni] = out
 	}
+	m.dropMerged(bw.merged)
 	repairHull(m)
 	m.buildEdges()
 	return m, nil
+}
+
+// dropMerged removes the vertices merged onto an earlier one, given in
+// vertex order, from a mesh they are no corner of. Later vertices move
+// down, and the inputs of a merged vertex map to the vertex it was merged
+// onto.
+func (m *Mesh) dropMerged(merged [][2]int32) {
+	if len(merged) == 0 {
+		return
+	}
+	to := make([]int, len(m.Points))
+	next := 0
+	for i := range m.Points {
+		if len(merged) > 0 && int(merged[0][0]) == i {
+			to[i] = to[merged[0][1]] // merged onto an earlier vertex
+			merged = merged[1:]
+			continue
+		}
+		to[i] = next
+		m.Points[next] = m.Points[i]
+		next++
+	}
+	m.Points = m.Points[:next]
+	for i, v := range m.InputVertex {
+		m.InputVertex[i] = to[v]
+	}
+	for ti := range m.Tris {
+		for j := range m.Tris[ti].V {
+			m.Tris[ti].V[j] = to[m.Tris[ti].V[j]]
+		}
+	}
 }

@@ -14,6 +14,7 @@ package dt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rdlroute/internal/geom"
 )
@@ -56,7 +57,8 @@ type Mesh struct {
 	// indices used everywhere else.
 	Points []geom.Point
 	// InputVertex maps each input point index to its vertex index (inputs
-	// that duplicate an earlier point map to the earlier vertex).
+	// that duplicate an earlier point, or were merged onto it, map to the
+	// earlier vertex).
 	InputVertex []int
 	// Tris holds the triangles of the final mesh.
 	Tris []Triangle
@@ -67,17 +69,12 @@ type Mesh struct {
 }
 
 // Triangulate computes the Delaunay triangulation of the given points.
-// Duplicate points (within geom.Eps per coordinate after exact-key
-// bucketing) are merged.
+// Equal points are merged into one vertex, and so is a point that
+// coincides with an earlier vertex within the predicates' tolerance (its
+// insertion would leave that vertex in no triangle). An input of more than
+// about 5.4·10⁸ points fails with ErrTooManyPoints.
 func Triangulate(points []geom.Point) (*Mesh, error) {
-	bw := newBowyerWatson(points)
-	if len(bw.pts)-3 < 3 { // minus the 3 super-triangle vertices
-		return nil, ErrTooFewPoints
-	}
-	if err := bw.run(); err != nil {
-		return nil, err
-	}
-	return bw.finish()
+	return triangulate(points, workRoom, roomSlack)
 }
 
 // Edges returns all undirected edges of the mesh, indexed by edge index.
@@ -138,9 +135,18 @@ func (m *Mesh) CheckDelaunay() error {
 }
 
 // CheckTopology verifies structural invariants: CCW winding, symmetric
-// neighbour links, and consistent edge-triangle incidence. Intended for
-// tests.
+// neighbour links, consistent edge-triangle incidence, and that every
+// vertex is a corner of some triangle. Intended for tests.
 func (m *Mesh) CheckTopology() error {
+	corner := make([]bool, len(m.Points))
+	for _, t := range m.Tris {
+		for _, v := range t.V {
+			corner[v] = true
+		}
+	}
+	if vi := slices.Index(corner, false); vi != -1 {
+		return fmt.Errorf("dt: vertex %d is a corner of no triangle", vi)
+	}
 	for ti, t := range m.Tris {
 		a, b, c := m.Points[t.V[0]], m.Points[t.V[1]], m.Points[t.V[2]]
 		if geom.Orient(a, b, c) != geom.CounterClockwise {

@@ -57,19 +57,30 @@ func checkEdgeTable(t *testing.T, name string, m *Mesh) {
 	}
 }
 
-// layerMeshes triangulates every wire layer of a design's via plan.
-func layerMeshes(t *testing.T, d *design.Design) []*Mesh {
+// layerPoints returns the triangulation input of every wire layer of a
+// design's via plan, in plan order.
+func layerPoints(t *testing.T, d *design.Design) [][]geom.Point {
 	t.Helper()
 	plan, err := viaplan.Build(d, viaplan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []*Mesh
+	var out [][]geom.Point
 	for _, lp := range plan.Layers {
 		pts := make([]geom.Point, len(lp.Verts))
 		for i, v := range lp.Verts {
 			pts[i] = v.Pos
 		}
+		out = append(out, pts)
+	}
+	return out
+}
+
+// layerMeshes triangulates every wire layer of a design's via plan.
+func layerMeshes(t *testing.T, d *design.Design) []*Mesh {
+	t.Helper()
+	var out []*Mesh
+	for _, pts := range layerPoints(t, d) {
 		m, err := Triangulate(pts)
 		if err != nil {
 			t.Fatal(err)
@@ -126,13 +137,13 @@ func TestEdgeTableMatchesMapConstruction(t *testing.T) {
 			geom.Pt(0, 0), geom.Pt(1000, 0), geom.Pt(300, 0.5), geom.Pt(700, 0.5),
 			geom.Pt(500, 300), geom.Pt(200, 100), geom.Pt(800, 150),
 		}
-		bw := newBowyerWatson(pts)
+		bw := newBowyerWatson(pts, workRoom, roomSlack)
 		if err := bw.run(); err != nil {
 			t.Fatal(err)
 		}
 		before := 0
 		for _, tr := range bw.tris {
-			if tr.alive && tr.v[0] < bw.nReal && tr.v[1] < bw.nReal && tr.v[2] < bw.nReal {
+			if tr.alive && int(max(tr.v[0], tr.v[1], tr.v[2])) < bw.nReal {
 				before++
 			}
 		}

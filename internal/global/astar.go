@@ -280,7 +280,7 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int) {
 	arrivedCross := st.key.viaArrive
 	isStart := st.link == -1
-	for _, adj := range r.G.Adj[st.key.node] {
+	for _, adj := range r.G.Neighbors(st.key.node) {
 		sc.mark(adj.To)
 		link := r.G.Link(int(adj.Link))
 		switch link.Kind {
@@ -289,7 +289,7 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 				continue // no double layer hop through one via pair
 			}
 			// Per-net layer constraint: a static design property.
-			if !r.G.LayerAllowed(net, r.G.Node(adj.To).Layer) {
+			if !r.G.LayerAllowed(net, int(r.G.Node(adj.To).Layer)) {
 				continue
 			}
 			if r.linkUse[adj.Link] >= int(link.Cap) || r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
@@ -320,7 +320,7 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 //
 //rdl:noalloc
 func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int, dst rgraph.NodeID) {
-	for _, adj := range r.G.Adj[st.key.node] {
+	for _, adj := range r.G.Neighbors(st.key.node) {
 		sc.mark(adj.To)
 		link := r.G.Link(int(adj.Link))
 		if r.linkUse[adj.Link] >= int(link.Cap) {
@@ -363,7 +363,7 @@ func (r *Router) pushGaps(sc *searchScratch, net int, tile *rgraph.Tile, q1 floa
 	pcs := r.passageCoords(sc, net, tile)
 	e := int(adj.ToOrd)
 	m := len(r.seqs[adj.To])
-	sameDir := tile.Verts[e] == r.G.Node(adj.To).Edge.A
+	sameDir := int(tile.Verts[e]) == r.G.Node(adj.To).Edge.A
 	for g2 := 0; g2 <= m; g2++ {
 		var frac float64
 		if sameDir {

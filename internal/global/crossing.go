@@ -28,7 +28,7 @@ type boundaryEnd struct {
 	// edge is the edge ordinal (0..2) for endpoints on a tile edge.
 	edge int
 	// item is the committed position in the edge's net sequence, in the
-	// edge's own storage order (EndA→EndB); -1 when gap is used instead.
+	// edge's own storage order (Edge.A→Edge.B); -1 when gap is used instead.
 	item int
 	// gap is the insertion gap (0..len(seq)) in storage order; -1 when item
 	// is used.
@@ -58,10 +58,10 @@ func (r *Router) coord(tile *rgraph.Tile, e boundaryEnd) float64 {
 	en := tile.EdgeNodes[e.edge]
 	node := r.G.Node(en)
 	m := len(r.seqs[en])
-	// Storage order runs EndA→EndB where Edge.A < Edge.B. The boundary
+	// Storage order runs Edge.A→Edge.B, where Edge.A < Edge.B. The boundary
 	// traversal runs Verts[e.edge] → Verts[(e.edge+1)%3]; flip when the
 	// boundary start is not Edge.A.
-	sameDir := tile.Verts[e.edge] == node.Edge.A
+	sameDir := int(tile.Verts[e.edge]) == node.Edge.A
 	var frac float64
 	if e.item >= 0 {
 		if sameDir {
@@ -146,7 +146,7 @@ type chordCoords struct{ c1, c2 float64 }
 //
 //rdl:noalloc
 func (r *Router) passageCoords(sc *searchScratch, net int, tile *rgraph.Tile) []chordCoords {
-	ti := r.tileIndex(tile.Layer, tile.Tri)
+	ti := r.tileIndex(int(tile.Layer), int(tile.Tri))
 	if m := sc.memo[ti]; m.gen == sc.gen {
 		return sc.chords[m.lo : m.lo+m.n]
 	}
@@ -197,7 +197,7 @@ func (r *Router) chordAllowed(sc *searchScratch, net int, tile *rgraph.Tile, fro
 // tile, or -1.
 func vertexOrdinal(tile *rgraph.Tile, v int) int {
 	for i, tv := range tile.Verts {
-		if tv == v {
+		if int(tv) == v {
 			return i
 		}
 	}

@@ -27,9 +27,9 @@ func TestGuideChordsGeometricallyDisjoint(t *testing.T) {
 			seq := r.Sequences(id)
 			for i, n := range seq {
 				if n == net {
-					node := r.G.Node(id)
+					endA, endB := r.G.EdgeEnds(id)
 					tt := float64(i+1) / float64(len(seq)+1)
-					return node.EndA.Lerp(node.EndB, tt), true
+					return endA.Lerp(endB, tt), true
 				}
 			}
 			return geom.Point{}, false

@@ -356,7 +356,7 @@ func TestSequenceRoomFollowsUse(t *testing.T) {
 		seq := r.Sequences(rgraph.NodeID(id))
 		used += len(seq)
 		room += cap(seq)
-		capacity += r.G.Nodes[id].Cap
+		capacity += int(r.G.Nodes[id].Cap)
 	}
 	t.Logf("dense3: %d sequence entries in %d rooms, against a capacity of %d", used, room, capacity)
 	if used == 0 || room*20 >= capacity {

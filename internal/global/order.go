@@ -301,7 +301,7 @@ func (r *Router) routePlain(ni int, s *plainScratch) *plainPath {
 			return &plainPath{nodes: nodes, links: links}
 		}
 		node := r.G.Node(it.st.node)
-		for _, adj := range r.G.Adj[it.st.node] {
+		for _, adj := range r.G.Neighbors(it.st.node) {
 			link := r.G.Link(int(adj.Link))
 			to := r.G.Node(adj.To)
 			if to.Cap <= 0 && adj.To != dst {

@@ -125,7 +125,7 @@ func (r *Router) cornerLink(li, tri, v int) int {
 	if ord == -1 {
 		return -1
 	}
-	return tile.CrossLinks[ord]
+	return int(tile.CrossLinks[ord])
 }
 
 // cornerUse returns the usage of the cross-tile link wrapping mesh vertex v

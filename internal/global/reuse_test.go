@@ -300,7 +300,7 @@ func checkExpansionMarks(t *testing.T, r *Router, board string) {
 					board, id, n.Kind, n.Layer, what, v)
 			}
 		}
-		for _, adj := range g.Adj[id] {
+		for _, adj := range g.Neighbors(rgraph.NodeID(id)) {
 			l := g.Link(int(adj.Link))
 			if r.linkUse[adj.Link] >= int(l.Cap) {
 				full++
@@ -373,7 +373,7 @@ func readSnapshot(r *Router, read []uint64) []int {
 			id := rgraph.NodeID(w*64 + bits.TrailingZeros64(word))
 			s = append(s, int(id), r.nodeUse[id], len(r.seqs[id]))
 			s = append(s, r.seqs[id]...)
-			for _, adj := range r.G.Adj[id] {
+			for _, adj := range r.G.Neighbors(id) {
 				s = append(s, int(adj.Link), r.linkUse[adj.Link])
 				l := r.G.Link(int(adj.Link))
 				if l.Kind == rgraph.CrossVia {

@@ -183,7 +183,7 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		guides:   make([]*Guide, len(g.Design.Nets)),
 	}
 	for id := range g.Nodes {
-		r.nodeCap[id] = g.Nodes[id].Cap
+		r.nodeCap[id] = int(g.Nodes[id].Cap)
 	}
 	var nTiles int32
 	for li := range g.Layers {
@@ -455,7 +455,7 @@ func (r *Router) commit(g *searchResult) {
 func (r *Router) passageEndFor(tile *rgraph.Tile, id rgraph.NodeID) passageEnd {
 	n := r.G.Node(id)
 	if n.Kind == rgraph.ViaNode {
-		return passageEnd{vertex: vertexOrdinal(tile, n.Vert), edge: -1}
+		return passageEnd{vertex: vertexOrdinal(tile, int(n.Vert)), edge: -1}
 	}
 	return passageEnd{vertex: -1, edge: edgeOrdinal(tile, id)}
 }
@@ -525,7 +525,7 @@ func (r *Router) GuideLength(g *Guide) float64 {
 }
 
 // Sequences returns the net-sequence list of an edge node (storage order
-// EndA→EndB). The returned slice is live; callers must not mutate it.
+// Edge.A→Edge.B). The returned slice is live; callers must not mutate it.
 func (r *Router) Sequences(id rgraph.NodeID) []int { return r.seqs[id] }
 
 // Guide returns the currently committed guide of a net, or nil.

@@ -66,14 +66,14 @@ func TestSearchHeuristicPremises(t *testing.T) {
 			if !ok {
 				continue
 			}
-			for _, adj := range g.Adj[id] {
+			for _, adj := range g.Neighbors(id) {
 				if g.Link(int(adj.Link)).Kind == CrossVia {
 					t.Fatalf("%s: pin node %d of pad %d has cross-via link %d", name, id, pad, adj.Link)
 				}
 			}
 		}
-		for id := range g.Adj {
-			for _, adj := range g.Adj[id] {
+		for id := range g.Nodes {
+			for _, adj := range g.Neighbors(NodeID(id)) {
 				l := g.Link(int(adj.Link))
 				from, to := int8(-1), int8(-1)
 				if l.Kind != CrossVia {

@@ -80,7 +80,7 @@ func TestAccessLinksAroundKeepOut(t *testing.T) {
 				if kindOK && !clear {
 					blocked++
 				}
-				if got := has[corner{li, ti, tile.Verts[i]}]; got != (kindOK && clear) {
+				if got := has[corner{li, ti, int(tile.Verts[i])}]; got != (kindOK && clear) {
 					t.Fatalf("layer %d tile %d corner %d: access link %v, want %v", li, ti, i, got, kindOK && clear)
 				}
 			}

@@ -64,26 +64,27 @@ func (k EdgeKind) String() string {
 	}
 }
 
-// Node is one search node.
+// Node is one search node. Its integer fields are narrowed so the record
+// packs into 48 bytes; Build rejects a design whose indices do not fit them
+// (ErrGraphTooLarge).
 type Node struct {
-	Kind  NodeKind
-	Layer int
 	// Pos is the representative position used for path costs: the via
 	// position for via nodes, the edge midpoint for edge nodes.
 	Pos geom.Point
+	// Edge is an edge node's mesh edge (vertex indices within the layer).
+	// Graph.EdgeEnds returns the positions of its ends.
+	Edge dt.Edge
 	// Cap is the node capacity: 1 for candidate vias and pins, 0 for bump
 	// and dummy vertices, Eq. 1 for edge nodes.
-	Cap int
+	Cap int32
 
 	// Via-node fields.
-	VertKind viaplan.VertexKind
-	Ref      int // pad / via / bump ID per VertKind
-	Vert     int // mesh vertex index within the layer
+	Ref  int32 // pad / via / bump ID per VertKind
+	Vert int32 // mesh vertex index within the layer
 
-	// Edge-node fields.
-	Edge dt.Edge    // mesh edge (vertex indices within the layer)
-	EndA geom.Point // positions of the edge endpoints
-	EndB geom.Point
+	Layer    int16
+	Kind     NodeKind
+	VertKind viaplan.VertexKind // via nodes only
 }
 
 // Link is one graph edge instance with its own capacity and usage identity.
@@ -117,22 +118,24 @@ type Adjacent struct {
 }
 
 // ErrGraphTooLarge is wrapped by Build's error when a design's layer count,
-// or a node, link, tile or mesh-vertex index, does not fit the packed
-// fields of Link, Adjacent and NodeID.
+// or a node, link, tile, mesh-vertex or vertex-reference index, does not
+// fit the packed fields of Node, Tile, Link, Adjacent and NodeID, or the
+// adjacency's int32 offsets.
 var ErrGraphTooLarge = errors.New("rgraph: graph too large for its packed records")
 
 // Tile is one triangular tile with its node references in boundary order:
 // the cyclic tile boundary is Verts[0], Edges[0], Verts[1], Edges[1],
-// Verts[2], Edges[2] where Edges[i] joins Verts[i] and Verts[(i+1)%3].
+// Verts[2], Edges[2] where Edges[i] joins Verts[i] and Verts[(i+1)%3]. Its
+// fields are int32, which packs the record into 56 bytes.
 type Tile struct {
-	Layer     int
-	Tri       int // triangle index within the layer mesh
-	Verts     [3]int
+	Layer     int32
+	Tri       int32 // triangle index within the layer mesh
+	Verts     [3]int32
 	ViaNodes  [3]NodeID
 	EdgeNodes [3]NodeID
 	// CrossLinks[i] is the cross-tile link around corner Verts[i], which
 	// connects Edges[(i+2)%3] and Edges[i].
-	CrossLinks [3]int
+	CrossLinks [3]int32
 }
 
 // LayerGraph holds the per-wire-layer mesh and node lookup tables.
@@ -152,7 +155,10 @@ type Graph struct {
 	Layers []LayerGraph
 	Nodes  []Node
 	Links  []Link
-	Adj    [][]Adjacent
+	// adj holds every node's adjacency list in node order, and node id's
+	// list is adj[adjOff[id]:adjOff[id+1]] (Neighbors).
+	adj    []Adjacent
+	adjOff []int32
 	// PinNode maps an I/O pad ID to its via node.
 	PinNode map[int]NodeID
 	// Options the graph was built with.
@@ -250,9 +256,11 @@ func CornerCapacity(v, a, b geom.Point, rules design.Rules) int {
 // allocated once. The pin map, the cross-via links and the adjacency lists
 // follow serially, so the graph is identical for every worker count.
 //
-// A plan of more than math.MaxInt16 wire layers, or a layer or graph whose
-// vertex, tile, node or link indices exceed math.MaxInt32, fails with
-// ErrGraphTooLarge before any packed field is written.
+// A plan of more than math.MaxInt16 wire layers, a layer whose vertex,
+// tile or vertex-reference indices exceed math.MaxInt32, or a graph of
+// more than math.MaxInt32 nodes or math.MaxInt32/2 links (each link is in
+// two adjacency lists) fails with ErrGraphTooLarge before any packed field
+// is written.
 func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 	if len(plan.Layers) > math.MaxInt16 {
 		return nil, fmt.Errorf("%w: %d wire layers, at most %d", ErrGraphTooLarge, len(plan.Layers), math.MaxInt16)
@@ -288,9 +296,9 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		nodes += len(mesh.Points) + len(mesh.Edges())
 		links += sl.links
 	}
-	if nodes > math.MaxInt32 || links > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: %d nodes and %d links, at most %d each",
-			ErrGraphTooLarge, nodes, links, math.MaxInt32)
+	if nodes > math.MaxInt32 || links > math.MaxInt32/2 {
+		return nil, fmt.Errorf("%w: %d nodes and %d links, at most %d and %d",
+			ErrGraphTooLarge, nodes, links, math.MaxInt32, math.MaxInt32/2)
 	}
 
 	// Phase 2: each layer's nodes and tile links at their final IDs.
@@ -353,6 +361,11 @@ func (g *Graph) triangulateLayer(li int, rec obs.Recorder) layerSlots {
 	span := obs.StartSpan(rec, "rgraph.dt")
 	pts := make([]geom.Point, len(verts))
 	for i, v := range verts {
+		if v.Ref < math.MinInt32 || v.Ref > math.MaxInt32 {
+			span.End()
+			return layerSlots{err: fmt.Errorf("%w: vertex %d refers to %v %d, beyond int32",
+				ErrGraphTooLarge, i, v.Kind, v.Ref)}
+		}
 		pts[i] = v.Pos
 	}
 	mesh, err := dt.Triangulate(pts)
@@ -406,6 +419,7 @@ func (g *Graph) addLayerNodes(li, first int, padNetCount []int, viaNode []NodeID
 	mesh := lg.Mesh
 	nVias := len(g.Plan.Vias)
 	nodes := g.Nodes[first : first+len(mesh.Points)+len(mesh.Edges())]
+	layer := int16(li) // Build bounds the layer count by math.MaxInt16
 
 	lg.VertNode = make([]NodeID, len(mesh.Points))
 	for vi := range mesh.Points {
@@ -420,14 +434,16 @@ func (g *Graph) addLayerNodes(li, first int, padNetCount []int, viaNode []NodeID
 				capv = 1
 			}
 		}
+		// Phase 1 bounds Ref and the vertex count by math.MaxInt32; a pin
+		// shared by more subnets than that routes the same saturated.
 		nodes[vi] = Node{
 			Kind:     ViaNode,
-			Layer:    li,
+			Layer:    layer,
 			Pos:      mesh.Points[vi],
-			Cap:      capv,
+			Cap:      int32(min(capv, math.MaxInt32)),
 			VertKind: meta.Kind,
-			Ref:      meta.Ref,
-			Vert:     vi,
+			Ref:      int32(meta.Ref),
+			Vert:     int32(vi),
 		}
 		id := NodeID(first + vi)
 		lg.VertNode[vi] = id
@@ -461,14 +477,14 @@ func (g *Graph) addLayerNodes(li, first int, padNetCount []int, viaNode []NodeID
 		}
 		k := len(mesh.Points) + ei
 		lg.EdgeNode[ei] = NodeID(first + k)
+		// An edge of more than math.MaxInt32 pitches admits more nets than
+		// any design has, so saturating the packed field routes the same.
 		nodes[k] = Node{
 			Kind:  EdgeNode,
-			Layer: li,
+			Layer: layer,
 			Pos:   geom.Mid(a, b),
-			Cap:   capE,
+			Cap:   int32(min(capE, math.MaxInt32)),
 			Edge:  e,
-			EndA:  a,
-			EndB:  b,
 		}
 	}
 }
@@ -481,8 +497,8 @@ func (g *Graph) addTileLinks(li int, sl layerSlots) {
 	mesh := lg.Mesh
 	links := g.Links[sl.firstLink : sl.firstLink+sl.links : sl.firstLink+sl.links]
 	k := 0
-	addLink := func(l Link) int {
-		id := sl.firstLink + k
+	addLink := func(l Link) int32 {
+		id := int32(sl.firstLink + k) // Build bounds the link count by math.MaxInt32/2
 		links[k] = l
 		k++
 		return id
@@ -492,7 +508,9 @@ func (g *Graph) addTileLinks(li int, sl layerSlots) {
 	layer := int16(li) // Build bounds the layer count by math.MaxInt16
 	lg.Tiles = make([]Tile, len(mesh.Tris))
 	for ti, tri := range mesh.Tris {
-		t := Tile{Layer: li, Tri: ti, Verts: tri.V}
+		// Build bounds the vertex and tile counts by math.MaxInt32.
+		t := Tile{Layer: int32(li), Tri: int32(ti),
+			Verts: [3]int32{int32(tri.V[0]), int32(tri.V[1]), int32(tri.V[2])}}
 		for i := 0; i < 3; i++ {
 			t.ViaNodes[i] = lg.VertNode[tri.V[i]]
 			t.EdgeNodes[i] = lg.EdgeNode[mesh.TriEdge(ti, i)]
@@ -517,7 +535,7 @@ func (g *Graph) addTileLinks(li int, sl layerSlots) {
 			b := mesh.Points[tri.V[(i+2)%3]]
 			var capc int
 			if g.Opt.NaiveCornerCapacity {
-				capc = min(g.Nodes[ea].Cap, g.Nodes[eb].Cap)
+				capc = int(min(g.Nodes[ea].Cap, g.Nodes[eb].Cap))
 			} else {
 				capc = CornerCapacity(v, a, b, d.Rules)
 			}
@@ -564,27 +582,30 @@ func (g *Graph) finishLinks(viaNode []NodeID) error {
 			Corner: -1, Len: viaCost}
 	}
 
-	// Adjacency in one backing array: each node gets a share capped at its
-	// degree, filled in link-ID order. That is the neighbour order A*
-	// tie-breaking depends on.
-	deg := make([]int32, len(g.Nodes))
+	// Adjacency in one array, each node's list in link-ID order: that is
+	// the neighbour order A* tie-breaking depends on. adjOff[id] first
+	// holds the end of id's list; filling the links back to front moves it
+	// to the start. Build bounds 2·len(Links) by math.MaxInt32.
+	g.adjOff = make([]int32, len(g.Nodes)+1)
 	for _, l := range g.Links {
-		deg[l.A]++
-		deg[l.B]++
+		g.adjOff[l.A]++
+		g.adjOff[l.B]++
 	}
-	flat := make([]Adjacent, 2*len(g.Links))
-	g.Adj = make([][]Adjacent, len(g.Nodes))
-	off := 0
-	for id, k := range deg {
-		g.Adj[id] = flat[off : off : off+int(k)]
-		off += int(k)
+	end := int32(0)
+	for id := range g.Nodes {
+		end += g.adjOff[id]
+		g.adjOff[id] = end
 	}
-	for i := range g.Links {
+	g.adjOff[len(g.Nodes)] = end
+	g.adj = make([]Adjacent, end)
+	for i := len(g.Links) - 1; i >= 0; i-- {
 		l := &g.Links[i]
 		a, b := g.tileOrdinals(l)
-		id := int32(i) // Build bounds the link count by math.MaxInt32
-		g.Adj[l.A] = append(g.Adj[l.A], Adjacent{Link: id, To: l.B, FromOrd: a, ToOrd: b})
-		g.Adj[l.B] = append(g.Adj[l.B], Adjacent{Link: id, To: l.A, FromOrd: b, ToOrd: a})
+		id := int32(i)
+		g.adjOff[l.A]--
+		g.adj[g.adjOff[l.A]] = Adjacent{Link: id, To: l.B, FromOrd: a, ToOrd: b}
+		g.adjOff[l.B]--
+		g.adj[g.adjOff[l.B]] = Adjacent{Link: id, To: l.A, FromOrd: b, ToOrd: a}
 	}
 	return nil
 }
@@ -612,6 +633,25 @@ func (t *Tile) ordinal(id NodeID) int8 {
 
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) *Node { return &g.Nodes[id] }
+
+// Neighbors returns node id's adjacency list in link-ID order. The slice
+// is shared with the graph; do not modify it.
+//
+//rdl:noalloc
+func (g *Graph) Neighbors(id NodeID) []Adjacent {
+	lo, hi := g.adjOff[id], g.adjOff[id+1]
+	return g.adj[lo:hi:hi]
+}
+
+// EdgeEnds returns the positions of the mesh vertices an edge node's edge
+// joins, Edge.A's first.
+//
+//rdl:noalloc
+func (g *Graph) EdgeEnds(id NodeID) (a, b geom.Point) {
+	n := &g.Nodes[id]
+	pts := g.Layers[n.Layer].Mesh.Points
+	return pts[n.Edge.A], pts[n.Edge.B]
+}
 
 // Link returns the link with the given ID.
 func (g *Graph) Link(id int) *Link { return &g.Links[id] }

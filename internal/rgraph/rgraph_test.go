@@ -165,7 +165,7 @@ func TestNodeCapacities(t *testing.T) {
 		} else {
 			lg := g.Layers[n.Layer]
 			want := EffectiveEdgeCapacity(lg.Mesh.Points[n.Edge.A], lg.Mesh.Points[n.Edge.B], g.Design.Rules)
-			if n.Cap != want {
+			if int(n.Cap) != want {
 				t.Fatalf("edge node %d cap = %d, want %d", id, n.Cap, want)
 			}
 		}
@@ -175,14 +175,14 @@ func TestNodeCapacities(t *testing.T) {
 func TestAdjacencySymmetry(t *testing.T) {
 	g := buildGraph(t, "dense1", Options{})
 	for id := range g.Nodes {
-		for _, adj := range g.Adj[id] {
+		for _, adj := range g.Neighbors(NodeID(id)) {
 			l := g.Link(int(adj.Link))
 			if l.A != NodeID(id) && l.B != NodeID(id) {
 				t.Fatalf("node %d lists link %d it is not part of", id, adj.Link)
 			}
 			// The reverse adjacency must exist.
 			found := false
-			for _, back := range g.Adj[adj.To] {
+			for _, back := range g.Neighbors(adj.To) {
 				if back.Link == adj.Link && back.To == NodeID(id) {
 					found = true
 				}
@@ -203,7 +203,7 @@ func TestLinkKindEndpoints(t *testing.T) {
 			if a.Kind != ViaNode || b.Kind != ViaNode {
 				t.Fatalf("cross-via link %d endpoints not via nodes", id)
 			}
-			if abs(a.Layer-b.Layer) != 1 {
+			if abs(int(a.Layer)-int(b.Layer)) != 1 {
 				t.Fatalf("cross-via link %d spans layers %d-%d", id, a.Layer, b.Layer)
 			}
 			if a.Ref != b.Ref {
@@ -220,7 +220,7 @@ func TestLinkKindEndpoints(t *testing.T) {
 				t.Fatalf("access-via link %d cap = %d", id, l.Cap)
 			}
 			// The via vertex must not be an endpoint of the opposite edge.
-			if a.Vert == b.Edge.A || a.Vert == b.Edge.B {
+			if int(a.Vert) == b.Edge.A || int(a.Vert) == b.Edge.B {
 				t.Fatalf("access-via link %d: via %d on its own edge", id, a.Vert)
 			}
 		case CrossTile:
@@ -247,7 +247,7 @@ func TestNoAccessToDeadVertices(t *testing.T) {
 		if n.Kind != ViaNode || n.Cap != 0 {
 			continue
 		}
-		for _, adj := range g.Adj[id] {
+		for _, adj := range g.Neighbors(NodeID(id)) {
 			if g.Link(int(adj.Link)).Kind == AccessVia {
 				t.Fatalf("capacity-0 node %d (%v) has an access-via link", id, n.VertKind)
 			}
@@ -261,19 +261,19 @@ func TestTileBoundaryOrder(t *testing.T) {
 		for ti, tile := range lg.Tiles {
 			tri := lg.Mesh.Tris[ti]
 			for i := 0; i < 3; i++ {
-				if tile.Verts[i] != tri.V[i] {
+				if int(tile.Verts[i]) != tri.V[i] {
 					t.Fatalf("tile %d vertex mismatch", ti)
 				}
 				en := g.Node(tile.EdgeNodes[i])
 				// Edges[i] joins Verts[i] and Verts[(i+1)%3].
-				a, b := tile.Verts[i], tile.Verts[(i+1)%3]
+				a, b := int(tile.Verts[i]), int(tile.Verts[(i+1)%3])
 				if (en.Edge.A != a || en.Edge.B != b) && (en.Edge.A != b || en.Edge.B != a) {
 					t.Fatalf("tile %d edge %d joins %v, want {%d %d}", ti, i, en.Edge, a, b)
 				}
 				// CrossLinks[i] wraps corner Verts[i] inside this tile, joining
 				// Edges[(i+2)%3] and Edges[i].
-				cl := g.Link(tile.CrossLinks[i])
-				if int(cl.Corner) != tile.Verts[i] {
+				cl := g.Link(int(tile.CrossLinks[i]))
+				if cl.Corner != tile.Verts[i] {
 					t.Fatalf("tile %d cross link %d corner = %d, want %d", ti, i, cl.Corner, tile.Verts[i])
 				}
 				if int(cl.Tile) != ti || cl.A != tile.EdgeNodes[(i+2)%3] || cl.B != tile.EdgeNodes[i] {
@@ -389,14 +389,22 @@ func TestViaCostWireEncoding(t *testing.T) {
 	}
 }
 
-// TestPackedRecordSizes pins the packed layout of the two records the A*
-// reads on every expansion.
+// TestPackedRecordSizes pins the packed layout of the graph's records: the
+// link and adjacency entry the A* reads on every expansion, and the node
+// and tile records the graph keeps one of per node and per triangle.
 func TestPackedRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got != 32 {
-		t.Errorf("Link is %d bytes, want 32", got)
-	}
-	if got := unsafe.Sizeof(Adjacent{}); got != 12 {
-		t.Errorf("Adjacent is %d bytes, want 12", got)
+	for _, r := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Link", unsafe.Sizeof(Link{}), 32},
+		{"Adjacent", unsafe.Sizeof(Adjacent{}), 12},
+		{"Node", unsafe.Sizeof(Node{}), 48},
+		{"Tile", unsafe.Sizeof(Tile{}), 56},
+	} {
+		if r.got != r.want {
+			t.Errorf("%s is %d bytes, want %d", r.name, r.got, r.want)
+		}
 	}
 }
 

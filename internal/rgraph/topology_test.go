@@ -32,9 +32,9 @@ func topologyHash(g *Graph) uint64 {
 	put(len(g.Nodes))
 	for _, n := range g.Nodes {
 		put(int(n.Kind))
-		put(n.Layer)
-		put(n.Cap)
-		put(n.Vert)
+		put(int(n.Layer))
+		put(int(n.Cap))
+		put(int(n.Vert))
 		put(n.Edge.A)
 		put(n.Edge.B)
 	}
@@ -47,7 +47,8 @@ func topologyHash(g *Graph) uint64 {
 		put(int(l.Tile))
 		put(int(l.Corner))
 	}
-	for _, adj := range g.Adj {
+	for id := range g.Nodes {
+		adj := g.Neighbors(NodeID(id))
 		put(len(adj))
 		for _, a := range adj {
 			put(int(a.Link))

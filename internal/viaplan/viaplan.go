@@ -21,7 +21,7 @@ import (
 )
 
 // VertexKind classifies a triangulation vertex of a wire layer.
-type VertexKind int
+type VertexKind uint8
 
 // Triangulation vertex kinds.
 const (
