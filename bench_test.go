@@ -22,10 +22,10 @@ import (
 	"rdlroute/internal/bench"
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
+	"rdlroute/internal/geom"
 	"rdlroute/internal/global"
 	"rdlroute/internal/rgraph"
 	"rdlroute/internal/router"
-	"rdlroute/internal/xarch"
 )
 
 // benchBudget caps each routing run inside benchmarks; heavyweight AARF*
@@ -58,7 +58,7 @@ func BenchmarkTable2(b *testing.B) {
 	for _, name := range allCases {
 		b.Run(name+"/ours", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunOurs(context.Background(), name, benchBudget)
+				r, err := bench.Run(context.Background(), name, bench.Ours, benchBudget)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -68,7 +68,7 @@ func BenchmarkTable2(b *testing.B) {
 		})
 		b.Run(name+"/cai", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunCai(context.Background(), name, benchBudget)
+				r, err := bench.Run(context.Background(), name, bench.Cai, benchBudget)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -83,7 +83,7 @@ func BenchmarkTable3(b *testing.B) {
 	for _, name := range allCases {
 		b.Run(name+"/ours", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunOurs(context.Background(), name, benchBudget)
+				r, err := bench.Run(context.Background(), name, bench.Ours, benchBudget)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func BenchmarkTable3(b *testing.B) {
 		})
 		b.Run(name+"/aarf", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := bench.RunAARF(context.Background(), name, benchBudget)
+				r, err := bench.Run(context.Background(), name, bench.AARF, benchBudget)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,7 +196,7 @@ func BenchmarkXarchOctilinearize(b *testing.B) {
 				continue
 			}
 			for _, s := range rt.Segs {
-				xarch.Octilinearize(s.Pl)
+				geom.Octilinearize(s.Pl)
 			}
 		}
 	}
@@ -208,9 +208,11 @@ func BenchmarkAARFNoRebuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opt := aarf.Options(router.Options{})
+	opt.Global.AfterEachNet = nil
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aarf.Route(context.Background(), d, aarf.Options{SkipRebuild: true}); err != nil {
+		if _, err := router.Route(context.Background(), d, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

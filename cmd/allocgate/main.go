@@ -14,9 +14,9 @@
 // counts and bytes, unlike wall-clock, barely move between hosts, which is
 // what makes a hard gate practical. They are not exact, though: the graph
 // build starts the pool's goroutines, which allocate when they first start,
-// so the rgraph rows vary between fresh processes (dense5 read 187–193
-// allocs/op over five -cpu 2 runs at -benchtime=1x). The 10% headroom
-// absorbs that spread. When an intentional change moves a budget, re-pin it
+// so the rgraph rows vary between fresh processes (dense5 read 136–137
+// and dense2 78–83 allocs/op over five -cpu 2 runs at -benchtime=1x). The
+// 10% headroom absorbs that spread. When an intentional change moves a budget, re-pin it
 // from fresh `make alloc-gate` runs and say so in the commit.
 //
 // Usage:
@@ -41,11 +41,11 @@ import (
 // workers each own a scratch, so the detail rows grow with the pool size;
 // they carry no bytes budget (maxBytes 0).
 var budgets = []budget{
-	{"rgraph/dense1", 96, 2.41e6},
-	{"rgraph/dense2", 96, 3.97e6},
-	{"rgraph/dense3", 136, 9.93e6},
-	{"rgraph/dense4", 141, 10.63e6},
-	{"rgraph/dense5", 212, 23.05e6},
+	{"rgraph/dense1", 90, 2.35e6},
+	{"rgraph/dense2", 88, 3.88e6},
+	{"rgraph/dense3", 117, 9.69e6},
+	{"rgraph/dense4", 116, 10.33e6},
+	{"rgraph/dense5", 150, 22.28e6},
 	{"global/dense1", 1012, 1.43e6},
 	{"global/dense2", 2610, 2.86e6},
 	{"global/dense3", 3594, 6.53e6},

@@ -1,7 +1,9 @@
 // Command rdlroute routes a design with the any-angle RDL router and
-// reports routability, wirelength, runtime and DRC status. It can also run
-// the two baseline routers, print geometry statistics, emit an SVG of any
-// wire layer, write a JSON-lines event trace, and show live progress.
+// reports routability, wirelength, vias, runtime and DRC status. -router
+// cai or aarf runs a baseline instead: its router.Options preset through
+// the same pipeline, verification gate included. It can also print
+// geometry statistics, emit an SVG of any wire layer, write a JSON-lines
+// event trace, and show live progress.
 //
 // Usage:
 //
@@ -39,7 +41,6 @@ import (
 
 	"rdlroute/internal/aarf"
 	"rdlroute/internal/design"
-	"rdlroute/internal/detail"
 	"rdlroute/internal/obs"
 	"rdlroute/internal/portfolio"
 	"rdlroute/internal/rgraph"
@@ -68,6 +69,14 @@ func main() {
 		log.Print(err)
 		os.Exit(code)
 	}
+}
+
+// presets maps each -router name to the router.Options preset that makes
+// router.Route run it; ours runs the options as given.
+var presets = map[string]func(router.Options) router.Options{
+	"ours": func(o router.Options) router.Options { return o },
+	"cai":  xarch.Options,
+	"aarf": aarf.Options,
 }
 
 // run is the testable command core.
@@ -147,6 +156,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		profile = &p
 	}
+	preset, ok := presets[*which]
+	if !ok {
+		return fmt.Errorf("unknown -router %q", *which)
+	}
 	if (*ordering != "" || len(portfolioList) > 0 || profile != nil || *viaCost != 0) && *which != "ours" {
 		return fmt.Errorf("-ordering/-portfolio/-ordering-profile/-viacost only apply to -router ours, not %q", *which)
 	}
@@ -182,77 +195,39 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	rec := obs.Multi(recs...)
 
+	var gopt rgraph.Options
+	if *viaCost != 0 { // the flag's 0 means the default cost, not free vias
+		gopt.ViaCost = viaCost
+	}
+	opt := preset(router.Options{
+		TimeBudget: *budget, Rec: rec, Verify: vmode, Parallelism: *workers,
+		Ordering: *ordering, Portfolio: portfolioList, OrderingProfile: profile,
+		Graph: gopt,
+	})
 	// Cancellation (Ctrl-C) surfaces as an error from the router together
 	// with the partial result; the summary line is printed either way so the
 	// work done so far is never lost.
-	var routes []*detail.Route
-	var report *verify.Report
-	var routeErr error
-	timedOut := false
-	unrouted := 0
-	switch *which {
-	case "ours":
-		var gopt rgraph.Options
-		if *viaCost != 0 { // the flag's 0 means the default cost, not free vias
-			gopt.ViaCost = viaCost
-		}
-		out, err := router.Route(ctx, d, router.Options{
-			TimeBudget: *budget, Rec: rec, Verify: vmode, Parallelism: *workers,
-			Ordering: *ordering, Portfolio: portfolioList, OrderingProfile: profile,
-			Graph: gopt,
-		})
-		if out == nil {
-			return err
-		}
-		routeErr = err
-		report = out.VerifyReport
-		m := out.Metrics
-		fmt.Fprintf(stdout, "router=ours design=%s nets=%d/%d routability=%.2f%% wirelength=%.0fµm vias=%d runtime=%v drc=%d timedOut=%v\n",
-			d.Name, m.RoutedNets, m.TotalNets, m.Routability*100, m.Wirelength,
-			m.Vias, m.Runtime.Round(time.Millisecond), m.DRCViolations, m.TimedOut)
-		if m.PortfolioWinner != "" {
-			for _, att := range out.Portfolio {
-				marker := ""
-				if att.Strategy == m.PortfolioWinner {
-					marker = " winner"
-				}
-				if att.OK {
-					fmt.Fprintf(stdout, "portfolio: %-10s routability=%.2f%% wirelength=%.0fµm vias=%d%s\n",
-						att.Strategy, att.Routability*100, att.Wirelength, att.Vias, marker)
-				} else {
-					fmt.Fprintf(stdout, "portfolio: %-10s failed: %v\n", att.Strategy, att.Err)
-				}
+	out, routeErr := router.Route(ctx, d, opt)
+	if out == nil {
+		return routeErr
+	}
+	m := out.Metrics
+	fmt.Fprintf(stdout, "router=%s design=%s nets=%d/%d routability=%.2f%% wirelength=%.0fµm vias=%d runtime=%v drc=%d timedOut=%v\n",
+		*which, d.Name, m.RoutedNets, m.TotalNets, m.Routability*100, m.Wirelength,
+		m.Vias, m.Runtime.Round(time.Millisecond), m.DRCViolations, m.TimedOut)
+	if m.PortfolioWinner != "" {
+		for _, att := range out.Portfolio {
+			marker := ""
+			if att.Strategy == m.PortfolioWinner {
+				marker = " winner"
+			}
+			if att.OK {
+				fmt.Fprintf(stdout, "portfolio: %-10s routability=%.2f%% wirelength=%.0fµm vias=%d%s\n",
+					att.Strategy, att.Routability*100, att.Wirelength, att.Vias, marker)
+			} else {
+				fmt.Fprintf(stdout, "portfolio: %-10s failed: %v\n", att.Strategy, att.Err)
 			}
 		}
-		routes = out.DetailResult.Routes
-		timedOut = m.TimedOut
-		unrouted = m.TotalNets - m.RoutedNets
-	case "cai":
-		res, err := xarch.Route(ctx, d, xarch.Options{TimeBudget: *budget, Rec: rec})
-		if res == nil {
-			return err
-		}
-		routeErr = err
-		fmt.Fprintf(stdout, "router=cai design=%s nets=%d/%d routability=%.2f%% wirelength=%.0fµm runtime=%v timedOut=%v\n",
-			d.Name, res.RoutedNets, len(d.Nets), res.Routability*100, res.Wirelength,
-			res.Runtime.Round(time.Millisecond), res.TimedOut)
-		routes = res.DetailResult.Routes
-		timedOut = res.TimedOut
-		unrouted = len(d.Nets) - res.RoutedNets
-	case "aarf":
-		res, err := aarf.Route(ctx, d, aarf.Options{TimeBudget: *budget, Rec: rec})
-		if res == nil {
-			return err
-		}
-		routeErr = err
-		fmt.Fprintf(stdout, "router=aarf design=%s nets=%d/%d routability=%.2f%% wirelength=%.0fµm runtime=%v timedOut=%v\n",
-			d.Name, res.RoutedNets, len(d.Nets), res.Routability*100, res.Wirelength,
-			res.Runtime.Round(time.Millisecond), res.TimedOut)
-		routes = res.DetailResult.Routes
-		timedOut = res.TimedOut
-		unrouted = len(d.Nets) - res.RoutedNets
-	default:
-		return fmt.Errorf("unknown -router %q", *which)
 	}
 	// A strict-mode verification failure still carries the full output; hold
 	// the error so the summary, stats and artifacts below are emitted before
@@ -260,15 +235,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if routeErr != nil && !errors.Is(routeErr, router.ErrVerifyFailed) {
 		return routeErr
 	}
-
-	// The baseline routers have no pipeline gate; run the verifier on their
-	// output directly so all three routers answer to the same sign-off.
-	if vmode != router.VerifyOff && report == nil {
-		report = verify.Check(d, routes, verify.Options{Rec: rec})
-		if vmode == router.VerifyStrict && !report.OK() {
-			routeErr = &router.VerifyError{Report: report}
-		}
-	}
+	routes, report := out.DetailResult.Routes, out.VerifyReport
 
 	if *showStats {
 		stats.Analyze(routes).Print(stdout)
@@ -311,10 +278,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "wrote %s\n", *routesPath)
 	}
 	if *strict {
-		if timedOut {
+		if m.TimedOut {
 			return fmt.Errorf("run exceeded the time budget: %w", router.ErrTimeout)
 		}
-		if unrouted > 0 {
+		if unrouted := m.TotalNets - m.RoutedNets; unrouted > 0 {
 			return fmt.Errorf("%d nets left unrouted: %w", unrouted, router.ErrUnroutable)
 		}
 	}

@@ -201,9 +201,10 @@ func TestRunVerifyStrictFindings(t *testing.T) {
 }
 
 func TestRunVerifyBaselines(t *testing.T) {
-	// The baseline routers have no pipeline gate; -verify must still run the
-	// checker on their geometry. (They may leave nets unrouted, so only the
-	// summary's presence is pinned, not its counts.)
+	// The baseline routers are presets of the same pipeline, so -verify
+	// runs the same gate on their geometry, and strict fails on their
+	// findings. (They may leave nets unrouted, so only the summary's
+	// presence is pinned, not its counts.)
 	for _, r := range []string{"cai", "aarf"} {
 		var sb strings.Builder
 		if err := run(context.Background(), []string{"-case", "dense1", "-router", r, "-verify", "warn"}, &sb); err != nil {
@@ -212,6 +213,14 @@ func TestRunVerifyBaselines(t *testing.T) {
 		if !strings.Contains(sb.String(), "nets checked") {
 			t.Errorf("%s verify output missing:\n%s", r, sb.String())
 		}
+	}
+	var sb strings.Builder
+	err := run(context.Background(), []string{"-case", "dense1", "-router", "cai", "-verify", "strict"}, &sb)
+	if !errors.Is(err, router.ErrVerifyFailed) {
+		t.Fatalf("cai strict verify error = %v, want ErrVerifyFailed", err)
+	}
+	if !strings.Contains(sb.String(), "router=cai") || !strings.Contains(sb.String(), "drc=") {
+		t.Errorf("cai summary missing before the verify failure:\n%s", sb.String())
 	}
 }
 

@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cai, err := xarch.Route(context.Background(), d2, xarch.Options{TimeBudget: 60 * time.Second})
+	cai, err := router.Route(context.Background(), d2, xarch.Options(router.Options{TimeBudget: 60 * time.Second}))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,9 +50,9 @@ func main() {
 	fmt.Printf("  any-angle:      %8.0f µm (%v)\n",
 		ours.Metrics.Wirelength, ours.Metrics.Runtime.Round(time.Millisecond))
 	fmt.Printf("  X-architecture: %8.0f µm (%v)\n",
-		cai.Wirelength, cai.Runtime.Round(time.Millisecond))
+		cai.Metrics.Wirelength, cai.Metrics.Runtime.Round(time.Millisecond))
 	fmt.Printf("  any-angle saves %.1f%%\n",
-		100*(cai.Wirelength-ours.Metrics.Wirelength)/cai.Wirelength)
+		100*(cai.Metrics.Wirelength-ours.Metrics.Wirelength)/cai.Metrics.Wirelength)
 
 	// Per-net gap distribution: which nets pay the biggest staircase tax.
 	fmt.Println("\nworst five nets for the X-architecture router:")

@@ -1,7 +1,7 @@
-// Package aarf implements the AARF* baseline of Table III: the multi-layer
-// extension of AARF (Yang et al., TCAD'18), the state-of-the-art any-angle
-// router for flow-based biochips, re-implemented the way the paper describes
-// its weaknesses:
+// Package aarf is the AARF* baseline of Table III as a router.Options
+// preset: the multi-layer extension of AARF (Yang et al., TCAD'18), the
+// state-of-the-art any-angle router for flow-based biochips, re-implemented
+// the way the paper describes its weaknesses:
 //
 //   - Nets are routed sequentially in netlist order with no congestion-aware
 //     ordering, no failure-driven order adjustment, and no rip-up: a net that
@@ -9,7 +9,7 @@
 //   - Routing resources are consumed greedily with no reservation for
 //     subsequent routes: each committed net is treated as a hard constraint
 //     corridor in the (conceptually rebuilt) triangulation, which blocks
-//     twice the paper's capacity model per tile edge.
+//     three times the paper's capacity model per tile edge.
 //   - After every routed net the triangulation of every wire layer is
 //     rebuilt with the routed net as a constraint. The rebuild dominates
 //     AARF's runtime; this implementation pays that exact cost by
@@ -19,153 +19,92 @@
 //
 // The per-net DP path optimization of AARF is retained through the shared
 // detailed-routing stage.
+//
+//	out, err := router.Route(ctx, d, aarf.Options(router.Options{TimeBudget: time.Minute}))
 package aarf
 
 import (
-	"context"
-	"time"
+	"sync"
 
-	"rdlroute/internal/design"
-	"rdlroute/internal/detail"
 	"rdlroute/internal/dt"
 	"rdlroute/internal/geom"
 	"rdlroute/internal/global"
-	"rdlroute/internal/obs"
-	"rdlroute/internal/rgraph"
-	"rdlroute/internal/viaplan"
+	"rdlroute/internal/router"
 )
 
-// Options tunes the AARF* baseline run.
-type Options struct {
-	Via viaplan.Options
-	// TimeBudget mirrors the paper's one-hour cap; AARF* frequently hits it
-	// on the larger designs. Zero means no limit.
-	TimeBudget time.Duration
-	// SkipRebuild disables the per-net triangulation rebuild (used by unit
-	// tests that only care about the routing result, not the runtime
-	// model).
-	SkipRebuild bool
-	// WasteFactor is the edge-capacity units one committed net consumes
-	// (the greedy no-reservation handicap). Zero selects 3: a routed net in
-	// a rebuilt constrained triangulation blocks its own track plus the
-	// clearance corridor on both sides.
-	WasteFactor int
-	// Rec receives spans and counters from the underlying pipeline stages.
-	// Nil selects the no-op recorder.
-	Rec obs.Recorder
+// Options returns base with the AARF* baseline's settings: the naive corner
+// capacity, netlist order, one round without rip-up or refinement, three
+// capacity units per net on every edge node it crosses, and the per-net
+// mesh rebuild as Global.AfterEachNet. Setting that hook to nil keeps the
+// routing result and drops the rebuild's cost.
+func Options(base router.Options) router.Options {
+	base.Graph.NaiveCornerCapacity = true
+	base.Global.DisableRUDYOrder = true
+	base.Global.DisableDiagonalRefinement = true
+	base.Global.MaxOrderRounds = 1
+	base.Global.EdgeUsePerNet = 3
+	base.Global.AfterEachNet = rebuild()
+	return base
 }
 
-// Route runs the AARF* baseline and returns a router.Output-compatible
-// result as separate pieces (to avoid an import cycle the facade types stay
-// in the caller's hands). Deadlines (ctx or TimeBudget) stop routing and
-// report the partial result with TimedOut set; explicit cancellation
-// returns the partial result together with ctx.Err().
-func Route(ctx context.Context, d *design.Design, opt Options) (*Result, error) {
-	start := time.Now()
-	ctx, cancel := obs.WithBudget(ctx, opt.TimeBudget, nil)
-	defer cancel()
-	vopt := opt.Via
-	if vopt.Rec == nil {
-		vopt.Rec = opt.Rec
-	}
-	plan, err := viaplan.Build(d, vopt)
-	if err != nil {
-		return nil, err
-	}
-	g, err := rgraph.Build(d, plan, rgraph.Options{NaiveCornerCapacity: true, Rec: opt.Rec})
-	if err != nil {
-		return nil, err
-	}
-
-	waste := opt.WasteFactor
-	if waste <= 0 {
-		waste = 3
-	}
-	gopt := global.Options{
-		DisableRUDYOrder:          true,
-		DisableDiagonalRefinement: true,
-		MaxOrderRounds:            1,
-		EdgeUsePerNet:             waste,
-		Rec:                       opt.Rec,
-	}
-	// The growing per-layer point sets for the rebuild emulation: every
-	// committed route's vertices join the constraint set of its layers, so
-	// the per-net re-triangulation cost grows as routing proceeds — the
-	// quadratic blow-up that makes the original AARF time out on large
-	// designs.
-	layerPts := make([][]geom.Point, len(plan.Layers))
-	for li, lp := range plan.Layers {
-		for _, v := range lp.Verts {
-			layerPts[li] = append(layerPts[li], v.Pos)
+// rebuild returns the per-net mesh-rebuild hook. It keeps the growing
+// per-layer point sets: every committed route's vertices join the
+// constraint set of its layers, so the per-net re-triangulation cost grows
+// as routing proceeds — the quadratic blow-up that makes the original AARF
+// time out on large designs. A set holds each point once: routes share
+// via and edge-node positions, and an exact copy adds no vertex to a
+// rebuilt mesh, while dt.Triangulate would pay a point location for it.
+// The sets start over when the hook sees a router it has not seen last,
+// and a mutex guards them, so one Options value may serve concurrent runs.
+func rebuild() func(r *global.Router, net int) {
+	var (
+		mu       sync.Mutex
+		cur      *global.Router
+		layerPts [][]geom.Point
+		seen     []map[geom.Point]bool
+	)
+	add := func(layer int, p geom.Point) {
+		if !seen[layer][p] {
+			seen[layer][p] = true
+			layerPts[layer] = append(layerPts[layer], p)
 		}
 	}
-	var gr *global.Router
-	if !opt.SkipRebuild {
+	return func(r *global.Router, net int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if r != cur {
+			cur = r
+			layerPts = make([][]geom.Point, len(r.G.Plan.Layers))
+			seen = make([]map[geom.Point]bool, len(r.G.Plan.Layers))
+			for li, lp := range r.G.Plan.Layers {
+				seen[li] = make(map[geom.Point]bool)
+				for _, v := range lp.Verts {
+					add(li, v.Pos)
+				}
+			}
+		}
 		// A committed route enters the constrained triangulation as its
 		// bend vertices plus the Steiner points where it crosses existing
 		// mesh edges — roughly one vertex every few wire pitches along the
 		// route. Sample accordingly so the rebuild cost grows the way the
 		// original algorithm's does.
-		step := 4 * d.Rules.Pitch()
-		gopt.AfterEachNet = func(net int) {
-			guide := gr.Guide(net)
-			if guide != nil {
-				for i := 0; i+1 < len(guide.Nodes); i++ {
-					a := g.Node(guide.Nodes[i])
-					b := g.Node(guide.Nodes[i+1])
-					if a.Layer != b.Layer {
-						continue
-					}
-					seg := geom.Seg(a.Pos, b.Pos)
-					n := int(seg.Len()/step) + 1
-					for k := 0; k <= n; k++ {
-						layerPts[a.Layer] = append(layerPts[a.Layer], seg.At(float64(k)/float64(n)))
-					}
+		step := 4 * r.G.Design.Rules.Pitch()
+		if guide := r.Guide(net); guide != nil {
+			for i := 0; i+1 < len(guide.Nodes); i++ {
+				a := r.G.Node(guide.Nodes[i])
+				b := r.G.Node(guide.Nodes[i+1])
+				if a.Layer != b.Layer {
+					continue
+				}
+				seg := geom.Seg(a.Pos, b.Pos)
+				n := int(seg.Len()/step) + 1
+				for k := 0; k <= n; k++ {
+					add(int(a.Layer), seg.At(float64(k)/float64(n)))
 				}
 			}
-			for li := range layerPts {
-				_, _ = dt.Triangulate(layerPts[li])
-			}
+		}
+		for li := range layerPts {
+			_, _ = dt.Triangulate(layerPts[li])
 		}
 	}
-	gr = global.New(g, gopt)
-	gres, gerr := gr.Run(ctx)
-	if gres == nil {
-		return nil, gerr
-	}
-	dres, err := detail.Run(ctx, gr, gres, detail.Options{Rec: opt.Rec})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Design:       d,
-		GlobalResult: gres,
-		DetailResult: dres,
-		Runtime:      time.Since(start),
-		TimedOut:     obs.TimedOut(ctx),
-	}
-	res.Routability = gres.Routability()
-	res.Wirelength = dres.Wirelength
-	for _, rt := range dres.Routes {
-		if rt != nil {
-			res.RoutedNets++
-		}
-	}
-	if gerr != nil && !res.TimedOut {
-		return res, gerr
-	}
-	return res, nil
-}
-
-// Result is the outcome of an AARF* run.
-type Result struct {
-	Design       *design.Design
-	GlobalResult *global.Result
-	DetailResult *detail.Result
-	Routability  float64
-	RoutedNets   int
-	Wirelength   float64
-	Runtime      time.Duration
-	TimedOut     bool
 }

@@ -20,7 +20,6 @@ import (
 
 	"rdlroute/internal/aarf"
 	"rdlroute/internal/design"
-	"rdlroute/internal/detail"
 	"rdlroute/internal/obs"
 	"rdlroute/internal/router"
 	"rdlroute/internal/xarch"
@@ -57,8 +56,7 @@ type CaseRun struct {
 	TotalNets     int
 	DRCViolations int
 	// Vias is the via count of the routed nets; ViasBeforeReassign is the
-	// count before the detail stage's layer-reassignment pass (equal to
-	// Vias for routers without the pass).
+	// count before the detail stage's layer-reassignment pass.
 	Vias               int
 	ViasBeforeReassign int
 	TimedOut           bool
@@ -71,14 +69,32 @@ type CaseRun struct {
 	Counters map[string]int64
 }
 
-// RunOurs routes one benchmark with the full any-angle flow.
-func RunOurs(ctx context.Context, name string, budget time.Duration) (*CaseRun, error) {
+// A Router is one of the compared routers: the name the tables print and
+// the router.Options preset that makes router.Route run it (nil for ours).
+type Router struct {
+	Name   string
+	Preset func(router.Options) router.Options
+}
+
+// The routers of Tables II and III.
+var (
+	Ours = Router{Name: "Ours"}
+	Cai  = Router{Name: "Cai", Preset: xarch.Options}
+	AARF = Router{Name: "AARF*", Preset: aarf.Options}
+)
+
+// Run routes one benchmark with one router through router.Route.
+func Run(ctx context.Context, name string, r Router, budget time.Duration) (*CaseRun, error) {
 	d, err := design.GenerateDense(name)
 	if err != nil {
 		return nil, err
 	}
 	col := obs.NewCollector()
-	out, err := router.Route(ctx, d, router.Options{TimeBudget: budget, Rec: col})
+	opt := router.Options{TimeBudget: budget, Rec: col}
+	if r.Preset != nil {
+		opt = r.Preset(opt)
+	}
+	out, err := router.Route(ctx, d, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +103,7 @@ func RunOurs(ctx context.Context, name string, budget time.Duration) (*CaseRun, 
 		StageOrder:         col.StageOrder(),
 		Counters:           col.Counters(),
 		Case:               name,
-		Router:             "Ours",
+		Router:             r.Name,
 		Routability:        out.Metrics.Routability * 100,
 		Wirelength:         out.Metrics.Wirelength,
 		WirelengthLB:       out.Metrics.WirelengthIsLB,
@@ -99,79 +115,6 @@ func RunOurs(ctx context.Context, name string, budget time.Duration) (*CaseRun, 
 		ViasBeforeReassign: out.Metrics.ViasBeforeReassign,
 		TimedOut:           out.Metrics.TimedOut,
 	}, nil
-}
-
-// RunCai routes one benchmark with the traditional X-architecture baseline.
-func RunCai(ctx context.Context, name string, budget time.Duration) (*CaseRun, error) {
-	d, err := design.GenerateDense(name)
-	if err != nil {
-		return nil, err
-	}
-	col := obs.NewCollector()
-	res, err := xarch.Route(ctx, d, xarch.Options{TimeBudget: budget, Rec: col})
-	if err != nil {
-		return nil, err
-	}
-	vs := detail.CheckDRCParallel(res.DetailResult.Routes, d, detail.DRCOptions{})
-	return &CaseRun{
-		StageSeconds:       col.StageSeconds(),
-		StageOrder:         col.StageOrder(),
-		Counters:           col.Counters(),
-		Case:               name,
-		Router:             "Cai",
-		Routability:        res.Routability * 100,
-		Wirelength:         res.Wirelength,
-		WirelengthLB:       res.RoutedNets < len(d.Nets),
-		Runtime:            res.Runtime,
-		RoutedNets:         res.RoutedNets,
-		TotalNets:          len(d.Nets),
-		DRCViolations:      len(vs),
-		Vias:               countVias(res.DetailResult.Routes),
-		ViasBeforeReassign: countVias(res.DetailResult.Routes),
-		TimedOut:           res.TimedOut,
-	}, nil
-}
-
-// RunAARF routes one benchmark with the AARF* baseline.
-func RunAARF(ctx context.Context, name string, budget time.Duration) (*CaseRun, error) {
-	d, err := design.GenerateDense(name)
-	if err != nil {
-		return nil, err
-	}
-	col := obs.NewCollector()
-	res, err := aarf.Route(ctx, d, aarf.Options{TimeBudget: budget, Rec: col})
-	if err != nil {
-		return nil, err
-	}
-	vs := detail.CheckDRCParallel(res.DetailResult.Routes, d, detail.DRCOptions{})
-	return &CaseRun{
-		StageSeconds:       col.StageSeconds(),
-		StageOrder:         col.StageOrder(),
-		Counters:           col.Counters(),
-		Case:               name,
-		Router:             "AARF*",
-		Routability:        res.Routability * 100,
-		Wirelength:         res.Wirelength,
-		WirelengthLB:       res.RoutedNets < len(d.Nets),
-		Runtime:            res.Runtime,
-		RoutedNets:         res.RoutedNets,
-		TotalNets:          len(d.Nets),
-		DRCViolations:      len(vs),
-		Vias:               countVias(res.DetailResult.Routes),
-		ViasBeforeReassign: countVias(res.DetailResult.Routes),
-		TimedOut:           res.TimedOut,
-	}, nil
-}
-
-// countVias sums the vias of routed nets.
-func countVias(routes []*detail.Route) int {
-	n := 0
-	for _, rt := range routes {
-		if rt != nil {
-			n += len(rt.Vias)
-		}
-	}
-	return n
 }
 
 // wlString formats a wirelength with the paper's '>' lower-bound marker.

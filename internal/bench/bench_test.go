@@ -99,7 +99,7 @@ func TestGeomean(t *testing.T) {
 }
 
 func TestRunOursSmall(t *testing.T) {
-	r, err := RunOurs(context.Background(), "dense1", 30*time.Second)
+	r, err := Run(context.Background(), "dense1", Ours, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,17 @@ func TestTableIIShapeSmall(t *testing.T) {
 	if cai.Vias <= 0 || ours.Vias <= 0 {
 		t.Errorf("via counts missing: cai %d ours %d", cai.Vias, ours.Vias)
 	}
-	if ours.ViasBeforeReassign < ours.Vias {
-		t.Errorf("ViasBeforeReassign %d below Vias %d", ours.ViasBeforeReassign, ours.Vias)
+	for _, r := range cmp.Rows[0] {
+		if r.ViasBeforeReassign < r.Vias {
+			t.Errorf("%s: ViasBeforeReassign %d below Vias %d", r.Router, r.ViasBeforeReassign, r.Vias)
+		}
+		// Both routers run the one pipeline, so both runtimes cover the
+		// same stages, DRC included.
+		for _, stage := range topStages {
+			if _, ok := r.StageSeconds[stage]; !ok {
+				t.Errorf("%s: no %s span", r.Router, stage)
+			}
+		}
 	}
 	out := sb.String()
 	if !strings.Contains(out, "Comp.") {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"rdlroute/internal/design"
 )
@@ -33,16 +32,15 @@ type Comparison struct {
 }
 
 // runTable executes ours plus one baseline over all cases.
-func runTable(ctx context.Context, cfg Config, baseline string,
-	run func(context.Context, string, time.Duration) (*CaseRun, error)) (*Comparison, error) {
+func runTable(ctx context.Context, cfg Config, baseline Router) (*Comparison, error) {
 	cfg = cfg.withDefaults()
-	cmp := &Comparison{Baseline: baseline}
+	cmp := &Comparison{Baseline: baseline.Name}
 	for _, name := range cfg.Cases {
-		b, err := run(ctx, name, cfg.TimeBudget)
+		b, err := Run(ctx, name, baseline, cfg.TimeBudget)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s on %s: %w", baseline, name, err)
+			return nil, fmt.Errorf("bench: %s on %s: %w", baseline.Name, name, err)
 		}
-		o, err := RunOurs(ctx, name, cfg.TimeBudget)
+		o, err := Run(ctx, name, Ours, cfg.TimeBudget)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ours on %s: %w", name, err)
 		}
@@ -54,7 +52,7 @@ func runTable(ctx context.Context, cfg Config, baseline string,
 // TableII runs and prints the comparison against the traditional RDL router
 // (Table II of the paper).
 func TableII(ctx context.Context, w io.Writer, cfg Config) (*Comparison, error) {
-	cmp, err := runTable(ctx, cfg, "Cai", RunCai)
+	cmp, err := runTable(ctx, cfg, Cai)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +63,7 @@ func TableII(ctx context.Context, w io.Writer, cfg Config) (*Comparison, error) 
 // TableIII runs and prints the comparison against the AARF* any-angle
 // baseline (Table III of the paper).
 func TableIII(ctx context.Context, w io.Writer, cfg Config) (*Comparison, error) {
-	cmp, err := runTable(ctx, cfg, "AARF*", RunAARF)
+	cmp, err := runTable(ctx, cfg, AARF)
 	if err != nil {
 		return nil, err
 	}
@@ -109,6 +107,7 @@ func printComparison(w io.Writer, title string, cmp *Comparison) {
 		"Comp.", geomean(routRatios), 1, geomean(wlRatios), 1,
 		geomean(viaRatios), 1, geomean(rtRatios), 1)
 	for _, row := range cmp.Rows {
+		printStageBreakdown(w, row[0])
 		printStageBreakdown(w, row[1])
 	}
 	fmt.Fprintln(w)

@@ -29,6 +29,10 @@ type Options struct {
 	// SkipReassign disables the post-assembly layer-reassignment pass
 	// (ablation): avoidable layer detours keep their vias.
 	SkipReassign bool `json:"skip_reassign"`
+	// Octilinear replaces every polished segment by its octilinear
+	// staircase (geom.Octilinearize) and reports the staircase wirelength:
+	// the X-architecture geometry of the traditional-router baseline.
+	Octilinear bool `json:"octilinear"`
 	// Workers is the worker-pool size for tile routing and route assembly.
 	// Zero or negative selects GOMAXPROCS capped at 8; 1 runs the units
 	// serially (the reference path the differential tests compare against).
@@ -192,6 +196,9 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 	polish := PolishRoutes(out.Routes, r.G.Design)
 	out.Wirelength = polish.Wirelength
 	pol.End()
+	if d.Opt.Octilinear {
+		out.Wirelength = octilinearize(out.Routes)
+	}
 	if d.rec.Enabled() {
 		d.rec.Count("detail.reassign.vias_removed",
 			int64(out.Reassign.ViasBefore-out.Reassign.ViasAfter))
@@ -205,6 +212,23 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 		d.rec.Count("detail.fit.failures", int64(len(failures)))
 	}
 	return out, nil
+}
+
+// octilinearize replaces every segment of the routes by its octilinear
+// staircase and returns the staircase wirelength, summed over the routes
+// and then their segments.
+func octilinearize(routes []*Route) float64 {
+	var wl float64
+	for _, rt := range routes {
+		if rt == nil {
+			continue
+		}
+		for si := range rt.Segs {
+			rt.Segs[si].Pl = geom.Octilinearize(rt.Segs[si].Pl)
+			wl += rt.Segs[si].Pl.Length()
+		}
+	}
+	return wl
 }
 
 // assemble stitches a net's per-hop polylines into per-layer segments. The

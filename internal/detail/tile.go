@@ -167,8 +167,8 @@ func (d *Detailer) prepTileJob(job *tileJob) {
 	// byte-identical), without the reflect-based swapper allocation, and the
 	// per-tile passage lists are short.
 	before := func(pi, pj *tilePassage) bool {
-		oi := vertexOrd(tile, pi.corner)
-		oj := vertexOrd(tile, pj.corner)
+		oi := tile.VertexOrdinal(pi.corner)
+		oj := tile.VertexOrdinal(pj.corner)
 		if oi != oj {
 			return oi > oj // clockwise corner order on a CCW triangle
 		}
@@ -321,12 +321,7 @@ func (d *Detailer) stubEnd(tile *rgraph.Tile, mesh *dt.Mesh, p *tilePassage, ele
 		return pos
 	}
 	// Inward normal: perpendicular to the edge, toward the opposite vertex.
-	ord := -1
-	for i, en := range tile.EdgeNodes {
-		if en == el.Node {
-			ord = i
-		}
-	}
+	ord := tile.EdgeOrdinal(el.Node)
 	if ord == -1 {
 		return pos
 	}
@@ -501,16 +496,4 @@ func (d *Detailer) resolveViolation(route *geom.Polyline, si int, c geom.Circle,
 	(*route)[si+1] = i
 	atomic.AddInt64(&d.fitTangents, 1) // tiles route concurrently
 	return true
-}
-
-func vertexOrd(tile *rgraph.Tile, v int) int {
-	if v < 0 {
-		return -1
-	}
-	for i, tv := range tile.Verts {
-		if int(tv) == v {
-			return i
-		}
-	}
-	return -1
 }

@@ -18,8 +18,7 @@ type wtri struct {
 }
 
 type bowyerWatson struct {
-	pts      []geom.Point // deduped input points + 3 super vertices at the end
-	inputIdx []int        // input index -> vertex index
+	pts      []geom.Point // input points + 3 super vertices at the end
 	nReal    int          // number of real (non-super) vertices
 	tris     []wtri       // the room: live and dead triangles in slot order
 	slack    int          // compact when fewer slots than this are free
@@ -45,8 +44,8 @@ type bowyerWatson struct {
 // triangle per cavity boundary edge, about six on the dense layers.
 const roomSlack = 64
 
-// workRoom is the working-triangle room for n distinct points. A mesh of
-// n+3 vertices (the super vertices included) has at most 2(n+3) live
+// workRoom is the working-triangle room for n points. A mesh of n+3
+// vertices (the super vertices included) has at most 2(n+3) live
 // triangles, so after a compaction at least half the room is free.
 func workRoom(n int) int { return 4*(n+3) + roomSlack }
 
@@ -59,9 +58,9 @@ const maxPoints = (math.MaxInt32-roomSlack)/4 - 3
 var ErrTooManyPoints = fmt.Errorf("dt: more than %d points", maxPoints)
 
 // triangulate is Triangulate with the working room chosen by the caller:
-// room(n) triangle slots for n distinct points, compacted at the start of
-// an insertion that finds fewer than slack of them free. A fan that does
-// not fit grows the room. The mesh is the same for every choice.
+// room(n) triangle slots for n points, compacted at the start of an
+// insertion that finds fewer than slack of them free. A fan that does not
+// fit grows the room. The mesh is the same for every choice.
 func triangulate(points []geom.Point, room func(n int) int, slack int) (*Mesh, error) {
 	if len(points) > maxPoints {
 		return nil, ErrTooManyPoints
@@ -78,25 +77,13 @@ func triangulate(points []geom.Point, room func(n int) int, slack int) (*Mesh, e
 
 func newBowyerWatson(points []geom.Point, room func(n int) int, slack int) *bowyerWatson {
 	bw := &bowyerWatson{
-		pts:      make([]geom.Point, 0, len(points)+3),
+		pts:      append(make([]geom.Point, 0, len(points)+3), points...),
+		nReal:    len(points),
 		slack:    slack,
 		cavity:   make([]int32, 0, 64),
 		boundary: make([]boundaryEdge, 0, 64),
 		stack:    make([]int32, 0, 64),
 	}
-	seen := make(map[geom.Point]int, len(points))
-	bw.inputIdx = make([]int, len(points))
-	for i, p := range points {
-		if j, ok := seen[p]; ok {
-			bw.inputIdx[i] = j
-			continue
-		}
-		idx := len(bw.pts)
-		seen[p] = idx
-		bw.pts = append(bw.pts, p)
-		bw.inputIdx[i] = idx
-	}
-	bw.nReal = len(bw.pts)
 
 	// Append an enclosing super-triangle far outside the data.
 	var r geom.Rect
@@ -599,8 +586,11 @@ func (bw *bowyerWatson) finish() (*Mesh, error) {
 	}
 	m := &Mesh{
 		Points:      append([]geom.Point(nil), bw.pts[:bw.nReal]...),
-		InputVertex: bw.inputIdx,
+		InputVertex: make([]int, bw.nReal),
 		Tris:        make([]Triangle, count),
+	}
+	for i := range m.InputVertex {
+		m.InputVertex[i] = i
 	}
 	for i, t := range bw.tris {
 		ni := keep[i]

@@ -8,7 +8,9 @@
 //
 // The triangulation is robust enough for EDA workloads: regular pad and via
 // lattices produce many exactly cocircular quadruples, which the tolerant
-// in-circle predicate in package geom resolves deterministically.
+// in-circle predicate in package geom resolves deterministically, and a
+// point that coincides with an earlier vertex, an exact copy included, is
+// merged onto it during insertion.
 package dt
 
 import (
@@ -53,12 +55,12 @@ func MakeEdge(a, b int) Edge {
 
 // Mesh is a Delaunay triangulation result.
 type Mesh struct {
-	// Points is the deduplicated vertex set. Indices into it are the vertex
+	// Points is the vertex set: the input points less those merged onto
+	// an earlier vertex, in input order. Indices into it are the vertex
 	// indices used everywhere else.
 	Points []geom.Point
-	// InputVertex maps each input point index to its vertex index (inputs
-	// that duplicate an earlier point, or were merged onto it, map to the
-	// earlier vertex).
+	// InputVertex maps each input point index to its vertex index (an
+	// input merged onto an earlier vertex maps to that vertex).
 	InputVertex []int
 	// Tris holds the triangles of the final mesh.
 	Tris []Triangle
@@ -69,10 +71,11 @@ type Mesh struct {
 }
 
 // Triangulate computes the Delaunay triangulation of the given points.
-// Equal points are merged into one vertex, and so is a point that
-// coincides with an earlier vertex within the predicates' tolerance (its
-// insertion would leave that vertex in no triangle). An input of more than
-// about 5.4·10⁸ points fails with ErrTooManyPoints.
+// A point that coincides with an earlier vertex within the predicates'
+// tolerance, an exact copy included, is merged onto that vertex: its
+// insertion would leave the vertex in no triangle, so the mesh is left as
+// it is. An input of more than about 5.4·10⁸ points fails with
+// ErrTooManyPoints.
 func Triangulate(points []geom.Point) (*Mesh, error) {
 	return triangulate(points, workRoom, roomSlack)
 }

@@ -105,6 +105,98 @@ func TestTriangulateDuplicates(t *testing.T) {
 	}
 }
 
+// withCopies returns pts with exact copies inserted at random positions:
+// of the first point, of every hull point and of random points.
+func withCopies(rng *rand.Rand, pts []geom.Point) []geom.Point {
+	copies := []geom.Point{pts[0], pts[0]}
+	copies = append(copies, geom.ConvexHull(pts)...)
+	for range 1 + len(pts)/8 {
+		copies = append(copies, pts[rng.Intn(len(pts))])
+	}
+	out := append([]geom.Point(nil), pts...)
+	for _, c := range copies {
+		at := rng.Intn(len(out) + 1)
+		out = append(out[:at], append([]geom.Point{c}, out[at:]...)...)
+	}
+	return out
+}
+
+// TestExactCopiesMatchDeduplicatedMesh checks the merge of exact copies
+// against the mesh of the de-duplicated input: the same vertices,
+// triangles and edge tables, and every input maps to the vertex of its
+// first occurrence. Inputs that cannot be triangulated fail the same way
+// with copies.
+func TestExactCopiesMatchDeduplicatedMesh(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var inputs [][]geom.Point
+	for _, n := range []int{3, 7, 12} {
+		for _, pitch := range []float64{1, 4} {
+			var pts []geom.Point
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					pts = append(pts, geom.Pt(float64(i)*pitch, float64(j)*pitch))
+				}
+			}
+			inputs = append(inputs, pts)
+		}
+	}
+	for range 24 {
+		pts := make([]geom.Point, 3+rng.Intn(200))
+		for i := range pts {
+			pts[i] = geom.Pt(rng.Float64()*2000, rng.Float64()*1000)
+		}
+		inputs = append(inputs, pts)
+	}
+	for k, pts := range inputs {
+		in := withCopies(rng, pts)
+		first := map[geom.Point]int{}
+		var dedup []geom.Point
+		for _, p := range in {
+			if _, ok := first[p]; !ok {
+				first[p] = len(dedup)
+				dedup = append(dedup, p)
+			}
+		}
+		want, err := Triangulate(dedup)
+		if err != nil {
+			t.Fatalf("input %d: %v", k, err)
+		}
+		got, err := Triangulate(in)
+		if err != nil {
+			t.Fatalf("input %d with copies: %v", k, err)
+		}
+		for i, p := range in {
+			if got.InputVertex[i] != want.InputVertex[first[p]] {
+				t.Fatalf("input %d: point %d maps to vertex %d, its first occurrence to %d",
+					k, i, got.InputVertex[i], want.InputVertex[first[p]])
+			}
+		}
+		got.InputVertex = want.InputVertex
+		if err := sameMesh(got, want); err != nil {
+			t.Fatalf("input %d: %v", k, err)
+		}
+	}
+
+	p, q, r := geom.Pt(1, 2), geom.Pt(5, 2), geom.Pt(3, 7)
+	for _, c := range []struct {
+		name string
+		pts  []geom.Point
+		err  error
+	}{
+		{"all identical", []geom.Point{p, p, p, p, p}, ErrTooFewPoints},
+		{"two distinct", []geom.Point{p, q, p, q, q, p}, ErrTooFewPoints},
+		{"one copy short of three", []geom.Point{p, p, q}, ErrTooFewPoints},
+		{"collinear with copies", []geom.Point{p, q, geom.Pt(3, 2), q, p, geom.Pt(9, 2)}, ErrAllCollinear},
+	} {
+		if _, err := Triangulate(c.pts); err != c.err {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.err)
+		}
+	}
+	if m, err := Triangulate([]geom.Point{p, q, p, r, q, r}); err != nil || len(m.Points) != 3 || len(m.Tris) != 1 {
+		t.Errorf("triangle with copies: %v", err)
+	}
+}
+
 func TestEulerFormula(t *testing.T) {
 	// For a triangulation of a point set whose hull has h vertices:
 	// triangles = 2n − h − 2, edges = 3n − h − 3.

@@ -19,8 +19,8 @@ func (pl Polyline) Length() float64 {
 // OctilinearLength returns the length of the polyline when every segment is
 // replaced by its shortest octilinear (0°/45°/90°/135°) staircase
 // equivalent: for a segment with axis deltas dx, dy the staircase length is
-// max+ (√2−1)·min. This is the wirelength metric of X-architecture routers
-// and is what the traditional-router baseline reports.
+// max+ (√2−1)·min. This is the wirelength metric of X-architecture routers:
+// the length of the polyline's Octilinearize staircase.
 func (pl Polyline) OctilinearLength() float64 {
 	var sum float64
 	for i := 1; i < len(pl); i++ {
@@ -33,6 +33,33 @@ func (pl Polyline) OctilinearLength() float64 {
 		sum += hi + (math.Sqrt2-1)*lo
 	}
 	return sum
+}
+
+// Octilinearize replaces every segment of a polyline by its two-leg
+// octilinear staircase: a 45° diagonal leg covering the smaller axis delta,
+// then an axis-parallel leg for the remainder. Segments already octilinear
+// pass through unchanged.
+func Octilinearize(pl Polyline) Polyline {
+	if len(pl) < 2 {
+		return pl
+	}
+	out := Polyline{pl[0]}
+	for i := 1; i < len(pl); i++ {
+		a, b := pl[i-1], pl[i]
+		dx, dy := b.X-a.X, b.Y-a.Y
+		adx, ady := math.Abs(dx), math.Abs(dy)
+		switch {
+		case adx < Eps || ady < Eps || math.Abs(adx-ady) < Eps:
+			// Already axis-parallel or exactly 45°.
+		case adx > ady:
+			// Diagonal leg first: covers dy on both axes.
+			out = append(out, Pt(a.X+math.Copysign(ady, dx), b.Y))
+		default:
+			out = append(out, Pt(b.X, a.Y+math.Copysign(adx, dy)))
+		}
+		out = append(out, b)
+	}
+	return out.Simplify()
 }
 
 // Segments returns the polyline's consecutive segments. A polyline with

@@ -237,3 +237,80 @@ func TestSimplifyInPlaceMatchesSimplify(t *testing.T) {
 		}
 	}
 }
+
+func TestOctilinearizeAxisAndDiagonal(t *testing.T) {
+	// Axis-parallel and exact 45° segments pass through unchanged.
+	for _, pl := range []Polyline{
+		{Pt(0, 0), Pt(10, 0)},
+		{Pt(0, 0), Pt(0, 10)},
+		{Pt(0, 0), Pt(10, 10)},
+		{Pt(0, 0), Pt(-10, 10)},
+	} {
+		out := Octilinearize(pl)
+		if len(out) != 2 {
+			t.Errorf("octilinear segment %v modified: %v", pl, out)
+		}
+	}
+}
+
+func TestOctilinearizeGeneric(t *testing.T) {
+	pl := Polyline{Pt(0, 0), Pt(10, 3)}
+	out := Octilinearize(pl)
+	if len(out) != 3 {
+		t.Fatalf("generic segment should become 2 legs, got %v", out)
+	}
+	// Every leg must be axis-parallel or 45°.
+	for _, s := range out.Segments() {
+		dx := math.Abs(s.B.X - s.A.X)
+		dy := math.Abs(s.B.Y - s.A.Y)
+		if dx > Eps && dy > Eps && math.Abs(dx-dy) > Eps {
+			t.Errorf("leg %v not octilinear", s)
+		}
+	}
+	// Endpoints preserved.
+	if !out[0].ApproxEq(pl[0]) || !out[len(out)-1].ApproxEq(pl[1]) {
+		t.Error("endpoints changed")
+	}
+	// Matches the octilinear metric.
+	want := pl.OctilinearLength()
+	if math.Abs(out.Length()-want) > 1e-9 {
+		t.Errorf("staircase length %v, metric %v", out.Length(), want)
+	}
+}
+
+func TestOctilinearizeShortPolyline(t *testing.T) {
+	if out := Octilinearize(nil); out != nil {
+		t.Error("nil input should pass through")
+	}
+	single := Polyline{Pt(1, 1)}
+	if out := Octilinearize(single); len(out) != 1 {
+		t.Error("single point modified")
+	}
+}
+
+// Property: octilinearization preserves endpoints and never shortens a
+// polyline below its Euclidean length.
+func TestOctilinearizeProperties(t *testing.T) {
+	f := func(coords []float64) bool {
+		if len(coords) < 4 {
+			return true
+		}
+		var pl Polyline
+		for i := 0; i+1 < len(coords) && len(pl) < 12; i += 2 {
+			x := math.Mod(coords[i], 1e3)
+			y := math.Mod(coords[i+1], 1e3)
+			if math.IsNaN(x) || math.IsNaN(y) {
+				return true
+			}
+			pl = append(pl, Pt(x, y))
+		}
+		out := Octilinearize(pl)
+		if !out[0].ApproxEq(pl[0]) || !out[len(out)-1].ApproxEq(pl[len(pl)-1]) {
+			return false
+		}
+		return out.Length() >= pl.Length()-1e-6
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}

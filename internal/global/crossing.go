@@ -192,25 +192,3 @@ func (r *Router) chordAllowed(sc *searchScratch, net int, tile *rgraph.Tile, fro
 	}
 	return chordAllowedCoords(r.coord(tile, from), r.coord(tile, to), pcs)
 }
-
-// vertexOrdinal returns the ordinal (0..2) of the mesh vertex v within the
-// tile, or -1.
-func vertexOrdinal(tile *rgraph.Tile, v int) int {
-	for i, tv := range tile.Verts {
-		if int(tv) == v {
-			return i
-		}
-	}
-	return -1
-}
-
-// edgeOrdinal returns the ordinal (0..2) of the edge node within the tile,
-// or -1.
-func edgeOrdinal(tile *rgraph.Tile, en rgraph.NodeID) int {
-	for i, te := range tile.EdgeNodes {
-		if te == en {
-			return i
-		}
-	}
-	return -1
-}

@@ -223,7 +223,7 @@ func TestContextCancelAborts(t *testing.T) {
 	committed := 0
 	var r *Router
 	r = buildRouter(t, "dense1", rgraph.Options{}, Options{
-		AfterEachNet: func(int) {
+		AfterEachNet: func(*Router, int) {
 			committed++
 			if committed == 2 {
 				cancel()

@@ -121,7 +121,7 @@ func (r *Router) diagonalViolation(li, ei int, e dt.Edge) (rgraph.NodeID, bool) 
 // tri of layer li, or -1.
 func (r *Router) cornerLink(li, tri, v int) int {
 	tile := r.G.TileOf(li, tri)
-	ord := vertexOrdinal(tile, v)
+	ord := tile.VertexOrdinal(v)
 	if ord == -1 {
 		return -1
 	}

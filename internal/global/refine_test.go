@@ -64,8 +64,8 @@ func TestDiagonalViolationDetection(t *testing.T) {
 	// opposite vertices instead of the edge itself.
 	tile0 := r.G.TileOf(0, tris[0])
 	tile1 := r.G.TileOf(0, tris[1])
-	ord0 := vertexOrdinal(tile0, verts[0])
-	ord1 := vertexOrdinal(tile1, verts[1])
+	ord0 := tile0.VertexOrdinal(verts[0])
+	ord1 := tile1.VertexOrdinal(verts[1])
 	if ord0 == -1 || ord1 == -1 {
 		t.Fatal("opposite vertices not found in tiles")
 	}
@@ -122,7 +122,7 @@ func TestRefineDiagonalReducesCapacityAndReroutes(t *testing.T) {
 	d := lg.Mesh.Points[verts[0]].Dist(lg.Mesh.Points[verts[1]])
 	pitch := r.G.Design.Rules.Pitch()
 	tile0 := r.G.TileOf(0, tris[0])
-	ord0 := vertexOrdinal(tile0, verts[0])
+	ord0 := tile0.VertexOrdinal(verts[0])
 	inflate := int(d/pitch) + 1
 	r.linkUse[tile0.CrossLinks[ord0]] += inflate
 

@@ -38,7 +38,7 @@ func runFullRounds(ctx context.Context, r *Router) *Result {
 			}
 			r.commit(g)
 			if r.Opt.AfterEachNet != nil {
-				r.Opt.AfterEachNet(ni)
+				r.Opt.AfterEachNet(r, ni)
 			}
 		}
 		done := len(lastFailed) == 0 || round == r.Opt.MaxOrderRounds-1
@@ -92,7 +92,7 @@ func routeTraced(t *testing.T, g *rgraph.Graph, rec obs.Recorder,
 	versions := make(map[[2]int32]string)
 	tr.r = New(g, Options{
 		Rec: rec,
-		AfterEachNet: func(ni int) {
+		AfterEachNet: func(_ *Router, ni int) {
 			gd := tr.r.Guide(ni)
 			pos := make([]int, 0, len(gd.Nodes))
 			for _, id := range gd.Nodes {

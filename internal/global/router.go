@@ -51,7 +51,7 @@ type Options struct {
 	DisableDiagonalRefinement bool `json:"disable_diagonal_refinement"`
 	// EdgeUsePerNet is how many capacity units each guide consumes on every
 	// edge node it crosses. The default 1 is the paper's model; the AARF*
-	// baseline uses 2 to emulate the resource waste of treating each routed
+	// baseline uses 3 to emulate the resource waste of treating each routed
 	// net as a hard constraint corridor in a rebuilt triangulation.
 	EdgeUsePerNet int `json:"edge_use_per_net"`
 	// AfterRound, when non-nil, runs at the end of every net-order
@@ -59,10 +59,10 @@ type Options struct {
 	// round index. Tests use it to assert CheckInvariants between rounds.
 	AfterRound func(round int) `json:"-"`
 	// AfterEachNet, when non-nil, runs after every successfully committed
-	// net with that net's ID. The AARF* baseline re-triangulates every
-	// layer here, paying the per-net mesh-rebuild cost the original
-	// algorithm incurs.
-	AfterEachNet func(net int) `json:"-"`
+	// net with the router and that net's ID. The AARF* baseline
+	// re-triangulates every layer here, paying the per-net mesh-rebuild
+	// cost the original algorithm incurs.
+	AfterEachNet func(r *Router, net int) `json:"-"`
 	// Parallelism is the worker-pool size of the standalone ordering-seed
 	// searches, which are independent per net. Zero selects GOMAXPROCS
 	// capped at 8 (pool.Default). The round loop itself is serial, so
@@ -372,7 +372,7 @@ func (r *Router) routeOne(ni int, failCount []int, lastFailed *[]int, progress b
 	r.commit(g)
 	rs.logCommit(ni)
 	if r.Opt.AfterEachNet != nil {
-		r.Opt.AfterEachNet(ni)
+		r.Opt.AfterEachNet(r, ni)
 	}
 	if progress {
 		r.rec.Progress("global", r.routed, len(nets))
@@ -455,9 +455,9 @@ func (r *Router) commit(g *searchResult) {
 func (r *Router) passageEndFor(tile *rgraph.Tile, id rgraph.NodeID) passageEnd {
 	n := r.G.Node(id)
 	if n.Kind == rgraph.ViaNode {
-		return passageEnd{vertex: vertexOrdinal(tile, int(n.Vert)), edge: -1}
+		return passageEnd{vertex: tile.VertexOrdinal(int(n.Vert)), edge: -1}
 	}
-	return passageEnd{vertex: -1, edge: edgeOrdinal(tile, id)}
+	return passageEnd{vertex: -1, edge: tile.EdgeOrdinal(id)}
 }
 
 // ripUp removes a committed guide, releasing all resources.

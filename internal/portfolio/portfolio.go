@@ -42,9 +42,6 @@ type Model struct {
 	// sorted by (A, B) with A < B. It is the pairwise interaction signal
 	// the congestion strategy uses.
 	Conflicts []Conflict
-	// Fail[i] is net i's failure count from earlier routing runs (the obs
-	// counter trail); nil when no history is available, e.g. a fresh run.
-	Fail []int
 }
 
 // Conflict is one pair of nets competing for congested tiles.
@@ -69,14 +66,6 @@ func (m *Model) congestedOf(i int) int {
 func (m *Model) pinDistOf(i int) float64 {
 	if i < len(m.PinDist) {
 		return m.PinDist[i]
-	}
-	return 0
-}
-
-// failOf returns the historic failure count of net i, zero without history.
-func (m *Model) failOf(i int) int {
-	if i < len(m.Fail) {
-		return m.Fail[i]
 	}
 	return 0
 }
@@ -218,9 +207,9 @@ func (NetLen) Order(_ context.Context, m *Model) []int {
 	return order
 }
 
-// Congestion scores every net with a weighted sum of the congestion and
-// failure signals the pipeline records — congested-tile count, conflict
-// degree, net length, historic failures — and routes higher scores first.
+// Congestion scores every net with a weighted sum of the congestion
+// signals of the RUDY seed pass — congested-tile count, conflict degree,
+// net length — and routes higher scores first.
 // The weights come from a Profile, loadable from a small JSON file, so a
 // scorer tuned offline against observed obs counters plugs in without a
 // code change.
@@ -237,8 +226,7 @@ func (s Congestion) Order(_ context.Context, m *Model) []int {
 	score := make([]float64, m.Nets)
 	for i := 0; i < m.Nets; i++ {
 		score[i] = p.CongestedWeight*float64(m.congestedOf(i)) +
-			p.LengthWeight*m.pinDistOf(i) +
-			p.FailWeight*float64(m.failOf(i))
+			p.LengthWeight*m.pinDistOf(i)
 	}
 	for _, c := range m.Conflicts {
 		w := p.ConflictWeight * float64(c.Shared)

@@ -124,36 +124,33 @@ func TestNetLenOrder(t *testing.T) {
 }
 
 func TestCongestionOrder(t *testing.T) {
-	m := testModel()
-	m.Fail = []int{0, 0, 0, 0, 0, 10} // history pushes net 5 to the front
-	got := Congestion{}.Order(context.Background(), m)
-	if got[0] != 5 {
-		t.Fatalf("Congestion order = %v, want net 5 first (10 historic failures)", got)
-	}
-	// With FailWeight crushed the conflict/congestion cluster should lead
-	// and the long clean net 1 trail.
-	got = Congestion{Profile: Profile{FailWeight: 1e-9}}.Order(context.Background(), m)
+	// The conflict/congestion cluster leads and the long clean net 1
+	// trails.
+	got := Congestion{}.Order(context.Background(), testModel())
 	if got[len(got)-1] != 1 {
 		t.Fatalf("Congestion order = %v, want long clean net 1 last", got)
 	}
 }
 
 func TestProfileParse(t *testing.T) {
-	p, err := ParseProfile([]byte(`{"congested_weight": 3, "fail_weight": 0.5}`))
+	p, err := ParseProfile([]byte(`{"congested_weight": 3, "length_weight": 0.5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CongestedWeight != 3 || p.FailWeight != 0.5 {
+	if p.CongestedWeight != 3 || p.LengthWeight != 0.5 {
 		t.Fatalf("parsed profile = %+v", p)
 	}
 	d := p.withDefaults()
-	if d.ConflictWeight != 0.25 || d.LengthWeight != -0.002 {
+	if d.ConflictWeight != 0.25 {
 		t.Fatalf("withDefaults did not fill unset weights: %+v", d)
 	}
 	if _, err := ParseProfile([]byte(`{"congsted_weight": 3}`)); err == nil {
 		t.Fatal("misspelled field accepted")
 	}
-	if _, err := ParseProfile([]byte(`{"fail_weight": 1e999}`)); err == nil {
+	if _, err := ParseProfile([]byte(`{"fail_weight": 2}`)); err == nil {
+		t.Fatal("the removed fail_weight accepted")
+	}
+	if _, err := ParseProfile([]byte(`{"length_weight": 1e999}`)); err == nil {
 		t.Fatal("non-finite weight accepted")
 	}
 }

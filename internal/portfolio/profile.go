@@ -14,8 +14,8 @@ import (
 // the struct is flat, canonically ordered and JSON-stable.
 //
 // A profile is typically trained offline: route a design corpus, read the
-// per-net congestion/failure counters from the obs trail, and fit weights
-// that rank historically troublesome nets first.
+// per-net congestion counters from the obs trail, and fit weights that rank
+// troublesome nets first.
 type Profile struct {
 	// CongestedWeight scales the over-threshold RUDY tile count of a net's
 	// seed path. Default 1.
@@ -26,15 +26,13 @@ type Profile struct {
 	// LengthWeight scales the pin-to-pin distance in µm; negative prefers
 	// short nets first among equally congested ones. Default -0.002.
 	LengthWeight float64 `json:"length_weight,omitempty"`
-	// FailWeight scales the historic per-net failure count. Default 2.
-	FailWeight float64 `json:"fail_weight,omitempty"`
 }
 
 // DefaultProfile returns the built-in weights: congested tiles dominate,
-// conflict degree breaks clusters apart, a slight preference for shorter
-// nets, failures from history pushed to the front hard.
+// conflict degree breaks clusters apart, and a slight preference for
+// shorter nets.
 func DefaultProfile() Profile {
-	return Profile{CongestedWeight: 1, ConflictWeight: 0.25, LengthWeight: -0.002, FailWeight: 2}
+	return Profile{CongestedWeight: 1, ConflictWeight: 0.25, LengthWeight: -0.002}
 }
 
 // withDefaults fills zero weights with the built-in defaults. A profile
@@ -51,9 +49,6 @@ func (p Profile) withDefaults() Profile {
 	if p.LengthWeight == 0 {
 		p.LengthWeight = d.LengthWeight
 	}
-	if p.FailWeight == 0 {
-		p.FailWeight = d.FailWeight
-	}
 	return p
 }
 
@@ -67,7 +62,6 @@ func (p Profile) Validate() error {
 		{"congested_weight", p.CongestedWeight},
 		{"conflict_weight", p.ConflictWeight},
 		{"length_weight", p.LengthWeight},
-		{"fail_weight", p.FailWeight},
 	} {
 		if math.IsNaN(w.v) || math.IsInf(w.v, 0) {
 			return fmt.Errorf("portfolio: profile %s is not finite", w.name)

@@ -138,6 +138,28 @@ type Tile struct {
 	CrossLinks [3]int32
 }
 
+// VertexOrdinal returns the ordinal (0..2) of mesh vertex v within the
+// tile, or -1.
+func (t *Tile) VertexOrdinal(v int) int {
+	for i, tv := range t.Verts {
+		if int(tv) == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// EdgeOrdinal returns the ordinal (0..2) of edge node en within the tile,
+// or -1.
+func (t *Tile) EdgeOrdinal(en NodeID) int {
+	for i, te := range t.EdgeNodes {
+		if te == en {
+			return i
+		}
+	}
+	return -1
+}
+
 // LayerGraph holds the per-wire-layer mesh and node lookup tables.
 type LayerGraph struct {
 	Index    int

@@ -229,7 +229,7 @@ func TestSpecPortfolioCanonicalization(t *testing.T) {
 		t.Error(`ordering "rudy" and no ordering encode differently`)
 	}
 
-	prof := &portfolio.Profile{FailWeight: 3}
+	prof := &portfolio.Profile{ConflictWeight: 3}
 	c := encode(t, Options{Ordering: "congestion", OrderingProfile: prof})
 	if c == encode(t, Options{Ordering: "congestion"}) {
 		t.Error("ordering profile not part of the cache identity")

@@ -4,7 +4,9 @@
 // refinement, net-order adjustment) → detailed routing (DP access-point
 // adjustment, fit-routing tile legalization) → design-rule checking →
 // optional verification gate (Options.Verify) re-checking the result with
-// the independent verifier before it is reported as success.
+// the independent verifier before it is reported as success. Route is the
+// pipeline's one driver: the Table II and III baselines are Options
+// presets (xarch.Options, aarf.Options) that it runs the same way.
 //
 // Typical use:
 //

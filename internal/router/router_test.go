@@ -120,7 +120,7 @@ func TestRouteContextCancelReturnsPartial(t *testing.T) {
 	out, err := Route(ctx, d, Options{
 		TimeBudget: time.Hour,
 		Global: global.Options{
-			AfterEachNet: func(int) {
+			AfterEachNet: func(*global.Router, int) {
 				committed++
 				if committed == 2 {
 					cancel()

@@ -41,7 +41,7 @@ func TestOptionsSpecRoundTrip(t *testing.T) {
 		Global: global.Options{CongestionThreshold: 0.7, MaxOrderRounds: 3, MaxExpansions: 1234,
 			DisableRUDYOrder: true, DisableDiagonalRefinement: true, EdgeUsePerNet: 2},
 		Detail: detail.Options{Candidates: 5, MinMovable: 3.5, MaxFitIters: 20,
-			SkipAdjust: true, SkipReassign: true},
+			SkipAdjust: true, SkipReassign: true, Octilinear: true},
 		Parallelism: 4,
 		TimeBudget:  1500 * time.Millisecond,
 		Verify:      VerifyStrict,
@@ -49,7 +49,7 @@ func TestOptionsSpecRoundTrip(t *testing.T) {
 		// exclusive.
 		Ordering:        "netlen",
 		Portfolio:       []string{"rudy", "congestion"},
-		OrderingProfile: &portfolio.Profile{CongestedWeight: 2, ConflictWeight: 0.5, LengthWeight: -0.01, FailWeight: 3},
+		OrderingProfile: &portfolio.Profile{CongestedWeight: 2, ConflictWeight: 0.5, LengthWeight: -0.01},
 	}
 	b, err := json.Marshal(opt)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestFingerprintIgnoresObservers(t *testing.T) {
 	b.Global.Rec = obs.NewCollector()
 	b.Global.Order = portfolio.NetLen{}
 	b.Global.AfterRound = func(int) {}
-	b.Global.AfterEachNet = func(int) {}
+	b.Global.AfterEachNet = func(*global.Router, int) {}
 	b.Global.Parallelism = 3
 	b.Detail.Rec = obs.NewCollector()
 	b.Detail.Workers = 3
@@ -226,8 +226,9 @@ func FuzzOptionsJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
 		`{"via": {"seed": 1}, "graph": {}, "global": {"max_expansions": 123}, "detail": {}, "time_budget_ms": 2000}`,
-		`{"portfolio": ["netlen", "congestion", "netlen"], "ordering_profile": {"fail_weight": 3}}`,
+		`{"portfolio": ["netlen", "congestion", "netlen"], "ordering_profile": {"conflict_weight": 3}}`,
 		`{"graph": {"via_cost": 0}}`,
+		`{"detail": {"skip_adjust": true, "octilinear": true}}`,
 		`{"time_budget_ms": 9223372036854776}`,
 	} {
 		f.Add([]byte(seed))

@@ -303,10 +303,10 @@ func TestHTTPEquivalentOptionsShareAKey(t *testing.T) {
 	if key(`{}`) != key(`{"ordering": "rudy"}`) {
 		t.Error(`ordering "rudy" and no ordering get different keys`)
 	}
-	if key(`{"ordering": "netlen"}`) != key(`{"ordering": "netlen", "ordering_profile": {"fail_weight": 3}}`) {
+	if key(`{"ordering": "netlen"}`) != key(`{"ordering": "netlen", "ordering_profile": {"conflict_weight": 3}}`) {
 		t.Error("a profile the netlen ordering never reads splits the key")
 	}
-	if key(`{"ordering": "congestion"}`) == key(`{"ordering": "congestion", "ordering_profile": {"fail_weight": 3}}`) {
+	if key(`{"ordering": "congestion"}`) == key(`{"ordering": "congestion", "ordering_profile": {"conflict_weight": 3}}`) {
 		t.Error("the congestion strategy's profile is not part of the key")
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/geom"
+	"rdlroute/internal/global"
 	"rdlroute/internal/obs"
 	"rdlroute/internal/portfolio"
 	"rdlroute/internal/router"
@@ -463,7 +464,7 @@ func TestSubmitRoutesWhatTheKeyDescribes(t *testing.T) {
 	var called atomic.Bool
 	var loaded router.Options
 	loaded.Global.Order = portfolio.NetLen{}
-	loaded.Global.AfterEachNet = func(int) { called.Store(true) }
+	loaded.Global.AfterEachNet = func(*global.Router, int) { called.Store(true) }
 	loaded.Rec = rec
 	ka, a := route(router.Options{})
 	kb, b := route(loaded)

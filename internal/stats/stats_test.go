@@ -98,7 +98,7 @@ func TestAnyAngleVersusXarchHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cai, err := xarch.Route(context.Background(), d2, xarch.Options{})
+	cai, err := router.Route(context.Background(), d2, xarch.Options(router.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

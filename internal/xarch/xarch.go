@@ -1,7 +1,7 @@
-// Package xarch implements the traditional X-architecture RDL router
-// baseline ("Cai" in Table II, after Cai et al., DAC'21). Traditional RDL
-// routers restrict wires to the four X-architecture orientations (0°, 45°,
-// 90°, 135°), so:
+// Package xarch is the traditional X-architecture RDL router baseline
+// ("Cai" in Table II, after Cai et al., DAC'21) as a router.Options preset.
+// Traditional RDL routers restrict wires to the four X-architecture
+// orientations (0°, 45°, 90°, 135°), so:
 //
 //   - Global routing is the same competent tile-graph flow as the any-angle
 //     router (Cai et al. pioneered the crossing-aware A* this work builds
@@ -15,137 +15,16 @@
 //
 // Wirelength is measured on the staircase geometry, which is the length an
 // X-architecture router pays for the same topology.
+//
+//	out, err := router.Route(ctx, d, xarch.Options(router.Options{TimeBudget: time.Minute}))
 package xarch
 
-import (
-	"context"
-	"math"
-	"time"
+import "rdlroute/internal/router"
 
-	"rdlroute/internal/design"
-	"rdlroute/internal/detail"
-	"rdlroute/internal/geom"
-	"rdlroute/internal/global"
-	"rdlroute/internal/obs"
-	"rdlroute/internal/rgraph"
-	"rdlroute/internal/viaplan"
-)
-
-// Options tunes the X-architecture baseline run.
-type Options struct {
-	Via        viaplan.Options
-	TimeBudget time.Duration
-	// Rec receives spans and counters from the underlying pipeline stages.
-	// Nil selects the no-op recorder.
-	Rec obs.Recorder
-}
-
-// Result is the outcome of an X-architecture baseline run.
-type Result struct {
-	Design       *design.Design
-	GlobalResult *global.Result
-	DetailResult *detail.Result
-	Routability  float64
-	RoutedNets   int
-	// Wirelength is the octilinear wirelength in µm.
-	Wirelength float64
-	Runtime    time.Duration
-	TimedOut   bool
-}
-
-// Route runs the traditional-router baseline. Deadlines (ctx or
-// TimeBudget) stop routing and report the partial result with TimedOut set;
-// explicit cancellation returns the partial result together with ctx.Err().
-func Route(ctx context.Context, d *design.Design, opt Options) (*Result, error) {
-	start := time.Now()
-	ctx, cancel := obs.WithBudget(ctx, opt.TimeBudget, nil)
-	defer cancel()
-	vopt := opt.Via
-	if vopt.Rec == nil {
-		vopt.Rec = opt.Rec
-	}
-	plan, err := viaplan.Build(d, vopt)
-	if err != nil {
-		return nil, err
-	}
-	g, err := rgraph.Build(d, plan, rgraph.Options{Rec: opt.Rec})
-	if err != nil {
-		return nil, err
-	}
-	gr := global.New(g, global.Options{Rec: opt.Rec})
-	gres, gerr := gr.Run(ctx)
-	if gres == nil {
-		return nil, gerr
-	}
-	// Traditional routers fix crossing points without the any-angle DP
-	// adjustment.
-	dres, err := detail.Run(ctx, gr, gres, detail.Options{SkipAdjust: true, Rec: opt.Rec})
-	if err != nil {
-		return nil, err
-	}
-	// Convert every route to octilinear staircases.
-	var wl float64
-	routed := 0
-	for _, rt := range dres.Routes {
-		if rt == nil {
-			continue
-		}
-		routed++
-		for si := range rt.Segs {
-			rt.Segs[si].Pl = Octilinearize(rt.Segs[si].Pl)
-			wl += rt.Segs[si].Pl.Length()
-		}
-	}
-	dres.Wirelength = wl
-
-	res := &Result{
-		Design:       d,
-		GlobalResult: gres,
-		DetailResult: dres,
-		Routability:  gres.Routability(),
-		RoutedNets:   routed,
-		Wirelength:   wl,
-		Runtime:      time.Since(start),
-		TimedOut:     obs.TimedOut(ctx),
-	}
-	if gerr != nil && !res.TimedOut {
-		return res, gerr
-	}
-	return res, nil
-}
-
-// Octilinearize replaces every segment of a polyline by its two-leg
-// octilinear staircase: a 45° diagonal leg covering the smaller axis delta,
-// then an axis-parallel leg for the remainder. Segments already octilinear
-// pass through unchanged.
-func Octilinearize(pl geom.Polyline) geom.Polyline {
-	if len(pl) < 2 {
-		return pl
-	}
-	out := geom.Polyline{pl[0]}
-	for i := 1; i < len(pl); i++ {
-		a, b := pl[i-1], pl[i]
-		dx, dy := b.X-a.X, b.Y-a.Y
-		adx, ady := math.Abs(dx), math.Abs(dy)
-		switch {
-		case adx < geom.Eps || ady < geom.Eps || math.Abs(adx-ady) < geom.Eps:
-			// Already axis-parallel or exactly 45°.
-		case adx > ady:
-			// Diagonal leg first: covers dy on both axes.
-			mid := geom.Pt(a.X+sign(dx)*ady, b.Y)
-			out = append(out, mid)
-		default:
-			mid := geom.Pt(b.X, a.Y+sign(dy)*adx)
-			out = append(out, mid)
-		}
-		out = append(out, b)
-	}
-	return out.Simplify()
-}
-
-func sign(v float64) float64 {
-	if v < 0 {
-		return -1
-	}
-	return 1
+// Options returns base with the X-architecture baseline's settings: no DP
+// access-point adjustment and octilinear detailed geometry.
+func Options(base router.Options) router.Options {
+	base.Detail.SkipAdjust = true
+	base.Detail.Octilinear = true
+	return base
 }
