@@ -46,11 +46,11 @@ var budgets = []budget{
 	{"rgraph/dense3", 117, 9.69e6},
 	{"rgraph/dense4", 116, 10.33e6},
 	{"rgraph/dense5", 150, 22.28e6},
-	{"global/dense1", 1012, 1.43e6},
-	{"global/dense2", 2610, 2.86e6},
-	{"global/dense3", 3594, 6.53e6},
-	{"global/dense4", 5172, 7.39e6},
-	{"global/dense5", 15828, 21.80e6},
+	{"global/dense1", 1012, 1.30e6},
+	{"global/dense2", 2610, 2.66e6},
+	{"global/dense3", 3594, 6.03e6},
+	{"global/dense4", 5172, 6.85e6},
+	{"global/dense5", 15828, 20.62e6},
 	{"detail/dense1", 5044, 0},
 	{"detail/dense2", 12650, 0},
 	{"detail/dense3", 22564, 0},

@@ -292,7 +292,7 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !r.G.LayerAllowed(net, int(r.G.Node(adj.To).Layer)) {
 				continue
 			}
-			if r.linkUse[adj.Link] >= int(link.Cap) || r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
+			if r.linkUse[adj.Link] >= link.Cap || r.nodeUse[adj.To] >= r.nodeCap[adj.To] {
 				continue
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: true}, st.g+link.Len, si, adj.Link)
@@ -304,7 +304,7 @@ func (r *Router) expandVia(sc *searchScratch, st searchState, si int32, net int)
 			if !isStart && !arrivedCross {
 				continue // entered by wire; must take the via down/up
 			}
-			if r.linkUse[adj.Link] >= int(link.Cap) || r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] {
+			if r.linkUse[adj.Link] >= link.Cap || int(r.nodeUse[adj.To])+sc.units > int(r.nodeCap[adj.To]) {
 				continue
 			}
 			r.pushGaps(sc, net, tile, r.coord(tile, vertexEnd(int(adj.FromOrd))), adj, st.g+link.Len, si)
@@ -323,7 +323,7 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 	for _, adj := range r.G.Neighbors(st.key.node) {
 		sc.mark(adj.To)
 		link := r.G.Link(int(adj.Link))
-		if r.linkUse[adj.Link] >= int(link.Cap) {
+		if r.linkUse[adj.Link] >= link.Cap {
 			continue
 		}
 		tile := r.G.TileOf(int(link.Layer), int(link.Tile))
@@ -344,7 +344,7 @@ func (r *Router) expandEdge(sc *searchScratch, st searchState, si int32, net int
 			}
 			r.push(sc, stateKey{node: adj.To, gap: -1, viaArrive: false}, st.g+link.Len, si, adj.Link)
 		case rgraph.CrossTile:
-			if r.nodeUse[adj.To]+sc.units > r.nodeCap[adj.To] || r.linkUse[adj.Link]+sc.units > int(link.Cap) {
+			if int(r.nodeUse[adj.To])+sc.units > int(r.nodeCap[adj.To]) || int(r.linkUse[adj.Link])+sc.units > int(link.Cap) {
 				continue
 			}
 			r.pushGaps(sc, net, tile, r.coord(tile, from), adj, st.g+link.Len, si)

@@ -109,7 +109,7 @@ func (r *Router) diagonalViolation(li, ei int, e dt.Edge) (rgraph.NodeID, bool) 
 	}
 	u1 := r.cornerUse(li, tris[0], vi)
 	u2 := r.cornerUse(li, tris[1], vj)
-	upsilon := r.nodeUse[en]
+	upsilon := int(r.nodeUse[en])
 	if upsilon == 0 && u1 == 0 && u2 == 0 {
 		return en, false
 	}
@@ -132,7 +132,7 @@ func (r *Router) cornerLink(li, tri, v int) int {
 // in triangle tri of layer li.
 func (r *Router) cornerUse(li, tri, v int) int {
 	if l := r.cornerLink(li, tri, v); l != -1 {
-		return r.linkUse[l]
+		return int(r.linkUse[l])
 	}
 	return 0
 }

@@ -49,7 +49,7 @@ func TestDiagonalViolationDetection(t *testing.T) {
 	pitch := r.G.Design.Rules.Pitch()
 	// Eq. 3 is violated when (U1 + U2 + Υ + 1) · pitch ≥ d. Load the edge
 	// node itself with just enough usage.
-	need := int(d/pitch) + 1
+	need := int32(d/pitch) + 1
 	r.nodeUse[en] = need
 	if got := r.DiagonalViolations(); got == 0 {
 		t.Fatalf("no violation with usage %d against diagonal %.1f (pitch %.1f)", need, d, pitch)
@@ -123,7 +123,7 @@ func TestRefineDiagonalReducesCapacityAndReroutes(t *testing.T) {
 	pitch := r.G.Design.Rules.Pitch()
 	tile0 := r.G.TileOf(0, tris[0])
 	ord0 := tile0.VertexOrdinal(verts[0])
-	inflate := int(d/pitch) + 1
+	inflate := int32(d/pitch) + 1
 	r.linkUse[tile0.CrossLinks[ord0]] += inflate
 
 	if r.DiagonalViolations() == 0 {
@@ -133,7 +133,7 @@ func TestRefineDiagonalReducesCapacityAndReroutes(t *testing.T) {
 	if reductions == 0 {
 		t.Fatal("refinement did nothing")
 	}
-	if r.nodeCap[victim] >= int(r.G.Node(victim).Cap) {
+	if r.nodeCap[victim] >= r.G.Node(victim).Cap {
 		t.Error("victim edge capacity not reduced")
 	}
 	// The rerouted state must stay structurally consistent (note: the

@@ -302,7 +302,7 @@ func checkExpansionMarks(t *testing.T, r *Router, board string) {
 		}
 		for _, adj := range g.Neighbors(rgraph.NodeID(id)) {
 			l := g.Link(int(adj.Link))
-			if r.linkUse[adj.Link] >= int(l.Cap) {
+			if r.linkUse[adj.Link] >= l.Cap {
 				full++
 			}
 			need("neighbour", adj.To)
@@ -371,10 +371,10 @@ func readSnapshot(r *Router, read []uint64) []int {
 	for w, word := range read {
 		for ; word != 0; word &= word - 1 {
 			id := rgraph.NodeID(w*64 + bits.TrailingZeros64(word))
-			s = append(s, int(id), r.nodeUse[id], len(r.seqs[id]))
+			s = append(s, int(id), int(r.nodeUse[id]), len(r.seqs[id]))
 			s = append(s, r.seqs[id]...)
 			for _, adj := range r.G.Neighbors(id) {
-				s = append(s, int(adj.Link), r.linkUse[adj.Link])
+				s = append(s, int(adj.Link), int(r.linkUse[adj.Link]))
 				l := r.G.Link(int(adj.Link))
 				if l.Kind == rgraph.CrossVia {
 					continue
@@ -522,8 +522,9 @@ func TestReusedSearchesPerRound(t *testing.T) {
 }
 
 // TestRunReleasesSearchState checks that the router holds neither the A*
-// scratch nor the reuse state once Run returns: pipeline results keep the
-// router alive. The reuse state must exist in every round before that.
+// scratch nor the reuse state once Run returns: detailed routing keeps the
+// router alive after Run. The reuse state must exist in every round before
+// that.
 func TestRunReleasesSearchState(t *testing.T) {
 	var r *Router
 	held := 0

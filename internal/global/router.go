@@ -134,11 +134,15 @@ type Router struct {
 	Opt Options
 	rec obs.Recorder
 
-	nodeUse []int
-	linkUse []int
+	// nodeUse and linkUse are the capacity units the committed guides take
+	// at each node and link. They are int32 like the graph's capacities,
+	// and admission keeps a use at or below its capacity, so they cannot
+	// overflow; the admission tests compare in int (sc.units can be large).
+	nodeUse []int32
+	linkUse []int32
 	// nodeCap is the effective capacity of each node: the graph's, until
 	// diagonal refinement reduces it.
-	nodeCap []int
+	nodeCap []int32
 	// seqs holds, for each edge node, the ordered net IDs crossing it
 	// (storage order: from Edge.A's position toward Edge.B's). A list gets
 	// its room from seqSlab on its first insert and moves to a room twice
@@ -158,8 +162,9 @@ type Router struct {
 	ripUps     int
 	// scr is the A* scratch every search of the round loop and diagonal
 	// refinement reuses across route calls. It is created by the first
-	// search (see scratch) and dropped when Run returns: pipeline results
-	// keep the router alive, and the scratch is the largest thing it owns.
+	// search (see scratch) and dropped when Run returns: detailed routing,
+	// which reads only the sequences, keeps the router alive after Run, and
+	// the scratch is the largest thing it owns.
 	scr *searchScratch
 	// reuse is the round loop's cross-round search memo (reuse.go). Run
 	// creates it for the round loop and drops it when the loop ends.
@@ -175,15 +180,15 @@ func New(g *rgraph.Graph, opt Options) *Router {
 		G:        g,
 		Opt:      opt.withDefaults(),
 		rec:      obs.Or(opt.Rec),
-		nodeUse:  make([]int, len(g.Nodes)),
-		linkUse:  make([]int, len(g.Links)),
-		nodeCap:  make([]int, len(g.Nodes)),
+		nodeUse:  make([]int32, len(g.Nodes)),
+		linkUse:  make([]int32, len(g.Links)),
+		nodeCap:  make([]int32, len(g.Nodes)),
 		seqs:     make([][]int, len(g.Nodes)),
 		tileBase: make([]int32, len(g.Layers)),
 		guides:   make([]*Guide, len(g.Design.Nets)),
 	}
 	for id := range g.Nodes {
-		r.nodeCap[id] = int(g.Nodes[id].Cap)
+		r.nodeCap[id] = g.Nodes[id].Cap
 	}
 	var nTiles int32
 	for li := range g.Layers {
@@ -407,7 +412,7 @@ func (r *Router) commit(g *searchResult) {
 	guide := &Guide{Net: g.net, Nodes: g.nodes, Links: g.links}
 	for i, id := range g.nodes {
 		if r.G.Node(id).Kind == rgraph.EdgeNode {
-			r.nodeUse[id] += r.edgeUnits(g.net)
+			r.nodeUse[id] += int32(r.edgeUnits(g.net))
 			gap := g.gaps[i]
 			seq := r.seqs[id]
 			if gap < 0 || gap > len(seq) {
@@ -428,7 +433,7 @@ func (r *Router) commit(g *searchResult) {
 	}
 	for _, l := range g.links {
 		if r.G.Link(l).Kind == rgraph.CrossTile {
-			r.linkUse[l] += r.edgeUnits(g.net)
+			r.linkUse[l] += int32(r.edgeUnits(g.net))
 		} else {
 			r.linkUse[l]++
 		}
@@ -466,7 +471,7 @@ func (r *Router) passageEndFor(tile *rgraph.Tile, id rgraph.NodeID) passageEnd {
 func (r *Router) ripUp(guide *Guide) {
 	for _, id := range guide.Nodes {
 		if r.G.Node(id).Kind == rgraph.EdgeNode {
-			r.nodeUse[id] -= r.edgeUnits(guide.Net)
+			r.nodeUse[id] -= int32(r.edgeUnits(guide.Net))
 			seq := r.seqs[id]
 			for j, n := range seq {
 				if n == guide.Net {
@@ -481,7 +486,7 @@ func (r *Router) ripUp(guide *Guide) {
 	for _, l := range guide.Links {
 		link := r.G.Link(l)
 		if link.Kind == rgraph.CrossTile {
-			r.linkUse[l] -= r.edgeUnits(guide.Net)
+			r.linkUse[l] -= int32(r.edgeUnits(guide.Net))
 		} else {
 			r.linkUse[l]--
 		}
@@ -562,7 +567,7 @@ func (r *Router) CheckInvariants() error {
 		}
 	}
 	for id := range r.G.Nodes {
-		if nodeUse[id] != r.nodeUse[id] {
+		if nodeUse[id] != int(r.nodeUse[id]) {
 			return fmt.Errorf("global: node %d usage %d, recomputed %d", id, r.nodeUse[id], nodeUse[id])
 		}
 		if r.nodeUse[id] > r.nodeCap[id] {
@@ -585,10 +590,10 @@ func (r *Router) CheckInvariants() error {
 		}
 	}
 	for id := range r.G.Links {
-		if linkUse[id] != r.linkUse[id] {
+		if linkUse[id] != int(r.linkUse[id]) {
 			return fmt.Errorf("global: link %d usage %d, recomputed %d", id, r.linkUse[id], linkUse[id])
 		}
-		if r.linkUse[id] > int(r.G.Link(id).Cap) {
+		if r.linkUse[id] > r.G.Link(id).Cap {
 			return fmt.Errorf("global: link %d over capacity: %d > %d", id, r.linkUse[id], r.G.Link(id).Cap)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
+	"rdlroute/internal/global"
 )
 
 // TestRandomDesignsRobust routes a spread of randomized designs and checks
@@ -28,11 +29,17 @@ func TestRandomDesignsRobust(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		out, err := Route(context.Background(), d, Options{})
+		var gr *global.Router
+		opt := Options{}
+		opt.Global.AfterEachNet = func(r *global.Router, _ int) { gr = r }
+		out, err := Route(context.Background(), d, opt)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := out.GlobalRouter.CheckInvariants(); err != nil {
+		if gr == nil {
+			t.Fatalf("seed %d: no net committed", seed)
+		}
+		if err := gr.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if out.Metrics.Routability < 0.9 {

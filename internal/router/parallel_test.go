@@ -8,6 +8,7 @@ import (
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
+	"rdlroute/internal/global"
 )
 
 // fingerprintOutput renders the pipeline result — detailed geometry, global
@@ -73,11 +74,16 @@ func TestParallelismPropagatesToStages(t *testing.T) {
 	}
 	// A stage override must win: Detail.Workers=1 with Parallelism=8 runs
 	// detail serially, which the differential tests elsewhere prove is
-	// byte-identical — here it only needs to not error.
-	out, err := Route(context.Background(), d, Options{
+	// byte-identical — here it only needs to not error. The global stage's
+	// hook captures the router, which holds the options both stages ran
+	// with.
+	var gr *global.Router
+	opt := Options{
 		Parallelism: 8,
 		Detail:      detail.Options{Workers: 1},
-	})
+	}
+	opt.Global.AfterEachNet = func(r *global.Router, _ int) { gr = r }
+	out, err := Route(context.Background(), d, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +92,10 @@ func TestParallelismPropagatesToStages(t *testing.T) {
 	}
 	// The graph build and the global stage had no override of their own,
 	// so they saw the knob.
-	if got := out.Graph.Opt.Workers; got != 8 {
+	if got := gr.G.Opt.Workers; got != 8 {
 		t.Errorf("graph build Workers = %d, want the pipeline's 8", got)
 	}
-	if got := out.GlobalRouter.Opt.Parallelism; got != 8 {
+	if got := gr.Opt.Parallelism; got != 8 {
 		t.Errorf("global stage Parallelism = %d, want the pipeline's 8", got)
 	}
 }

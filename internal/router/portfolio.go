@@ -63,11 +63,11 @@ func (o Options) portfolioStrategies() ([]portfolio.Strategy, error) {
 	return out, nil
 }
 
-// attemptResult bundles the mutable outputs of one global+detail pass: one
-// ordering strategy routed end to end on its own router instance over the
-// shared (read-only) routing graph.
+// attemptResult bundles the outputs of one global+detail pass: one ordering
+// strategy routed end to end on its own router instance over the shared
+// (read-only) routing graph. It keeps the guides, not the router, which is
+// garbage once detailed routing returns.
 type attemptResult struct {
-	gr   *global.Router
 	gres *global.Result
 	gerr error // context cancellation from the global stage, if any
 	dres *detail.Result
@@ -94,7 +94,7 @@ func runAttempt(ctx context.Context, g *rgraph.Graph, opt Options,
 	gr := global.New(g, gopt)
 	gres, gerr := gr.Run(ctx)
 	if gres == nil {
-		return attemptResult{gr: gr, gerr: gerr, err: fmt.Errorf("router: global routing: %w", gerr)}
+		return attemptResult{gerr: gerr, err: fmt.Errorf("router: global routing: %w", gerr)}
 	}
 
 	dopt := opt.Detail
@@ -106,10 +106,10 @@ func runAttempt(ctx context.Context, g *rgraph.Graph, opt Options,
 	}
 	dres, err := detail.Run(ctx, gr, gres, dopt)
 	if err != nil {
-		return attemptResult{gr: gr, gres: gres, gerr: gerr,
+		return attemptResult{gres: gres, gerr: gerr,
 			err: fmt.Errorf("router: detailed routing: %w", err)}
 	}
-	return attemptResult{gr: gr, gres: gres, gerr: gerr, dres: dres}
+	return attemptResult{gres: gres, gerr: gerr, dres: dres}
 }
 
 // outcomeOf reduces an attempt to the racer's canonical score.
@@ -165,5 +165,5 @@ func routePortfolio(ctx context.Context, d *design.Design, g *rgraph.Graph,
 		// one); surface the canonical winner's error.
 		return nil, ar.err
 	}
-	return finish(ctx, d, g, ar, opt, rec, start, outs, outs[winner].Strategy)
+	return finish(ctx, d, g.Stats(), ar, opt, rec, start, outs, outs[winner].Strategy)
 }

@@ -136,11 +136,13 @@ type Metrics struct {
 	GraphStats      rgraph.Stats
 }
 
-// Output carries the full results of a routing run.
+// Output carries the results of a routing run: the design, the global
+// guides, the detailed routes and the reports. It keeps neither the routing
+// graph nor the global router, so both are garbage once Route returns, and a
+// held Output (a service's cached or finished job) costs only what it
+// carries.
 type Output struct {
 	Design       *design.Design
-	Graph        *rgraph.Graph
-	GlobalRouter *global.Router
 	GlobalResult *global.Result
 	DetailResult *detail.Result
 	Violations   []detail.Violation
@@ -213,14 +215,15 @@ func Route(ctx context.Context, d *design.Design, opt Options) (*Output, error) 
 	if ar.err != nil {
 		return nil, ar.err
 	}
-	return finish(ctx, d, g, ar, opt, rec, start, nil, "")
+	return finish(ctx, d, g.Stats(), ar, opt, rec, start, nil, "")
 }
 
 // finish runs the shared pipeline epilogue on a completed attempt — DRC,
-// the verification gate, metrics — and assembles the Output. outs and
-// winner carry the portfolio race summary (nil/empty for single-attempt
-// runs).
-func finish(ctx context.Context, d *design.Design, g *rgraph.Graph,
+// the verification gate, metrics — and assembles the Output. It takes the
+// graph's statistics, not the graph, so the graph is unreachable while the
+// epilogue runs. outs and winner carry the portfolio race summary
+// (nil/empty for single-attempt runs).
+func finish(ctx context.Context, d *design.Design, gstats rgraph.Stats,
 	ar attemptResult, opt Options, rec obs.Recorder, start time.Time,
 	outs []portfolio.Outcome, winner string) (*Output, error) {
 	gres, dres := ar.gres, ar.dres
@@ -240,8 +243,6 @@ func finish(ctx context.Context, d *design.Design, g *rgraph.Graph,
 
 	out := &Output{
 		Design:       d,
-		Graph:        g,
-		GlobalRouter: ar.gr,
 		GlobalResult: gres,
 		DetailResult: dres,
 		Violations:   violations,
@@ -273,7 +274,7 @@ func finish(ctx context.Context, d *design.Design, g *rgraph.Graph,
 		m.VerifyFindings = len(report.Problems)
 	}
 	m.PortfolioWinner = winner
-	m.GraphStats = g.Stats()
+	m.GraphStats = gstats
 	if rec.Enabled() {
 		rec.Gauge("routability", m.Routability)
 		rec.Gauge("wirelength_um", m.Wirelength)

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -199,4 +200,41 @@ func TestRouteRejectsHugeLattice(t *testing.T) {
 			t.Errorf("%s: Route error = %v, want viaplan.ErrLatticeTooLarge", tc.name, err)
 		}
 	}
+}
+
+// TestHeldOutputRetainsLittle checks that a finished Output keeps only what
+// it carries: the live heap with a routed dense3 Output held exceeds the
+// live heap after dropping it by less than 1 MB, so neither the routing
+// graph nor the global router outlives Route. The design stays alive in
+// both readings. The test is not parallel: another test's allocations
+// would move the heap between the readings.
+func TestHeldOutputRetainsLittle(t *testing.T) {
+	d, err := design.GenerateDense("dense3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := Route(context.Background(), d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := liveHeap()
+	if out.Metrics.Routability != 1 {
+		t.Fatalf("routability = %v", out.Metrics.Routability)
+	}
+	dropped := liveHeap()
+	runtime.KeepAlive(d)
+	retained := float64(int64(held)-int64(dropped)) / 1e6
+	t.Logf("a held dense3 Output retains %.3f MB", retained)
+	if retained >= 1 {
+		t.Errorf("a held dense3 Output retains %.2f MB of live heap, want under 1 MB", retained)
+	}
+}
+
+// liveHeap returns the heap in use after two forced collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -70,6 +70,12 @@ func (o *Options) Validate() error {
 	if o.TimeBudget < 0 {
 		return fmt.Errorf("router: time budget must be >= 0, got %v", o.TimeBudget)
 	}
+	// The global router keeps its usage in int32, as the graph keeps its
+	// capacities; a larger share never fits an edge, and a negative one
+	// would free capacity.
+	if u := o.Global.EdgeUsePerNet; u < 0 || u > math.MaxInt32 {
+		return fmt.Errorf("router: global edge use per net must be in [0, %d], got %d", math.MaxInt32, u)
+	}
 	if o.Ordering != "" && !portfolio.Known(o.Ordering) {
 		return fmt.Errorf("router: unknown ordering strategy %q (have %v)", o.Ordering, portfolio.Names())
 	}

@@ -125,6 +125,31 @@ func TestSpecValidateRejectsNegativeParallelism(t *testing.T) {
 	}
 }
 
+// TestValidateEdgeUsePerNetRange pins the range of global.edge_use_per_net
+// a job may send: 0 (the default) to math.MaxInt32, the largest capacity
+// an edge can have.
+func TestValidateEdgeUsePerNetRange(t *testing.T) {
+	for _, tc := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{"global": {"edge_use_per_net": 0}}`, true},
+		{`{"global": {"edge_use_per_net": 3}}`, true},
+		{`{"global": {"edge_use_per_net": 2147483647}}`, true},
+		{`{"global": {"edge_use_per_net": -1}}`, false},
+		{`{"global": {"edge_use_per_net": 2147483648}}`, false},
+	} {
+		var opt Options
+		err := json.Unmarshal([]byte(tc.json), &opt)
+		if err == nil {
+			err = opt.Validate()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: error %v, want ok=%v", tc.json, err, tc.ok)
+		}
+	}
+}
+
 func TestOptionsSpecIsValidWireFormat(t *testing.T) {
 	var opt Options
 	if err := json.Unmarshal([]byte(`{"global": {"max_expansions": 9}, "time_budget_ms": 250}`), &opt); err != nil {

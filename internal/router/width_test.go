@@ -6,6 +6,7 @@ import (
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/detail"
+	"rdlroute/internal/global"
 )
 
 // wideNetDesign returns dense1 with a few nets widened to power-class
@@ -99,26 +100,37 @@ func TestWideNetConsumesMoreCapacity(t *testing.T) {
 	// must exceed the default run's on the edges it crosses. Indirect but
 	// effective check: CheckInvariants (which verifies units bookkeeping)
 	// passes and the wide run's guide is not shorter than the default one.
+	const wide = 5
+	route := func(d *design.Design) (*Output, *global.Router) {
+		t.Helper()
+		var gr *global.Router
+		opt := Options{}
+		opt.Global.AfterEachNet = func(r *global.Router, _ int) { gr = r }
+		out, err := Route(context.Background(), d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, gr
+	}
 	dDefault, err := design.GenerateDense("dense1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	outDefault, err := Route(context.Background(), dDefault, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dWide := wideNetDesign(t, 10, 5)
-	outWide, err := Route(context.Background(), dWide, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := outWide.GlobalRouter.CheckInvariants(); err != nil {
+	outDefault, grDefault := route(dDefault)
+	outWide, grWide := route(wideNetDesign(t, 10, wide))
+	if err := grWide.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	if outWide.Metrics.Routability != 1 {
 		t.Fatalf("wide run routability %v", outWide.Metrics.Routability)
 	}
-	_ = outDefault
+	gDefault, gWide := outDefault.GlobalResult.Guides[wide], outWide.GlobalResult.Guides[wide]
+	if gDefault == nil || gWide == nil {
+		t.Fatalf("net %d unrouted: default guide %v, wide guide %v", wide, gDefault, gWide)
+	}
+	if lw, ld := grWide.GuideLength(gWide), grDefault.GuideLength(gDefault); lw < ld {
+		t.Errorf("net %d: wide guide %.2f µm shorter than the default %.2f µm", wide, lw, ld)
+	}
 }
 
 func TestWidthSurvivesJSON(t *testing.T) {
