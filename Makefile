@@ -15,8 +15,11 @@ tier1:
 	$(GO) test ./...
 	cd cmd/rdlbench && $(GO) test .
 
+# The root vet never sees cmd/rdlbench either, and it composes the stages
+# by their options, so its vet catches API drift before the benchmark runs.
 tier2: lint
 	$(GO) vet ./...
+	cd cmd/rdlbench && $(GO) vet .
 	$(GO) test -race ./...
 
 # Focused race gate over the concurrency-bearing packages: the per-layer

@@ -252,7 +252,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := svg.Render(f, d, routes, svg.Options{Layer: *layer, ShowVias: true}); err != nil {
+		if err := svg.Render(f, d, routes, *layer); err != nil {
 			f.Close()
 			return err
 		}

@@ -73,12 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		err = svg.Render(f, d, out.DetailResult.Routes, svg.Options{
-			Layer:     layer,
-			ShowVias:  true,
-			ShowBumps: layer == d.WireLayers-1,
-		})
-		if err != nil {
+		if err := svg.Render(f, d, out.DetailResult.Routes, layer); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

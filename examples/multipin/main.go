@@ -84,7 +84,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := svg.Render(f, d, out.DetailResult.Routes, svg.Options{Layer: 0, ShowVias: true}); err != nil {
+	if err := svg.Render(f, d, out.DetailResult.Routes, 0); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -88,11 +88,7 @@ func Fig14(ctx context.Context, w io.Writer, budget time.Duration) (*router.Outp
 	if err != nil {
 		return nil, err
 	}
-	err = svg.Render(w, d, out.DetailResult.Routes, svg.Options{
-		Layer:    0,
-		ShowVias: true,
-	})
-	if err != nil {
+	if err := svg.Render(w, d, out.DetailResult.Routes, 0); err != nil {
 		return nil, err
 	}
 	return out, nil

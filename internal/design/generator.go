@@ -56,19 +56,6 @@ func GenerateDense(name string) (*Design, error) {
 	return nil, fmt.Errorf("design: unknown benchmark %q (have %v)", name, DenseNames())
 }
 
-// GenerateAllDense builds the full dense1–dense5 family in Table I order.
-func GenerateAllDense() ([]*Design, error) {
-	out := make([]*Design, 0, len(denseSpecs))
-	for _, s := range denseSpecs {
-		d, err := generate(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 // side identifies a chip edge.
 type side int
 

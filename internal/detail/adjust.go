@@ -84,6 +84,10 @@ func (d *Detailer) refreshAllRanges() {
 	}
 }
 
+// minMovablePitches is the movable-range length, in wire pitches, below
+// which an access point is classified fixed.
+const minMovablePitches = 2
+
 // refreshEdgeRanges recomputes the ranges of all access points on one edge
 // node from current positions.
 func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
@@ -97,6 +101,7 @@ func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
 		return
 	}
 	rules := d.G.Design.Rules
+	minMovable := minMovablePitches * rules.Pitch()
 	// Two adjacent access points d apart along the edge give wires crossing
 	// at incidence angle θ a perpendicular separation of d·sin(θ), so the
 	// spacing each pair needs is clearance / sin(θ) — the continuous form of
@@ -133,7 +138,7 @@ func (d *Detailer) refreshEdgeRanges(id rgraph.NodeID) {
 		}
 		ap.Lo, ap.Hi = lo, hi
 		ap.T = clampf(ap.T, lo, hi)
-		if (hi-lo)*edgeLen < d.Opt.MinMovable {
+		if (hi-lo)*edgeLen < minMovable {
 			ap.Fixed = true
 		}
 	}
@@ -226,6 +231,10 @@ func (d *Detailer) apPosAt(apIdx int, t float64) (x, y float64) {
 	return p.X, p.Y
 }
 
+// dpCandidates is the number of candidate positions per access point in
+// the DP adjustment: the paper's user-defined candidate count (§III-B1).
+const dpCandidates = 9
+
 // runDP optimizes one partial net with the dynamic program and updates the
 // neighbours' ranges afterwards. It reports whether any point moved.
 //
@@ -241,7 +250,7 @@ func (d *Detailer) runDP(pn partialNet) bool {
 	if ch == nil {
 		return false
 	}
-	C := d.Opt.Candidates
+	const C = dpCandidates
 
 	// Collect the run.
 	run := d.dpRun[:0]

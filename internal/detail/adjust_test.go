@@ -15,11 +15,7 @@ import (
 func newDetailer(t *testing.T, name string) (*global.Router, *Detailer) {
 	t.Helper()
 	r, gres, _ := pipeline(t, name, Options{SkipAdjust: true})
-	d := &Detailer{
-		G: r.G, R: r,
-		Opt:    Options{}.withDefaults(r.G.Design.Rules.Pitch()),
-		guides: gres.Guides,
-	}
+	d := &Detailer{G: r.G, R: r, guides: gres.Guides}
 	if err := d.buildChains(gres.Guides); err != nil {
 		t.Fatal(err)
 	}

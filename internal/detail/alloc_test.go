@@ -16,7 +16,7 @@ func TestDetailRunDoesNotAllocate(t *testing.T) {
 	r, gres, _ := pipeline(t, "dense1", Options{})
 	d := &Detailer{
 		G: r.G, R: r,
-		Opt:    Options{Workers: 1}.withDefaults(r.G.Design.Rules.Pitch()),
+		Opt:    Options{Workers: 1},
 		guides: gres.Guides,
 	}
 	if err := d.buildChains(gres.Guides); err != nil {

@@ -13,16 +13,6 @@ import (
 
 // Options tunes detailed routing.
 type Options struct {
-	// Candidates is the user-defined number of candidate positions per
-	// access point in the DP adjustment. Zero selects 9.
-	Candidates int `json:"candidates"`
-	// MinMovable is the movable-range length (µm) below which an access
-	// point is classified fixed. Zero selects 2× the wire pitch (resolved
-	// at Run time).
-	MinMovable float64 `json:"min_movable"`
-	// MaxFitIters bounds the tangent-construction iterations per passage.
-	// Zero selects 48.
-	MaxFitIters int `json:"max_fit_iters"`
 	// SkipAdjust disables the DP access-point adjustment (ablation): access
 	// points stay at their even initial distribution.
 	SkipAdjust bool `json:"skip_adjust"`
@@ -45,19 +35,6 @@ type Options struct {
 }
 
 func (o Options) workers() int { return pool.Default(o.Workers) }
-
-func (o Options) withDefaults(pitch float64) Options {
-	if o.Candidates == 0 {
-		o.Candidates = 9
-	}
-	if o.MinMovable == 0 {
-		o.MinMovable = 2 * pitch
-	}
-	if o.MaxFitIters == 0 {
-		o.MaxFitIters = 48
-	}
-	return o
-}
 
 // RouteSeg is one single-layer piece of a net's final geometry.
 type RouteSeg struct {
@@ -127,7 +104,7 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 	d := &Detailer{
 		G:      r.G,
 		R:      r,
-		Opt:    opt.withDefaults(r.G.Design.Rules.Pitch()),
+		Opt:    opt,
 		rec:    obs.Or(opt.Rec),
 		guides: res.Guides,
 	}

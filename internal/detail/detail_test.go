@@ -314,7 +314,7 @@ func TestViolationStrings(t *testing.T) {
 
 func TestStraightLength(t *testing.T) {
 	r, gres, _ := pipeline(t, "dense1", Options{})
-	d := &Detailer{G: r.G, R: r, Opt: Options{}.withDefaults(r.G.Design.Rules.Pitch()), guides: gres.Guides}
+	d := &Detailer{G: r.G, R: r, guides: gres.Guides}
 	if err := d.buildChains(gres.Guides); err != nil {
 		t.Fatal(err)
 	}

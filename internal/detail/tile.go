@@ -362,6 +362,9 @@ func (d *Detailer) refPoint(tile *rgraph.Tile, mesh *dt.Mesh, p *tilePassage) ge
 	return geom.Centroid(mesh.Points[tile.Verts[0]], mesh.Points[tile.Verts[1]], mesh.Points[tile.Verts[2]])
 }
 
+// maxFitIters bounds the tangent-construction iterations per passage.
+const maxFitIters = 48
+
 // fitRoute builds the polyline for one passage between the stub inner ends
 // in the job's fit buffer, iteratively resolving spacing violations against
 // previously routed passages of other nets and the corner discs (Fig. 12
@@ -374,7 +377,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 	route := append(job.fitBuf[:0], a, b)
 	const slack = 1e-9
 	viaLimit := d.G.Design.Rules.ViaWireClearance(d.G.Design.WidthOf(self.net))
-	for iter := 0; iter < d.Opt.MaxFitIters; iter++ {
+	for iter := 0; iter < maxFitIters; iter++ {
 		found, fixed := false, false
 		for si := 0; si+1 < len(route) && !fixed; si++ {
 			seg := geom.Seg(route[si], route[si+1])

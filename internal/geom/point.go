@@ -122,9 +122,6 @@ func (r Rect) H() float64 { return r.Max.Y - r.Min.Y }
 // Center returns the center point of the rectangle.
 func (r Rect) Center() Point { return Mid(r.Min, r.Max) }
 
-// Area returns the area of the rectangle.
-func (r Rect) Area() float64 { return r.W() * r.H() }
-
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Point) bool {
 	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
@@ -148,14 +145,6 @@ func (r Rect) Expand(d float64) Rect {
 	return Rect{
 		Min: Point{r.Min.X - d, r.Min.Y - d},
 		Max: Point{r.Max.X + d, r.Max.Y + d},
-	}
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
 	}
 }
 

@@ -75,15 +75,6 @@ func (pl Polyline) Segments() []Segment {
 	return segs
 }
 
-// Reversed returns a copy of the polyline with the point order reversed.
-func (pl Polyline) Reversed() Polyline {
-	out := make(Polyline, len(pl))
-	for i, p := range pl {
-		out[len(pl)-1-i] = p
-	}
-	return out
-}
-
 // DistToPoint returns the minimum distance from p to any segment of the
 // polyline, together with the closest point on the polyline. A polyline with
 // a single point measures to that point; an empty polyline returns +Inf.

@@ -54,9 +54,9 @@ func TestSegmentsAndReversed(t *testing.T) {
 	if (Polyline{Pt(0, 0)}).Segments() != nil {
 		t.Error("single-point polyline has no segments")
 	}
-	r := pl.Reversed()
-	if r[0] != Pt(1, 1) || r[2] != Pt(0, 0) {
-		t.Error("Reversed wrong")
+	r := Polyline{Pt(1, 1), Pt(1, 0), Pt(0, 0)}
+	if rs := r.Segments(); rs[0] != Seg(segs[1].B, segs[1].A) || rs[1] != Seg(segs[0].B, segs[0].A) {
+		t.Error("reversed polyline's segments are not the reversed segments")
 	}
 	if !ApproxEq(r.Length(), pl.Length()) {
 		t.Error("reversal changed length")

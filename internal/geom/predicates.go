@@ -73,20 +73,6 @@ func InCircle(a, b, c, d Point) bool {
 	return det > tol
 }
 
-// Circumcenter returns the center of the circle through a, b and c, and
-// reports false when the points are (nearly) collinear and no finite
-// circumcenter exists.
-func Circumcenter(a, b, c Point) (Point, bool) {
-	d := 2 * ((a.X)*(b.Y-c.Y) + (b.X)*(c.Y-a.Y) + (c.X)*(a.Y-b.Y))
-	if ApproxZero(d) {
-		return Point{}, false
-	}
-	a2, b2, c2 := a.Norm2(), b.Norm2(), c.Norm2()
-	ux := (a2*(b.Y-c.Y) + b2*(c.Y-a.Y) + c2*(a.Y-b.Y)) / d
-	uy := (a2*(c.X-b.X) + b2*(a.X-c.X) + c2*(b.X-a.X)) / d
-	return Point{ux, uy}, true
-}
-
 // PointInTriangle reports whether p lies inside or on the boundary of
 // triangle (a, b, c). The triangle may be given in either winding order.
 func PointInTriangle(p, a, b, c Point) bool {

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -50,17 +49,6 @@ func TestInCircle(t *testing.T) {
 	}
 }
 
-func TestCircumcenter(t *testing.T) {
-	c, ok := Circumcenter(Pt(1, 0), Pt(0, 1), Pt(-1, 0))
-	if !ok || !c.ApproxEq(Pt(0, 0)) {
-		t.Errorf("Circumcenter = %v, %v", c, ok)
-	}
-	_, ok = Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2))
-	if ok {
-		t.Error("collinear points must have no circumcenter")
-	}
-}
-
 func TestPointInTriangle(t *testing.T) {
 	a, b, c := Pt(0, 0), Pt(10, 0), Pt(0, 10)
 	if !PointInTriangle(Pt(2, 2), a, b, c) {
@@ -102,23 +90,6 @@ func TestOrientCyclic(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy float64) bool {
 		a, b, c := Pt(norm(ax), norm(ay)), Pt(norm(bx), norm(by)), Pt(norm(cx), norm(cy))
 		return Orient(a, b, c) == Orient(b, c, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the circumcenter is equidistant from all three vertices.
-func TestCircumcenterEquidistant(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy float64) bool {
-		a, b, c := Pt(norm(ax), norm(ay)), Pt(norm(bx), norm(by)), Pt(norm(cx), norm(cy))
-		cc, ok := Circumcenter(a, b, c)
-		if !ok {
-			return true // collinear: nothing to check
-		}
-		ra, rb, rc := cc.Dist(a), cc.Dist(b), cc.Dist(c)
-		tol := 1e-6 * (1 + ra)
-		return math.Abs(ra-rb) < tol && math.Abs(ra-rc) < tol
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -24,9 +24,6 @@ func (s Segment) Mid() Point { return Mid(s.A, s.B) }
 // At returns the point at parameter t along the segment (t=0 → A, t=1 → B).
 func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
 
-// Reversed returns the segment with its endpoints swapped.
-func (s Segment) Reversed() Segment { return Segment{A: s.B, B: s.A} }
-
 // ClosestParam returns the parameter t in [0, 1] of the point on s closest
 // to p.
 func (s Segment) ClosestParam(p Point) float64 {
@@ -174,9 +171,6 @@ func (l Line) Intersect(m Line) (Point, bool) {
 	u := m.P.Sub(l.P).Cross(d2) / denom
 	return l.P.Add(d1.Scale(u)), true
 }
-
-// Side returns the orientation of p relative to the directed line l.
-func (l Line) Side(p Point) Orientation { return Orient(l.P, l.Q, p) }
 
 // Project returns the orthogonal projection of p onto the line.
 func (l Line) Project(p Point) Point {

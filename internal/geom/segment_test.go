@@ -20,10 +20,6 @@ func TestSegmentBasics(t *testing.T) {
 	if !s.At(0.5).ApproxEq(Pt(1.5, 2)) {
 		t.Errorf("At(0.5) = %v", s.At(0.5))
 	}
-	r := s.Reversed()
-	if r.A != s.B || r.B != s.A {
-		t.Error("Reversed wrong")
-	}
 }
 
 func TestClosestPoint(t *testing.T) {
@@ -158,9 +154,6 @@ func TestLineProjectAndDist(t *testing.T) {
 	}
 	if d := l.DistToPoint(Pt(3, 7)); !ApproxEq(d, 7) {
 		t.Errorf("DistToPoint = %v", d)
-	}
-	if l.Side(Pt(0, 5)) != CounterClockwise || l.Side(Pt(0, -5)) != Clockwise {
-		t.Error("Side classification wrong")
 	}
 }
 

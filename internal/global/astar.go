@@ -207,6 +207,10 @@ func (r *Router) push(sc *searchScratch, key stateKey, g float64, parent, link i
 	sc.heapPushes++
 }
 
+// maxExpansions bounds the state expansions of one search; a search that
+// reaches it fails the net.
+const maxExpansions = 400000
+
 // route runs crossing-aware A* for one net on the given scratch and returns
 // an uncommitted guide. It mutates only the scratch — router state is read
 // but never written. The first pop of the target decides the search: when
@@ -251,7 +255,7 @@ func (r *Router) route(sc *searchScratch, net design.Net) (*searchResult, error)
 		}
 		expanded++
 		sc.expansions++
-		if expanded > r.Opt.MaxExpansions {
+		if expanded > maxExpansions {
 			break
 		}
 

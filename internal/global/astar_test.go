@@ -66,7 +66,7 @@ func referenceRoute(r *Router, sc *searchScratch, net design.Net) (*searchResult
 			continue // self-intersecting path; keep searching
 		}
 		expanded++
-		if expanded > r.Opt.MaxExpansions {
+		if expanded > maxExpansions {
 			break
 		}
 		if r.G.Node(st.key.node).Kind == rgraph.ViaNode {

@@ -21,6 +21,10 @@ import (
 // and the configured ordering strategy — the paper's RUDY policy by
 // default — turns the model into the routing order.
 
+// congestionThreshold is the RUDY density above which a tile counts as
+// congested: the paper's user-defined threshold.
+const congestionThreshold = 0.5
+
 // initialOrder returns the net indices in routing order. A cancelled ctx
 // degrades gracefully: standalone seed routes not yet computed are skipped
 // and the ordering falls back toward netlist order for the remainder.
@@ -119,7 +123,7 @@ func (r *Router) orderModel(ctx context.Context) *portfolio.Model {
 	congested := make([]int, n)
 	for ni, tiles := range predTiles {
 		for _, key := range tiles {
-			if density[key] > r.Opt.CongestionThreshold {
+			if density[key] > congestionThreshold {
 				congested[ni]++
 			}
 		}
@@ -148,7 +152,7 @@ func (r *Router) conflictPairs(predTiles [][]tileKey, density map[tileKey]float6
 	for ni, tiles := range predTiles {
 		clear(seen)
 		for _, key := range tiles {
-			if density[key] <= r.Opt.CongestionThreshold {
+			if density[key] <= congestionThreshold {
 				continue
 			}
 			if _, ok := seen[key]; ok {

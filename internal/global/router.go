@@ -30,15 +30,8 @@ type Guide struct {
 
 // Options tunes the global router.
 type Options struct {
-	// CongestionThreshold is the user-defined RUDY density above which a
-	// tile counts as congested during initial net ordering. Zero selects
-	// 0.5.
-	CongestionThreshold float64 `json:"congestion_threshold"`
 	// MaxOrderRounds bounds the net-order adjustment loop. Zero selects 8.
 	MaxOrderRounds int `json:"max_order_rounds"`
-	// MaxExpansions bounds the A* state expansions per net. Zero selects
-	// 400000.
-	MaxExpansions int `json:"max_expansions"`
 	// DisableRUDYOrder skips congestion-based initial ordering and routes
 	// nets in ID order (ablation). It wins over Order: the standalone seed
 	// routes that feed the ordering model are not computed at all.
@@ -75,14 +68,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CongestionThreshold == 0 {
-		o.CongestionThreshold = 0.5
-	}
 	if o.MaxOrderRounds == 0 {
 		o.MaxOrderRounds = 8
-	}
-	if o.MaxExpansions == 0 {
-		o.MaxExpansions = 400000
 	}
 	if o.EdgeUsePerNet == 0 {
 		o.EdgeUsePerNet = 1

@@ -70,6 +70,9 @@ func (o *Options) Validate() error {
 	if o.TimeBudget < 0 {
 		return fmt.Errorf("router: time budget must be >= 0, got %v", o.TimeBudget)
 	}
+	if o.Global.MaxOrderRounds < 0 {
+		return fmt.Errorf("router: global max order rounds must be >= 0, got %d", o.Global.MaxOrderRounds)
+	}
 	// The global router keeps its usage in int32, as the graph keeps its
 	// capacities; a larger share never fits an edge, and a negative one
 	// would free capacity.

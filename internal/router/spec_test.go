@@ -3,8 +3,10 @@ package router
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -36,12 +38,11 @@ func encode(t *testing.T, o Options) string {
 func TestOptionsSpecRoundTrip(t *testing.T) {
 	viaCost := 7.0
 	opt := Options{
-		Via:   viaplan.Options{ViaPitch: 100, BoundaryStep: 150, JitterFrac: 0.2, Seed: 42, ViaCost: 12},
+		Via:   viaplan.Options{ViaCost: 12},
 		Graph: rgraph.Options{ViaCost: &viaCost, NaiveCornerCapacity: true},
-		Global: global.Options{CongestionThreshold: 0.7, MaxOrderRounds: 3, MaxExpansions: 1234,
-			DisableRUDYOrder: true, DisableDiagonalRefinement: true, EdgeUsePerNet: 2},
-		Detail: detail.Options{Candidates: 5, MinMovable: 3.5, MaxFitIters: 20,
-			SkipAdjust: true, SkipReassign: true, Octilinear: true},
+		Global: global.Options{MaxOrderRounds: 3, DisableRUDYOrder: true,
+			DisableDiagonalRefinement: true, EdgeUsePerNet: 2},
+		Detail:      detail.Options{SkipAdjust: true, SkipReassign: true, Octilinear: true},
 		Parallelism: 4,
 		TimeBudget:  1500 * time.Millisecond,
 		Verify:      VerifyStrict,
@@ -92,7 +93,7 @@ func TestFingerprintIgnoresObservers(t *testing.T) {
 	}
 
 	c := a
-	c.Global.MaxExpansions = 7
+	c.Global.MaxOrderRounds = 7
 	if encode(t, c) == ea {
 		t.Error("encodings of different configurations collide")
 	}
@@ -125,20 +126,14 @@ func TestSpecValidateRejectsNegativeParallelism(t *testing.T) {
 	}
 }
 
-// TestValidateEdgeUsePerNetRange pins the range of global.edge_use_per_net
-// a job may send: 0 (the default) to math.MaxInt32, the largest capacity
-// an edge can have.
-func TestValidateEdgeUsePerNetRange(t *testing.T) {
-	for _, tc := range []struct {
-		json string
-		ok   bool
-	}{
-		{`{"global": {"edge_use_per_net": 0}}`, true},
-		{`{"global": {"edge_use_per_net": 3}}`, true},
-		{`{"global": {"edge_use_per_net": 2147483647}}`, true},
-		{`{"global": {"edge_use_per_net": -1}}`, false},
-		{`{"global": {"edge_use_per_net": 2147483648}}`, false},
-	} {
+// checkAccepted decodes and validates each JSON options object and
+// requires it to pass exactly when ok is set.
+func checkAccepted(t *testing.T, cases []struct {
+	json string
+	ok   bool
+}) {
+	t.Helper()
+	for _, tc := range cases {
 		var opt Options
 		err := json.Unmarshal([]byte(tc.json), &opt)
 		if err == nil {
@@ -150,12 +145,44 @@ func TestValidateEdgeUsePerNetRange(t *testing.T) {
 	}
 }
 
+// TestValidateEdgeUsePerNetRange pins the range of global.edge_use_per_net
+// a job may send: 0 (the default) to math.MaxInt32, the largest capacity
+// an edge can have.
+func TestValidateEdgeUsePerNetRange(t *testing.T) {
+	checkAccepted(t, []struct {
+		json string
+		ok   bool
+	}{
+		{`{"global": {"edge_use_per_net": 0}}`, true},
+		{`{"global": {"edge_use_per_net": 3}}`, true},
+		{`{"global": {"edge_use_per_net": 2147483647}}`, true},
+		{`{"global": {"edge_use_per_net": -1}}`, false},
+		{`{"global": {"edge_use_per_net": 2147483648}}`, false},
+	})
+}
+
+// TestValidateMaxOrderRoundsRange pins the range of global.max_order_rounds
+// a job may send: 0 selects the default of 8, and a negative bound, which
+// would run no round and route nothing, is rejected.
+func TestValidateMaxOrderRoundsRange(t *testing.T) {
+	checkAccepted(t, []struct {
+		json string
+		ok   bool
+	}{
+		{`{"global": {"max_order_rounds": 0}}`, true},
+		{`{"global": {"max_order_rounds": 1}}`, true},
+		{`{"global": {"max_order_rounds": 20}}`, true},
+		{`{"global": {"max_order_rounds": -1}}`, false},
+		{`{"global": {"max_order_rounds": -3}}`, false},
+	})
+}
+
 func TestOptionsSpecIsValidWireFormat(t *testing.T) {
 	var opt Options
-	if err := json.Unmarshal([]byte(`{"global": {"max_expansions": 9}, "time_budget_ms": 250}`), &opt); err != nil {
+	if err := json.Unmarshal([]byte(`{"global": {"max_order_rounds": 9}, "time_budget_ms": 250}`), &opt); err != nil {
 		t.Fatal(err)
 	}
-	if opt.Global.MaxExpansions != 9 || opt.TimeBudget != 250*time.Millisecond {
+	if opt.Global.MaxOrderRounds != 9 || opt.TimeBudget != 250*time.Millisecond {
 		t.Errorf("decoded options wrong: %+v", opt)
 	}
 	// graph.via_cost: absent selects the default, any number is explicit
@@ -170,8 +197,22 @@ func TestOptionsSpecIsValidWireFormat(t *testing.T) {
 		t.Errorf("via_cost 0 decoded as %v, want an explicit 0", opt.Graph.ViaCost)
 	}
 	// Unknown fields are errors at every depth, under plain json.Unmarshal
-	// too.
-	for _, bad := range []string{`{"retries": 2}`, `{"detail": {"retries": 2}}`} {
+	// too. So are the names of the stage settings that are constants, not
+	// options (doc/SERVICE.md): a job that sends one is refused, not routed
+	// with the constant.
+	for _, bad := range []string{
+		`{"retries": 2}`,
+		`{"detail": {"retries": 2}}`,
+		`{"via": {"via_pitch": 100}}`,
+		`{"via": {"boundary_step": 150}}`,
+		`{"via": {"jitter_frac": 0.2}}`,
+		`{"via": {"seed": 1}}`,
+		`{"global": {"congestion_threshold": 0.7}}`,
+		`{"global": {"max_expansions": 123}}`,
+		`{"detail": {"candidates": 1000000000}}`,
+		`{"detail": {"min_movable": 3.5}}`,
+		`{"detail": {"max_fit_iters": 20}}`,
+	} {
 		if err := json.Unmarshal([]byte(bad), &opt); err == nil {
 			t.Errorf("decoded %s", bad)
 		}
@@ -203,17 +244,21 @@ func TestTimeBudgetRange(t *testing.T) {
 // wireName matches an explicit snake_case JSON field name.
 var wireName = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
-// TestEveryOptionHasAWireName walks Options and every struct it reaches.
-// Each exported field needs an explicit snake_case JSON name, or a "-" tag,
-// which is kept for what observes or paces a run without changing its
-// result (recorders, callbacks, the ordering strategy object and worker
-// counts) and for TimeBudget, which MarshalJSON carries as time_budget_ms.
-func TestEveryOptionHasAWireName(t *testing.T) {
+// wireNames walks Options and every struct it reaches and returns the JSON
+// names of each object's fields, keyed by the object's JSON path ("" for
+// the top level, "via", "ordering_profile", ...). Each exported field needs
+// an explicit snake_case JSON name, or a "-" tag, which is kept for what
+// observes or paces a run without changing its result (recorders,
+// callbacks, the ordering strategy object and worker counts) and for
+// TimeBudget, which MarshalJSON carries as time_budget_ms; the walk reports
+// any other field through t.
+func wireNames(t *testing.T) map[string][]string {
 	recorder := reflect.TypeOf((*obs.Recorder)(nil)).Elem()
 	strategy := reflect.TypeOf((*portfolio.Strategy)(nil)).Elem()
 	workerCount := map[string]bool{"Parallelism": true, "Workers": true, "VerifyWorkers": true}
-	var walk func(path string, typ reflect.Type)
-	walk = func(path string, typ reflect.Type) {
+	names := map[string][]string{}
+	var walk func(path, object string, typ reflect.Type)
+	walk = func(path, object string, typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
 			f := typ.Field(i)
 			if !f.IsExported() {
@@ -231,16 +276,77 @@ func TestEveryOptionHasAWireName(t *testing.T) {
 			if !wireName.MatchString(name) {
 				t.Errorf("%s has no explicit snake_case JSON name (tag %q)", field, f.Tag.Get("json"))
 			}
+			names[object] = append(names[object], name)
 			ft := f.Type
 			if ft.Kind() == reflect.Pointer {
 				ft = ft.Elem()
 			}
 			if ft.Kind() == reflect.Struct {
-				walk(field, ft)
+				walk(field, strings.TrimPrefix(object+"."+name, "."), ft)
 			}
 		}
 	}
-	walk("Options", reflect.TypeOf(Options{}))
+	walk("Options", "", reflect.TypeOf(Options{}))
+	return names
+}
+
+// TestEveryOptionHasAWireName fails on an option that has no JSON name
+// and is not an observer, a callback, a worker count or the time budget.
+func TestEveryOptionHasAWireName(t *testing.T) {
+	wireNames(t)
+}
+
+// TestServiceDocListsEveryOption parses the field table of doc/SERVICE.md
+// and requires each row to list exactly the JSON names of its object: the
+// via, graph, global and detail options, and the other fields of the top
+// level, where MarshalJSON adds time_budget_ms. The ordering profile's
+// weights are documented in doc/ORDERING.md, not in this table.
+func TestServiceDocListsEveryOption(t *testing.T) {
+	want := wireNames(t)
+	delete(want, "ordering_profile")
+	want[""] = slices.DeleteFunc(want[""], func(name string) bool { _, row := want[name]; return row })
+	want[""] = append(want[""], "time_budget_ms")
+
+	doc, err := os.ReadFile("../../doc/SERVICE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "| Object | Fields |\n|---|---|\n")
+	if !ok {
+		t.Fatal("doc/SERVICE.md has no | Object | Fields | table")
+	}
+	code := regexp.MustCompile("`([^`]*)`")
+	got := map[string][]string{}
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) != 4 {
+			break // the first line after the table
+		}
+		object := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		if object == "top level" {
+			object = ""
+		}
+		if _, dup := got[object]; dup {
+			t.Errorf("doc/SERVICE.md lists object %q twice", object)
+		}
+		got[object] = []string{}
+		for _, m := range code.FindAllStringSubmatch(cells[2], -1) {
+			got[object] = append(got[object], m[1])
+		}
+	}
+	for object, names := range want {
+		slices.Sort(names)
+		doc := got[object]
+		slices.Sort(doc)
+		if !slices.Equal(doc, names) {
+			t.Errorf("doc/SERVICE.md lists %q fields %v, the wire form has %v", object, doc, names)
+		}
+	}
+	for object := range got {
+		if _, ok := want[object]; !ok {
+			t.Errorf("doc/SERVICE.md lists object %q, which the wire form does not have", object)
+		}
+	}
 }
 
 // FuzzOptionsJSON checks that the JSON form is a fixed point after one
@@ -250,7 +356,7 @@ func TestEveryOptionHasAWireName(t *testing.T) {
 func FuzzOptionsJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
-		`{"via": {"seed": 1}, "graph": {}, "global": {"max_expansions": 123}, "detail": {}, "time_budget_ms": 2000}`,
+		`{"via": {"via_cost": 1}, "graph": {}, "global": {"max_order_rounds": 123}, "detail": {}, "time_budget_ms": 2000}`,
 		`{"portfolio": ["netlen", "congestion", "netlen"], "ordering_profile": {"conflict_weight": 3}}`,
 		`{"graph": {"via_cost": 0}}`,
 		`{"detail": {"skip_adjust": true, "octilinear": true}}`,

@@ -115,12 +115,15 @@ func benchThroughput(b *testing.B, d *design.Design, workers int, mode string) {
 	b.ResetTimer()
 	jobs := make([]*Job, b.N)
 	for i := 0; i < b.N; i++ {
+		job := d
 		if mode == "cold" {
-			// A distinct via-plan seed gives every job a distinct cache
-			// key over the same design — the cold path of a sweep.
-			opt.Via.Seed = int64(i + 1)
+			// A distinct design name gives every job a distinct cache key
+			// over the same routing work — the cold path of a sweep.
+			named := *d
+			named.Name = fmt.Sprintf("%s-%d", d.Name, i)
+			job = &named
 		}
-		j, err := e.Submit(Request{Design: d, Options: opt})
+		j, err := e.Submit(Request{Design: job, Options: opt})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -130,7 +130,7 @@ func TestKeyStability(t *testing.T) {
 		t.Error("different designs produced the same key")
 	}
 
-	k4, err := Key(testDesign(1), encode(router.Options{Global: global.Options{MaxExpansions: 10}}))
+	k4, err := Key(testDesign(1), encode(router.Options{Global: global.Options{MaxOrderRounds: 10}}))
 	if err != nil {
 		t.Fatal(err)
 	}

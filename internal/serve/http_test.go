@@ -134,6 +134,17 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"nested unknown option", withOptions(`{"detail": {"retries": 2}}`), http.StatusBadRequest},
 		{"negative budget", withOptions(`{"time_budget_ms": -5}`), http.StatusBadRequest},
 		{"overflowing budget", withOptions(`{"time_budget_ms": 9223372036854776}`), http.StatusBadRequest},
+		{"negative order rounds", withOptions(`{"global": {"max_order_rounds": -1}}`), http.StatusBadRequest},
+		// Stage settings that are constants, not options, are unknown fields.
+		{"removed via_pitch", withOptions(`{"via": {"via_pitch": 100}}`), http.StatusBadRequest},
+		{"removed boundary_step", withOptions(`{"via": {"boundary_step": 150}}`), http.StatusBadRequest},
+		{"removed jitter_frac", withOptions(`{"via": {"jitter_frac": 0.2}}`), http.StatusBadRequest},
+		{"removed seed", withOptions(`{"via": {"seed": 1}}`), http.StatusBadRequest},
+		{"removed congestion_threshold", withOptions(`{"global": {"congestion_threshold": 0.7}}`), http.StatusBadRequest},
+		{"removed max_expansions", withOptions(`{"global": {"max_expansions": -3}}`), http.StatusBadRequest},
+		{"removed candidates", withOptions(`{"detail": {"candidates": 1000000000}}`), http.StatusBadRequest},
+		{"removed min_movable", withOptions(`{"detail": {"min_movable": 3.5}}`), http.StatusBadRequest},
+		{"removed max_fit_iters", withOptions(`{"detail": {"max_fit_iters": 20}}`), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,7 +261,7 @@ func TestHTTPHealthDraining(t *testing.T) {
 func TestHTTPOptionsRoundTrip(t *testing.T) {
 	var gotBudget bytes.Buffer
 	e := New(Config{Workers: 1, Route: func(ctx context.Context, d *design.Design, opt router.Options) (*router.Output, error) {
-		fmt.Fprintf(&gotBudget, "%v;%d", opt.TimeBudget, opt.Global.MaxExpansions)
+		fmt.Fprintf(&gotBudget, "%v;%d", opt.TimeBudget, opt.Global.MaxOrderRounds)
 		return stubRoute(nil)(ctx, d, opt)
 	}})
 	defer e.Close()
@@ -258,7 +269,7 @@ func TestHTTPOptionsRoundTrip(t *testing.T) {
 	defer ts.Close()
 
 	dj, _ := json.Marshal(testDesign(1))
-	body := fmt.Sprintf(`{"design": %s, "options": {"global": {"max_expansions": 123}, "time_budget_ms": 2000}}`, dj)
+	body := fmt.Sprintf(`{"design": %s, "options": {"global": {"max_order_rounds": 123}, "time_budget_ms": 2000}}`, dj)
 	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package svg renders routed designs as SVG documents: the package outline,
-// chips, pads, bump pads, candidate vias, and the detailed routes of one
-// wire layer. It regenerates the layout figures of the paper (Fig. 14 shows
-// the first wire layer of dense5).
+// chips, pads, the bump pads of the bottom wire layer, and the detailed
+// routes and vias of one wire layer. It regenerates the layout figures of
+// the paper (Fig. 14 shows the first wire layer of dense5).
 package svg
 
 import (
@@ -14,17 +14,8 @@ import (
 	"rdlroute/internal/geom"
 )
 
-// Options controls rendering.
-type Options struct {
-	// Layer is the wire layer whose routes are drawn.
-	Layer int
-	// Scale maps µm to SVG user units. Zero selects 0.25.
-	Scale float64
-	// ShowBumps draws bump pads (bottom layer context).
-	ShowBumps bool
-	// ShowVias draws the vias used by the routes on this layer.
-	ShowVias bool
-}
+// scale maps µm to SVG user units.
+const scale = 0.25
 
 // netPalette cycles distinct stroke colors over nets.
 var netPalette = []string{
@@ -32,39 +23,37 @@ var netPalette = []string{
 	"#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 }
 
-// Render writes an SVG document for one wire layer of a routed design.
-func Render(w io.Writer, d *design.Design, routes []*detail.Route, opt Options) error {
-	if opt.Scale <= 0 {
-		opt.Scale = 0.25
-	}
-	s := opt.Scale
-	width := d.Outline.W() * s
-	height := d.Outline.H() * s
+// Render writes an SVG document for one wire layer of a routed design: the
+// outline, the chips, the I/O pads, the bump pads when layer is the bottom
+// wire layer, and the routes and vias on the layer.
+func Render(w io.Writer, d *design.Design, routes []*detail.Route, layer int) error {
+	width := d.Outline.W() * scale
+	height := d.Outline.H() * scale
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.2f %.2f">`+"\n",
 		width, height, width, height)
 	fmt.Fprintf(&b, `<rect x="0" y="0" width="%.2f" height="%.2f" fill="#fafafa" stroke="#333" stroke-width="1"/>`+"\n",
 		width, height)
 
-	x := func(v float64) float64 { return (v - d.Outline.Min.X) * s }
-	y := func(v float64) float64 { return (v - d.Outline.Min.Y) * s }
+	x := func(v float64) float64 { return (v - d.Outline.Min.X) * scale }
+	y := func(v float64) float64 { return (v - d.Outline.Min.Y) * scale }
 
 	// Chips.
 	for _, c := range d.Chips {
 		fmt.Fprintf(&b, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#eef2f7" stroke="#8899aa" stroke-width="0.8"/>`+"\n",
-			x(c.Outline.Min.X), y(c.Outline.Min.Y), c.Outline.W()*s, c.Outline.H()*s)
+			x(c.Outline.Min.X), y(c.Outline.Min.Y), c.Outline.W()*scale, c.Outline.H()*scale)
 	}
-	// Bump pads.
-	if opt.ShowBumps {
+	// Bump pads, on the bottom wire layer.
+	if layer == d.WireLayers-1 {
 		for _, p := range d.BumpPads {
 			fmt.Fprintf(&b, `<circle cx="%.2f" cy="%.2f" r="%.2f" fill="#ddd" stroke="#bbb" stroke-width="0.3"/>`+"\n",
-				x(p.Pos.X), y(p.Pos.Y), 3*s)
+				x(p.Pos.X), y(p.Pos.Y), 3*scale)
 		}
 	}
 	// I/O pads.
 	for _, p := range d.IOPads {
 		fmt.Fprintf(&b, `<circle cx="%.2f" cy="%.2f" r="%.2f" fill="#445" />`+"\n",
-			x(p.Pos.X), y(p.Pos.Y), 2.2*s)
+			x(p.Pos.X), y(p.Pos.Y), 2.2*scale)
 	}
 	// Routes of the chosen layer.
 	for _, rt := range routes {
@@ -73,21 +62,19 @@ func Render(w io.Writer, d *design.Design, routes []*detail.Route, opt Options) 
 		}
 		color := netPalette[rt.Net%len(netPalette)]
 		for _, seg := range rt.Segs {
-			if seg.Layer != opt.Layer {
+			if seg.Layer != layer {
 				continue
 			}
 			fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="%.2f" stroke-linejoin="round"/>`+"\n",
-				points(seg.Pl, x, y), color, d.WidthOf(rt.Net)*s)
+				points(seg.Pl, x, y), color, d.WidthOf(rt.Net)*scale)
 		}
-		if opt.ShowVias {
-			for _, v := range rt.Vias {
-				// A via on via layer k touches wire layers k and k+1.
-				if v.Layer != opt.Layer && v.Layer+1 != opt.Layer {
-					continue
-				}
-				fmt.Fprintf(&b, `<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" stroke="%s" stroke-width="%.2f"/>`+"\n",
-					x(v.Pos.X), y(v.Pos.Y), d.Rules.ViaWidth/2*s, color, 0.8*s)
+		for _, v := range rt.Vias {
+			// A via on via layer k touches wire layers k and k+1.
+			if v.Layer != layer && v.Layer+1 != layer {
+				continue
 			}
+			fmt.Fprintf(&b, `<circle cx="%.2f" cy="%.2f" r="%.2f" fill="none" stroke="%s" stroke-width="%.2f"/>`+"\n",
+				x(v.Pos.X), y(v.Pos.Y), d.Rules.ViaWidth/2*scale, color, 0.8*scale)
 		}
 	}
 	fmt.Fprintf(&b, "</svg>\n")

@@ -35,7 +35,7 @@ func sampleDesign(t *testing.T) *design.Design {
 func TestRenderBasics(t *testing.T) {
 	d := sampleDesign(t)
 	var sb strings.Builder
-	if err := Render(&sb, d, sampleRoutes(), Options{Layer: 0, ShowVias: true}); err != nil {
+	if err := Render(&sb, d, sampleRoutes(), 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -57,13 +57,13 @@ func TestRenderBasics(t *testing.T) {
 func TestRenderLayerFilter(t *testing.T) {
 	d := sampleDesign(t)
 	var l0, l1, l9 strings.Builder
-	if err := Render(&l0, d, sampleRoutes(), Options{Layer: 0}); err != nil {
+	if err := Render(&l0, d, sampleRoutes(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&l1, d, sampleRoutes(), Options{Layer: 1}); err != nil {
+	if err := Render(&l1, d, sampleRoutes(), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&l9, d, sampleRoutes(), Options{Layer: 9}); err != nil {
+	if err := Render(&l9, d, sampleRoutes(), 9); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(l0.String(), "<polyline") != 1 {
@@ -77,28 +77,30 @@ func TestRenderLayerFilter(t *testing.T) {
 	}
 }
 
+// TestRenderBumps checks that the bump pads are drawn on the bottom wire
+// layer, and on no other.
 func TestRenderBumps(t *testing.T) {
 	d := sampleDesign(t)
-	var with, without strings.Builder
-	if err := Render(&with, d, nil, Options{ShowBumps: true}); err != nil {
+	var top, bottom strings.Builder
+	if err := Render(&top, d, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := Render(&without, d, nil, Options{}); err != nil {
+	if err := Render(&bottom, d, nil, d.WireLayers-1); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Count(with.String(), "<circle") <= strings.Count(without.String(), "<circle") {
-		t.Error("ShowBumps did not add bump circles")
+	if got, want := strings.Count(bottom.String(), "<circle")-strings.Count(top.String(), "<circle"), len(d.BumpPads); got != want {
+		t.Errorf("bottom layer draws %d more circles than the top, want %d bump pads", got, want)
 	}
 }
 
 func TestRenderDefaultScale(t *testing.T) {
 	d := sampleDesign(t)
 	var sb strings.Builder
-	if err := Render(&sb, d, nil, Options{}); err != nil {
+	if err := Render(&sb, d, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `width="915"`) {
 		// 3660 µm * 0.25 = 915 SVG units for dense1.
-		t.Errorf("unexpected default scaling: %s", sb.String()[:120])
+		t.Errorf("unexpected scaling: %s", sb.String()[:120])
 	}
 }

@@ -75,7 +75,7 @@ func TestViaLayerSemanticsAgree(t *testing.T) {
 	wantCircles := map[int]int{0: 0, 1: 1, 2: 1}
 	for layer, want := range wantCircles {
 		var sb strings.Builder
-		if err := Render(&sb, d, routes, Options{Layer: layer, ShowVias: true}); err != nil {
+		if err := Render(&sb, d, routes, layer); err != nil {
 			t.Fatal(err)
 		}
 		if got := viaCircles(sb.String()); got != want {

@@ -32,12 +32,12 @@ func tooCloseAllPads(pos geom.Point, d *design.Design, viaLayer int, clearance f
 
 // referenceVias replays Build's lattice with tooCloseAllPads.
 func referenceVias(d *design.Design, opt Options) []Via {
-	opt = opt.withDefaults(d.Rules)
+	pitch := opt.pitch(d.Rules)
 	clearance := d.Rules.ViaViaClearance()
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	rng := rand.New(rand.NewSource(jitterSeed))
 	var vias []Via
 	for vl := 0; vl < d.WireLayers-1; vl++ {
-		for _, pos := range latticeSites(d.Outline, opt, rng, vl) {
+		for _, pos := range latticeSites(d.Outline, pitch, rng, vl) {
 			if !tooCloseAllPads(pos, d, vl, clearance) {
 				vias = append(vias, Via{ID: len(vias), Layer: vl, Pos: pos})
 			}
@@ -93,13 +93,13 @@ func TestPadWindowEdges(t *testing.T) {
 		Outline:    geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1000, 1000)},
 		Chips:      []design.Chip{{Name: "c0", Outline: geom.Rect{Min: geom.Pt(10, 10), Max: geom.Pt(990, 990)}}},
 	}
-	opt := Options{ViaPitch: 100}
+	var opt Options
 	clearance := d.Rules.ViaViaClearance()
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
-	full := opt.withDefaults(d.Rules)
+	rng := rand.New(rand.NewSource(jitterSeed))
+	pitch := opt.pitch(d.Rules)
 	sites := [][]geom.Point{
-		latticeSites(d.Outline, full, rng, 0),
-		latticeSites(d.Outline, full, rng, 1),
+		latticeSites(d.Outline, pitch, rng, 0),
+		latticeSites(d.Outline, pitch, rng, 1),
 	}
 
 	// padAt returns an x whose distance from site.X is exactly clearance

@@ -85,68 +85,64 @@ type Plan struct {
 
 // Options tunes candidate-via generation.
 type Options struct {
-	// ViaPitch is the lattice spacing of candidate via sites in µm. Zero
-	// selects a default derived from the design rules.
-	ViaPitch float64 `json:"via_pitch"`
-	// BoundaryStep is the spacing of outline dummy points in µm. Zero
-	// selects 2× ViaPitch.
-	BoundaryStep float64 `json:"boundary_step"`
-	// JitterFrac randomly (but deterministically) perturbs lattice sites by
-	// this fraction of the pitch, breaking the exact cocircularities of a
-	// perfect lattice. Zero selects 0.15.
-	JitterFrac float64 `json:"jitter_frac"`
-	// Seed drives the deterministic jitter.
-	Seed int64 `json:"seed"`
 	// ViaCost biases the candidate lattice density toward the router's via
 	// objective: 0 leaves the default pitch untouched, a positive value is
 	// the explicit cross-via cost (pricier vias thin the lattice), and a
 	// negative value means free vias (densest lattice). router.Route fills
 	// an unset value from the graph's via cost through rgraph.ViaCostValue.
-	// Ignored when ViaPitch is set explicitly.
 	ViaCost float64 `json:"via_cost"`
 	// Rec receives the stage's size counters. Nil selects the no-op
 	// recorder.
 	Rec obs.Recorder `json:"-"`
 }
 
-func (o Options) withDefaults(rules design.Rules) Options {
-	if o.ViaPitch <= 0 {
-		// Roughly 30 wire tracks between neighbouring vias: dense enough
-		// for detours, sparse enough to keep the graphs small.
-		o.ViaPitch = 30 * rules.Pitch()
-		if o.ViaCost != 0 {
-			// Scale the lattice with the via objective: free vias halve the
-			// pitch, a cost of 4× the default quadruples^0.5 (doubles) it.
-			// The square root keeps the via count roughly proportional to
-			// 1/cost; clamp to [0.5, 2] so extreme costs cannot degenerate
-			// the triangulation.
-			cost := o.ViaCost
-			if cost < 0 {
-				cost = 0
-			}
-			scale := math.Sqrt(cost / (4 * rules.ViaWidth))
-			if scale < 0.5 {
-				scale = 0.5
-			} else if scale > 2 {
-				scale = 2
-			}
-			o.ViaPitch *= scale
+// The lattice's fixed shape.
+const (
+	// pitchTracks is the via pitch in wire pitches before the via-cost
+	// scaling: roughly 30 wire tracks between neighbouring vias, dense
+	// enough for detours, sparse enough to keep the graphs small.
+	pitchTracks = 30
+	// dummyStepPitches is the spacing of the outline dummy points in via
+	// pitches.
+	dummyStepPitches = 2
+	// jitterFrac is the fraction of the pitch by which each lattice site is
+	// randomly (but deterministically) perturbed, breaking the exact
+	// cocircularities of a perfect lattice.
+	jitterFrac = 0.15
+	// jitterSeed seeds the jitter RNG, so an identical design and options
+	// give an identical lattice.
+	jitterSeed = 1
+)
+
+// pitch returns the lattice spacing of candidate via sites in µm.
+func (o Options) pitch(rules design.Rules) float64 {
+	pitch := pitchTracks * rules.Pitch()
+	if o.ViaCost != 0 {
+		// Scale the lattice with the via objective: free vias halve the
+		// pitch, a cost of 4× the default quadruples^0.5 (doubles) it.
+		// The square root keeps the via count roughly proportional to
+		// 1/cost; clamp to [0.5, 2] so extreme costs cannot degenerate
+		// the triangulation.
+		cost := o.ViaCost
+		if cost < 0 {
+			cost = 0
 		}
+		scale := math.Sqrt(cost / (4 * rules.ViaWidth))
+		if scale < 0.5 {
+			scale = 0.5
+		} else if scale > 2 {
+			scale = 2
+		}
+		pitch *= scale
 	}
-	if o.BoundaryStep <= 0 {
-		o.BoundaryStep = 2 * o.ViaPitch
-	}
-	if o.JitterFrac == 0 {
-		o.JitterFrac = 0.15
-	}
-	return o
+	return pitch
 }
 
 // maxLatticePoints caps the lattice sites and boundary dummies one plan may
 // lay over all its layers: 1<<17 = 131 072, 23× the 5 696 candidate vias
-// dense5 plans. Design rules and via pitches of any positive size pass
-// validation, and the lattice grows with 1/pitch², so without a cap a
-// tiny-rule design would exhaust memory before routing began.
+// dense5 plans. Design rules of any positive size pass validation, and the
+// lattice grows with 1/pitch², so without a cap a tiny-rule design would
+// exhaust memory before routing began.
 const maxLatticePoints = 1 << 17
 
 // ErrLatticeTooLarge reports a design and via options that imply more
@@ -160,8 +156,8 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults(d.Rules)
-	if n := latticePoints(d, opt); n > maxLatticePoints {
+	pitch := opt.pitch(d.Rules)
+	if n := latticePoints(d, pitch); n > maxLatticePoints {
 		return nil, fmt.Errorf("%w: %.4g points, cap %d", ErrLatticeTooLarge, n, maxLatticePoints)
 	}
 	p := &Plan{Layers: make([]LayerPlan, d.WireLayers)}
@@ -170,14 +166,14 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 	}
 
 	clearance := d.Rules.ViaViaClearance()
-	//rdl:allow detrand jitter RNG is seeded from Options.Seed: identical design+options give an identical via lattice
-	rng := rand.New(rand.NewSource(opt.Seed + 1))
+	//rdl:allow detrand jitter RNG has the fixed seed jitterSeed: identical design+options give an identical via lattice
+	rng := rand.New(rand.NewSource(jitterSeed))
 	ioPads, bumpPads := sortedByX(d.IOPads), sortedByX(d.BumpPads)
 
 	// One lattice per via layer. Odd layers are offset by half a pitch so
 	// stacked meshes do not share degenerate geometry.
 	for vl := 0; vl < d.WireLayers-1; vl++ {
-		sites := latticeSites(d.Outline, opt, rng, vl)
+		sites := latticeSites(d.Outline, pitch, rng, vl)
 		for _, pos := range sites {
 			if tooClose(pos, d, vl, clearance, ioPads, bumpPads) {
 				continue
@@ -208,7 +204,7 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 	}
 	for li := range p.Layers {
 		lp := &p.Layers[li]
-		dummies := boundaryDummies(d.Outline, opt.BoundaryStep)
+		dummies := boundaryDummies(d.Outline, dummyStepPitches*pitch)
 		for i, pos := range dummies {
 			lp.Verts = append(lp.Verts, Vertex{Kind: KindDummy, Ref: i, Pos: pos})
 		}
@@ -228,42 +224,42 @@ func Build(d *design.Design, opt Options) (*Plan, error) {
 }
 
 // latticePoints returns an upper bound on the lattice sites latticeSites
-// and the dummies boundaryDummies lay over all layers, in floating point so
-// that no pitch can overflow it.
-func latticePoints(d *design.Design, opt Options) float64 {
+// and the dummies boundaryDummies lay over all layers at the via pitch, in
+// floating point so that no pitch can overflow it.
+func latticePoints(d *design.Design, pitch float64) float64 {
 	axis := func(lo, hi float64) float64 { // sites from lo to hi at the pitch
 		if hi < lo {
 			return 0
 		}
-		return math.Floor((hi-lo)/opt.ViaPitch) + 1
+		return math.Floor((hi-lo)/pitch) + 1
 	}
-	o, margin := d.Outline, opt.ViaPitch/2
+	o, margin, step := d.Outline, pitch/2, dummyStepPitches*pitch
 	sites := axis(o.Min.X+margin, o.Max.X-margin) * axis(o.Min.Y+margin, o.Max.Y-margin)
-	dummies := 2*(math.Floor(o.W()/opt.BoundaryStep)+2) + 2*math.Floor(o.H()/opt.BoundaryStep)
+	dummies := 2*(math.Floor(o.W()/step)+2) + 2*math.Floor(o.H()/step)
 	return sites*float64(d.WireLayers-1) + dummies*float64(d.WireLayers)
 }
 
 // latticeSites returns the jittered lattice positions for one via layer.
-func latticeSites(outline geom.Rect, opt Options, rng *rand.Rand, viaLayer int) []geom.Point {
-	margin := opt.ViaPitch / 2
+func latticeSites(outline geom.Rect, pitch float64, rng *rand.Rand, viaLayer int) []geom.Point {
+	margin := pitch / 2
 	x0, y0 := outline.Min.X+margin, outline.Min.Y+margin
 	x1, y1 := outline.Max.X-margin, outline.Max.Y-margin
 	offset := 0.0
 	if viaLayer%2 == 1 {
-		offset = opt.ViaPitch / 2
+		offset = pitch / 2
 	}
 	var pts []geom.Point
 	row := 0
-	for y := y0; y <= y1; y += opt.ViaPitch {
+	for y := y0; y <= y1; y += pitch {
 		// Stagger alternating rows for a roughly hexagonal packing, which
 		// triangulates into better-shaped tiles than a square lattice.
 		rowOff := offset
 		if row%2 == 1 {
-			rowOff += opt.ViaPitch / 2
+			rowOff += pitch / 2
 		}
-		for x := x0 + rowOff; x <= x1; x += opt.ViaPitch {
-			jx := (rng.Float64() - 0.5) * 2 * opt.JitterFrac * opt.ViaPitch
-			jy := (rng.Float64() - 0.5) * 2 * opt.JitterFrac * opt.ViaPitch
+		for x := x0 + rowOff; x <= x1; x += pitch {
+			jx := (rng.Float64() - 0.5) * 2 * jitterFrac * pitch
+			jy := (rng.Float64() - 0.5) * 2 * jitterFrac * pitch
 			p := geom.Pt(geom.Clamp(x+jx, x0, x1), geom.Clamp(y+jy, y0, y1))
 			pts = append(pts, p)
 		}

@@ -115,11 +115,11 @@ func TestViaClearance(t *testing.T) {
 
 func TestBuildDeterministic(t *testing.T) {
 	d := mustDesign(t, "dense2")
-	p1, err := Build(d, Options{Seed: 7})
+	p1, err := Build(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Build(d, Options{Seed: 7})
+	p2, err := Build(d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,19 +178,6 @@ func TestBoundaryDummies(t *testing.T) {
 	}
 }
 
-func TestOptionsDefaults(t *testing.T) {
-	rules := design.DefaultRules()
-	o := Options{}.withDefaults(rules)
-	if o.ViaPitch <= 0 || o.BoundaryStep <= 0 || o.JitterFrac <= 0 {
-		t.Errorf("defaults not applied: %+v", o)
-	}
-	// Explicit values survive.
-	o2 := Options{ViaPitch: 99, BoundaryStep: 11, JitterFrac: 0.3}.withDefaults(rules)
-	if o2.ViaPitch != 99 || o2.BoundaryStep != 11 || o2.JitterFrac != 0.3 {
-		t.Errorf("explicit options overridden: %+v", o2)
-	}
-}
-
 func TestVertexKindString(t *testing.T) {
 	names := map[VertexKind]string{KindPin: "pin", KindVia: "via", KindBump: "bump", KindDummy: "dummy"}
 	for k, want := range names {
@@ -201,8 +188,7 @@ func TestVertexKindString(t *testing.T) {
 }
 
 // TestViaCostScalesLattice checks the via-objective bias on the candidate
-// lattice: free vias densify it, expensive vias thin it, and an explicit
-// ViaPitch disables the scaling entirely.
+// lattice: free vias densify it and expensive vias thin it.
 func TestViaCostScalesLattice(t *testing.T) {
 	d, err := design.GenerateDense("dense1")
 	if err != nil {
@@ -224,45 +210,32 @@ func TestViaCostScalesLattice(t *testing.T) {
 	if costly >= def {
 		t.Errorf("costly vias: %d candidates, want fewer than default %d", costly, def)
 	}
-	pinned := count(Options{ViaPitch: 30 * d.Rules.Pitch(), ViaCost: -1})
-	if pinned != def {
-		t.Errorf("explicit ViaPitch with ViaCost: %d candidates, want default %d", pinned, def)
-	}
 }
 
-// TestBuildRejectsHugeLattice checks the lattice cap against both ways of
-// asking for a huge lattice, tiny design rules and a tiny via pitch: Build
-// fails with ErrLatticeTooLarge. On designs under the cap, the count it
-// checks bounds what the planner lays.
+// TestBuildRejectsHugeLattice checks the lattice cap: dense1 with every
+// rule ×1e-3 asks for a huge lattice, and Build fails with
+// ErrLatticeTooLarge. On designs under the cap, the count it checks bounds
+// what the planner lays.
 func TestBuildRejectsHugeLattice(t *testing.T) {
 	tiny := mustDesign(t, "dense1")
 	r := &tiny.Rules
 	r.WireWidth, r.ViaWidth, r.MinSpacing, r.MinTurnDist =
 		r.WireWidth*1e-3, r.ViaWidth*1e-3, r.MinSpacing*1e-3, r.MinTurnDist*1e-3
-	for _, tc := range []struct {
-		name string
-		d    *design.Design
-		opt  Options
-	}{
-		{"rules ×1e-3", tiny, Options{}},
-		{"via pitch 1e-3 µm", mustDesign(t, "dense1"), Options{ViaPitch: 1e-3}},
-	} {
-		if _, err := Build(tc.d, tc.opt); !errors.Is(err, ErrLatticeTooLarge) {
-			t.Errorf("%s: Build error = %v, want ErrLatticeTooLarge", tc.name, err)
-		}
+	if _, err := Build(tiny, Options{}); !errors.Is(err, ErrLatticeTooLarge) {
+		t.Errorf("rules ×1e-3: Build error = %v, want ErrLatticeTooLarge", err)
 	}
 
 	for _, name := range []string{"dense1", "dense3"} {
 		d := mustDesign(t, name)
 		for _, viaCost := range []float64{0, -1} {
-			opt := Options{ViaCost: viaCost}.withDefaults(d.Rules)
+			pitch := Options{ViaCost: viaCost}.pitch(d.Rules)
 			rng := rand.New(rand.NewSource(1)) // any seed lays as many sites
 			laid := 0
 			for vl := 0; vl < d.WireLayers-1; vl++ {
-				laid += len(latticeSites(d.Outline, opt, rng, vl))
+				laid += len(latticeSites(d.Outline, pitch, rng, vl))
 			}
-			laid += d.WireLayers * len(boundaryDummies(d.Outline, opt.BoundaryStep))
-			if n := latticePoints(d, opt); n < float64(laid) || n > maxLatticePoints {
+			laid += d.WireLayers * len(boundaryDummies(d.Outline, dummyStepPitches*pitch))
+			if n := latticePoints(d, pitch); n < float64(laid) || n > maxLatticePoints {
 				t.Errorf("%s, via cost %v: bound %v, laid %d, cap %d", name, viaCost, n, laid, maxLatticePoints)
 			}
 		}
