@@ -1,94 +1,115 @@
 package main
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
 
-func writeBench(t *testing.T, entries []map[string]any) string {
-	t.Helper()
-	b, err := json.Marshal(entries)
+// resultLine formats one benchmark result line the way
+// `go test -benchtime=1x -cpu 2` prints it, -2 suffix included.
+func resultLine(name string, allocs, bytes float64) string {
+	return fmt.Sprintf("%-28s\t%8d\t%10d ns/op\t%8.0f B/op\t%8.0f allocs/op", name+"-2", 1, 4839675, bytes, allocs)
+}
+
+// benchOutput returns go test output with one result line per budget, each
+// at exactly its budgets, except that a row named in lines gets that line
+// instead ("" drops the row).
+func benchOutput(lines map[string]string) string {
+	var b strings.Builder
+	b.WriteString("goos: linux\ngoarch: amd64\npkg: rdlroute\ncpu: Intel(R) Xeon(R) Processor\n")
+	for _, bd := range budgets {
+		l, ok := lines[bd.name]
+		if !ok {
+			l = resultLine(bd.name, bd.max, bd.maxBytes)
+		}
+		if l != "" {
+			b.WriteString(l + "\n")
+		}
+	}
+	b.WriteString("PASS\nok  \trdlroute\t1.793s\n")
+	return b.String()
+}
+
+// runGate runs the gate over out and returns its report and error.
+func runGate(out string) (string, error) {
+	var report strings.Builder
+	err := gate(strings.NewReader(out), &report)
+	return report.String(), err
+}
+
+// TestGatePassesAtBudget checks that rows exactly at their budgets pass, and
+// so does a verbatim run of the gated benchmarks (testdata/bench.txt), one
+// ok line per budget.
+func TestGatePassesAtBudget(t *testing.T) {
+	verbatim, err := os.ReadFile("testdata/bench.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// withinBudget builds a bench file where every gated row sits exactly at
-// its budgets.
-func withinBudget(t *testing.T) []map[string]any {
-	t.Helper()
-	var entries []map[string]any
-	for _, bd := range budgets {
-		entries = append(entries, map[string]any{
-			"name": bd.name, "allocs_per_op": bd.max, "bytes_per_op": bd.maxBytes,
-		})
-	}
-	return entries
-}
-
-func TestGatePassesAtBudget(t *testing.T) {
-	var out strings.Builder
-	if err := run(writeBench(t, withinBudget(t)), &out); err != nil {
-		t.Fatalf("gate failed at exact budgets: %v\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "FAIL") {
-		t.Fatalf("unexpected FAIL line:\n%s", out.String())
+	for name, out := range map[string]string{"at budget": benchOutput(nil), "testdata/bench.txt": string(verbatim)} {
+		report, err := runGate(out)
+		if err != nil {
+			t.Fatalf("%s: gate failed: %v\n%s", name, err, report)
+		}
+		if strings.Contains(report, "FAIL") || strings.Count(report, "ok   ") != len(budgets) {
+			t.Fatalf("%s: want %d ok lines and no FAIL:\n%s", name, len(budgets), report)
+		}
 	}
 }
 
 func TestGateFailsOnRegression(t *testing.T) {
-	entries := withinBudget(t)
-	entries[0]["allocs_per_op"] = budgets[0].max * 1.01
-	var out strings.Builder
-	err := run(writeBench(t, entries), &out)
+	bd := budgets[0]
+	report, err := runGate(benchOutput(map[string]string{bd.name: resultLine(bd.name, bd.max+1, bd.maxBytes)}))
 	if err == nil {
-		t.Fatalf("gate passed a regressed row:\n%s", out.String())
+		t.Fatalf("gate passed a regressed row:\n%s", report)
 	}
-	if !strings.Contains(out.String(), "FAIL "+budgets[0].name) {
-		t.Fatalf("failure does not name the regressed row:\n%s", out.String())
+	if !strings.Contains(report, "FAIL "+bd.name+" ") || !strings.Contains(report, "allocs/op exceeds") {
+		t.Fatalf("failure does not name the regressed row:\n%s", report)
 	}
 }
 
 // TestGateFailsOnBytesRegression pins the bytes half of the gate: a row
 // within its allocs/op budget but over its B/op budget fails, and so does a
-// bytes-gated row that reports no bytes at all.
+// bytes-gated row that reports no B/op at all.
 func TestGateFailsOnBytesRegression(t *testing.T) {
-	i := slices.IndexFunc(budgets, func(bd budget) bool { return bd.name == "global/dense5" })
-	if i < 0 || budgets[i].maxBytes == 0 {
-		t.Fatal("global/dense5 has no bytes budget")
+	const name = "BenchmarkGlobalRoute/dense5"
+	var bd budget
+	for _, b := range budgets {
+		if b.name == name {
+			bd = b
+		}
 	}
-	entries := withinBudget(t)
-	entries[i]["bytes_per_op"] = budgets[i].maxBytes * 1.01
-	var out strings.Builder
-	if err := run(writeBench(t, entries), &out); err == nil {
-		t.Fatalf("gate passed a row over its bytes budget:\n%s", out.String())
+	if bd.maxBytes == 0 {
+		t.Fatalf("%s has no bytes budget", name)
 	}
-	if !strings.Contains(out.String(), "FAIL global/dense5") || !strings.Contains(out.String(), "MB/op exceeds") {
-		t.Fatalf("failure does not name the bytes regression:\n%s", out.String())
+	report, err := runGate(benchOutput(map[string]string{name: resultLine(name, bd.max, bd.maxBytes+1)}))
+	if err == nil {
+		t.Fatalf("gate passed a row over its bytes budget:\n%s", report)
+	}
+	if !strings.Contains(report, "FAIL "+name+" ") || !strings.Contains(report, "MB/op exceeds") {
+		t.Fatalf("failure does not name the bytes regression:\n%s", report)
 	}
 
-	entries = withinBudget(t)
-	delete(entries[i], "bytes_per_op")
-	out.Reset()
-	if err := run(writeBench(t, entries), &out); err == nil || !strings.Contains(out.String(), "has no bytes_per_op") {
-		t.Fatalf("gate passed a bytes-gated row without bytes_per_op (err %v):\n%s", err, out.String())
+	noBytes := fmt.Sprintf("%-28s\t%8d\t%10d ns/op\t%8.0f allocs/op", name+"-2", 1, 589196519, bd.max)
+	report, err = runGate(benchOutput(map[string]string{name: noBytes}))
+	if err == nil || !strings.Contains(report, "FAIL "+name+" ") || !strings.Contains(report, "has no B/op") {
+		t.Fatalf("gate passed a bytes-gated row without B/op (err %v):\n%s", err, report)
 	}
 }
 
+// TestGateFailsOnMissingRow drops a gated row, once as if the benchmark was
+// not run and once as go test reports a failed benchmark.
 func TestGateFailsOnMissingRow(t *testing.T) {
-	entries := withinBudget(t)[1:] // drop the first gated row
-	var out strings.Builder
-	if err := run(writeBench(t, entries), &out); err == nil {
-		t.Fatalf("gate passed with a gated row missing:\n%s", out.String())
+	bd := budgets[len(budgets)-1]
+	for _, line := range []string{"", "--- FAIL: " + bd.name + "-2"} {
+		report, err := runGate(benchOutput(map[string]string{bd.name: line}))
+		if err == nil {
+			t.Fatalf("gate passed with a gated row missing:\n%s", report)
+		}
+		if !strings.Contains(report, "FAIL "+bd.name+" ") || !strings.Contains(report, "missing") {
+			t.Fatalf("failure does not name the missing row:\n%s", report)
+		}
 	}
 }
 
@@ -96,21 +117,19 @@ func TestGateFailsOnMissingRow(t *testing.T) {
 // dense suite for every gated stage — adding a dense case without extending
 // the gate is the regression this test exists to catch.
 func TestBudgetsCoverEveryDenseDetailRow(t *testing.T) {
-	want := []string{"dense1", "dense2", "dense3", "dense4", "dense5"}
-	have := make(map[string]bool)
+	have := make(map[string]budget)
 	for _, bd := range budgets {
-		have[bd.name] = true
+		have[bd.name] = bd
 	}
-	for _, c := range want {
-		for _, stage := range []string{"rgraph", "global", "detail"} {
-			if !have[stage+"/"+c] {
-				t.Errorf("no %s budget for %s", stage, c)
+	for _, c := range []string{"dense1", "dense2", "dense3", "dense4", "dense5"} {
+		for _, bench := range []string{"BenchmarkGraphBuild", "BenchmarkGlobalRoute", "BenchmarkDetailRoute"} {
+			bd, ok := have[bench+"/"+c]
+			if !ok {
+				t.Errorf("no %s budget for %s", bench, c)
 			}
-		}
-	}
-	for _, bd := range budgets {
-		if stage := strings.SplitN(bd.name, "/", 2)[0]; (stage == "rgraph" || stage == "global") && bd.maxBytes == 0 {
-			t.Errorf("%s has no bytes budget", bd.name)
+			if bench != "BenchmarkDetailRoute" && bd.maxBytes == 0 {
+				t.Errorf("%s/%s has no bytes budget", bench, c)
+			}
 		}
 	}
 }

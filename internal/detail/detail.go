@@ -136,10 +136,10 @@ func Run(ctx context.Context, r *global.Router, res *global.Result, opt Options)
 	// serial loop would have hit first.
 	asm := obs.StartSpan(d.rec, "detail.assemble")
 	const assembleChunk = 32
-	var units []func() error
+	var units []func(int) error
 	for lo := 0; lo < len(d.Chains); lo += assembleChunk {
 		lo, hi := lo, min(lo+assembleChunk, len(d.Chains))
-		units = append(units, func() error {
+		units = append(units, func(int) error {
 			// One stitch buffer per chunk: assemble reuses it across the
 			// chunk's nets and copies only the final simplified geometry out.
 			var cur geom.Polyline

@@ -16,7 +16,7 @@ import (
 // size produces byte-identical output. Each layer's segments sit in a
 // flatGrid (legality.go) sized by indexCell, and the spacing scan walks it
 // with the same near query the polish and reassign passes use. Workers own
-// their scratches (pool.RunWith hands every unit its worker slot), which
+// their scratches (pool.Run hands every unit its worker slot), which
 // persist across all units of a run.
 
 const (
@@ -59,7 +59,6 @@ func buildLayer(routes []*Route, layer int, cell float64, scr *gridScratch) *drc
 //
 //rdl:noalloc
 func (l *drcLayer) spacingUnit(lo, hi int, d *design.Design, scr *gridScratch) []Violation {
-	const eps = 1e-6
 	var out []Violation
 	for si := lo; si < hi; si++ {
 		s := &l.segs[si]
@@ -70,7 +69,7 @@ func (l *drcLayer) spacingUnit(lo, hi int, d *design.Design, scr *gridScratch) [
 			}
 			limit := d.Clearance(s.net, e.net)
 			dist, pa, _ := s.seg.DistToSegment(e.seg)
-			if dist >= limit-eps {
+			if dist >= limit-geom.Eps {
 				continue
 			}
 			//rdl:allow noalloc the findings are the unit's result, which the caller keeps; it grows only when the unit finds a violation
@@ -100,9 +99,8 @@ func (l *drcLayer) wireRuleUnit(lo, hi int, rules design.Rules) []Violation {
 //
 //rdl:noalloc
 func appendWireRules(out []Violation, pl geom.Polyline, layer, net int, rules design.Rules) []Violation {
-	const eps = 1e-6
 	for i := 1; i+1 < len(pl); i++ {
-		if turn := geom.TurnAngle(pl[i-1], pl[i], pl[i+1]); turn > math.Pi/2+eps {
+		if turn := geom.TurnAngle(pl[i-1], pl[i], pl[i+1]); turn > math.Pi/2+geom.Eps {
 			out = append(out, Violation{
 				Kind: AngleViolation, Layer: layer, NetA: net, NetB: -1,
 				Where: pl[i], Value: turn, Limit: math.Pi / 2,
@@ -110,7 +108,7 @@ func appendWireRules(out []Violation, pl geom.Polyline, layer, net int, rules de
 		}
 	}
 	for i := 2; i+1 < len(pl); i++ {
-		if d := pl[i-1].Dist(pl[i]); d < rules.MinTurnDist-eps {
+		if d := pl[i-1].Dist(pl[i]); d < rules.MinTurnDist-geom.Eps {
 			out = append(out, Violation{
 				Kind: TurnDistViolation, Layer: layer, NetA: net, NetB: -1,
 				Where: pl[i], Value: d, Limit: rules.MinTurnDist,
@@ -196,7 +194,7 @@ func CheckDRCParallel(routes []*Route, d *design.Design, opt DRCOptions) []Viola
 			return nil
 		}
 	}
-	pool.RunWith(prepUnits, workers)
+	pool.Run(prepUnits, workers)
 	span.End()
 
 	// Phase 2: spacing stripes, wire rules, and keep-outs, in a fixed unit
@@ -227,7 +225,7 @@ func CheckDRCParallel(routes []*Route, d *design.Design, opt DRCOptions) []Viola
 		}
 	}
 	var out []Violation
-	for _, r := range pool.RunWith(units, workers) {
+	for _, r := range pool.Run(units, workers) {
 		out = append(out, r...)
 	}
 	span.End()

@@ -50,7 +50,6 @@ func newMapGridLayer(l *drcLayer, cell float64) *mapGridLayer {
 // per-unit seen map keyed by segment pair, marked on violation.
 func (l *mapGridLayer) spacingUnit(lo, hi int,
 	sameNet func(a, b int) bool, clearFn func(a, b int) float64) []Violation {
-	const eps = 1e-6
 	var out []Violation
 	seen := make(map[[2]int]bool)
 	for si := lo; si < hi; si++ {
@@ -69,7 +68,7 @@ func (l *mapGridLayer) spacingUnit(lo, hi int,
 					}
 					limit := clearFn(s.net, e.net)
 					dist, pa, _ := s.seg.DistToSegment(e.seg)
-					if dist >= limit-eps {
+					if dist >= limit-geom.Eps {
 						continue
 					}
 					seen[[2]int{si, ei}] = true

@@ -406,9 +406,6 @@ func (x *legalIndex) refreshVias(routes []*Route) {
 	}
 }
 
-// legalEps is the tolerance of every limit legal checks.
-const legalEps = 1e-9
-
 // legal reports whether segment s of net may sit on layer: outside every
 // keep-out, then clear of every other net's wires by their pairwise
 // clearance, then clear of every other net's vias by the via-wire limit.
@@ -443,14 +440,24 @@ func (x *legalIndex) legal(s geom.Segment, layer, net int, relaxed bool, o1, o2 
 	viaLimit := x.d.Rules.ViaWireClearance(x.d.WidthOf(net))
 	vias := x.vias[layer]
 	for _, i := range x.viaGrids[layer].near(s, &x.scr) {
-		v := &vias[i]
-		if x.d.SameGroup(v.net, net) {
-			continue
+		if !x.viaOK(s, net, viaLimit, relaxed, o1, o2, &vias[i]) {
+			return false
 		}
-		if d := s.DistToPoint(v.pos); d < viaLimit-legalEps {
-			if !relaxed || d < math.Min(o1.DistToPoint(v.pos), o2.DistToPoint(v.pos))-legalEps {
-				return false
-			}
+	}
+	return true
+}
+
+// viaOK reports whether via v lets segment s of net stand, by legal's via
+// rule against net's via-wire limit. A via of s's own net always does.
+//
+//rdl:noalloc
+func (x *legalIndex) viaOK(s geom.Segment, net int, limit float64, relaxed bool, o1, o2 geom.Segment, v *netVia) bool {
+	if x.d.SameGroup(v.net, net) {
+		return true
+	}
+	if d := s.DistToPoint(v.pos); d < limit-geom.Eps {
+		if !relaxed || d < math.Min(o1.DistToPoint(v.pos), o2.DistToPoint(v.pos))-geom.Eps {
+			return false
 		}
 	}
 	return true
@@ -464,13 +471,13 @@ func (x *legalIndex) wireOK(s geom.Segment, net int, relaxed bool, o1, o2 geom.S
 	if e.net < 0 || x.d.SameGroup(e.net, net) {
 		return true
 	}
-	if d, _, _ := s.DistToSegment(e.seg); d < x.d.Clearance(net, e.net)-legalEps {
+	if d, _, _ := s.DistToSegment(e.seg); d < x.d.Clearance(net, e.net)-geom.Eps {
 		if !relaxed {
 			return false
 		}
 		d1, _, _ := o1.DistToSegment(e.seg)
 		d2, _, _ := o2.DistToSegment(e.seg)
-		if d < math.Min(d1, d2)-legalEps {
+		if d < math.Min(d1, d2)-geom.Eps {
 			return false
 		}
 	}

@@ -61,7 +61,6 @@ func apart(a, b geom.Segment, lim float64) bool {
 // the same order, over every wire and via of the layer.
 func bruteLegal(d *design.Design, bl bruteLayer, s geom.Segment, layer, net int,
 	relaxed bool, o1, o2 geom.Segment) bool {
-	const eps = 1e-9
 	if d.SegmentBlocked(s, layer, 0) {
 		return false
 	}
@@ -71,7 +70,7 @@ func bruteLegal(d *design.Design, bl bruteLayer, s geom.Segment, layer, net int,
 			continue
 		}
 		dist, _, _ := s.DistToSegment(e.seg)
-		if dist >= limit-eps {
+		if dist >= limit-geom.Eps {
 			continue
 		}
 		if !relaxed {
@@ -79,7 +78,7 @@ func bruteLegal(d *design.Design, bl bruteLayer, s geom.Segment, layer, net int,
 		}
 		d1, _, _ := o1.DistToSegment(e.seg)
 		d2, _, _ := o2.DistToSegment(e.seg)
-		if dist < math.Min(d1, d2)-eps {
+		if dist < math.Min(d1, d2)-geom.Eps {
 			return false
 		}
 	}
@@ -89,10 +88,10 @@ func bruteLegal(d *design.Design, bl bruteLayer, s geom.Segment, layer, net int,
 			continue
 		}
 		dist := s.DistToPoint(v.pos)
-		if dist >= limit-eps {
+		if dist >= limit-geom.Eps {
 			continue
 		}
-		if !relaxed || dist < math.Min(o1.DistToPoint(v.pos), o2.DistToPoint(v.pos))-eps {
+		if !relaxed || dist < math.Min(o1.DistToPoint(v.pos), o2.DistToPoint(v.pos))-geom.Eps {
 			return false
 		}
 	}
@@ -198,6 +197,33 @@ func TestLegalIndexMatchesBruteForce(t *testing.T) {
 	if rebuilds == 0 || tailQueries == 0 {
 		t.Errorf("the in-place walk made %d rebuilds and %d queries beside a tail; it must make both",
 			rebuilds, tailQueries)
+	}
+}
+
+// TestDRCAndIndexShareTheTolerance sets a net-1 wire beside a net-0 wire
+// at gaps around their clearance, 5e-7 µm off it included. DRC must report
+// a spacing finding exactly when the legality index refuses the net-1
+// segment, so polish and reassignment refuse no geometry that DRC passes.
+func TestDRCAndIndexShareTheTolerance(t *testing.T) {
+	d := synthDesign(2, 1)
+	limit := d.Clearance(0, 1)
+	for _, gap := range []float64{-1e-3, -5e-7, 0, 5e-7, 1e-3} {
+		s := geom.Seg(geom.Pt(0, limit+gap), geom.Pt(100, limit+gap))
+		routes := []*Route{
+			{Net: 0, Segs: []RouteSeg{{Layer: 0, Pl: geom.Polyline{geom.Pt(0, 0), geom.Pt(100, 0)}}}},
+			{Net: 1, Segs: []RouteSeg{{Layer: 0, Pl: geom.Polyline{s.A, s.B}}}},
+		}
+		spacing := 0
+		for _, v := range CheckDRCParallel(routes, d, DRCOptions{Workers: 1}) {
+			if v.Kind == SpacingViolation {
+				spacing++
+			}
+		}
+		refused := !newLegalIndex(routes, d).legal(s, 0, 1, false, geom.Segment{}, geom.Segment{})
+		if want := gap < 0; refused != want || (spacing == 1) != want {
+			t.Errorf("wires %g µm off their clearance: index refuses %v, DRC reports %d spacing findings; want refusal and one finding exactly when closer",
+				gap, refused, spacing)
+		}
 	}
 }
 

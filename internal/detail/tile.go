@@ -255,10 +255,10 @@ func (d *Detailer) routeTiles(ctx context.Context) []*tilePassage {
 			}
 		}
 	} else {
-		units := make([]func() struct{}, len(d.tileJobs))
+		units := make([]func(int) struct{}, len(d.tileJobs))
 		for i, job := range d.tileJobs {
 			job := job
-			units[i] = func() struct{} {
+			units[i] = func(int) struct{} {
 				if !obs.Stopped(ctx) {
 					d.routeOneTile(job)
 				}
@@ -375,7 +375,6 @@ const maxFitIters = 48
 func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassage) geom.Polyline {
 	a, b, ref := self.ia, self.ib, self.ref
 	route := append(job.fitBuf[:0], a, b)
-	const slack = 1e-9
 	viaLimit := d.G.Design.Rules.ViaWireClearance(d.G.Design.WidthOf(self.net))
 	for iter := 0; iter < maxFitIters; iter++ {
 		found, fixed := false, false
@@ -433,7 +432,7 @@ func (d *Detailer) fitRoute(job *tileJob, self *tilePassage, routed []*tilePassa
 				}
 				clear := d.G.Design.Clearance(self.net, other.net)
 				dist, pc := other.route.DistToSegment(seg)
-				if dist >= clear-slack {
+				if dist >= clear-geom.Eps {
 					continue
 				}
 				found = true
@@ -476,7 +475,7 @@ func (d *Detailer) resolveViolation(route *geom.Polyline, si int, c geom.Circle,
 	q := geom.Seg(ps, pt).ClosestPoint(c.C)
 	away := q.Sub(c.C)
 	sideRef := ref
-	if away.Norm() > 1e-9 {
+	if away.Norm() > geom.Eps {
 		sideRef = c.C.Sub(away)
 	}
 	// Grow the circle fractionally so the tangent segments clear it beyond

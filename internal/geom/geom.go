@@ -11,9 +11,12 @@ package geom
 import "math"
 
 // Eps is the default absolute tolerance used by the approximate comparisons
-// in this package. Routing coordinates are in µm and designs span a few
-// millimetres, so 1e-9 µm is far below any manufacturable feature size while
-// staying well above float64 noise for the magnitudes involved.
+// in this package, and the one tolerance of every design-rule check: DRC,
+// the detail stage's legality index and fit routing, and the verifier all
+// call a distance legal when it reaches its limit minus Eps. Routing
+// coordinates are in µm and designs span a few millimetres, so 1e-9 µm is
+// far below any manufacturable feature size while staying well above
+// float64 noise for the magnitudes involved.
 const Eps = 1e-9
 
 // ApproxEq reports whether a and b are within Eps of each other.

@@ -92,7 +92,7 @@ func (r *Router) orderModel(ctx context.Context) *portfolio.Model {
 			return struct{}{}
 		})
 	}
-	pool.RunWith(units, workers)
+	pool.Run(units, workers)
 
 	// RUDY accumulation, keeping each net's tile footprint for the
 	// congestion features below.

@@ -39,46 +39,14 @@ func Default(requested int) int {
 }
 
 // Run executes the units on a pool of the given size and returns their
-// results indexed by unit.
-func Run[T any](units []func() T, workers int) []T {
-	results := make([]T, len(units))
-	if workers <= 1 || len(units) <= 1 {
-		for i, u := range units {
-			results[i] = u()
-		}
-		return results
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := next.Add(1)
-				if i >= int64(len(units)) {
-					return
-				}
-				results[i] = units[i]()
-			}
-		}()
-	}
-	wg.Wait()
-	return results
-}
-
-// RunWith is Run for units that want a per-worker scratch slot: each unit
-// receives the index (0 ≤ w < workers) of the goroutine executing it, so a
-// caller can allocate `workers` scratch buffers up front and let every unit
-// reuse its worker's slot without locking. The serial path passes 0. Like
-// Run, unit boundaries and result placement are fixed by the caller —
-// scratches must only carry state that does not influence results (reusable
-// buffers, stamp arrays), so any pool size stays byte-identical.
-func RunWith[T any](units []func(worker int) T, workers int) []T {
+// results indexed by unit. Each unit receives the index (0 ≤ w < workers)
+// of the goroutine executing it, so a caller can allocate `workers` scratch
+// buffers up front and let every unit reuse its worker's slot without
+// locking; the serial path passes 0. Unit boundaries and result placement
+// are fixed by the caller, and scratches must only carry state that does
+// not influence results (reusable buffers, stamp arrays), so any pool size
+// stays byte-identical.
+func Run[T any](units []func(worker int) T, workers int) []T {
 	results := make([]T, len(units))
 	if workers <= 1 || len(units) <= 1 {
 		for i, u := range units {
@@ -94,7 +62,9 @@ func RunWith[T any](units []func(worker int) T, workers int) []T {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		// The closure captures its own w: passing w as an argument would
+		// allocate a wrapper closure for every worker started.
+		go func() {
 			defer wg.Done()
 			for {
 				i := next.Add(1)
@@ -103,7 +73,7 @@ func RunWith[T any](units []func(worker int) T, workers int) []T {
 				}
 				results[i] = units[i](w)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return results

@@ -5,20 +5,16 @@ import (
 )
 
 // TestRunIdenticalAcrossPoolSizes pins the determinism contract: results are
-// indexed by unit, so every worker count yields the same output slice.
+// indexed by unit, so every worker count yields the serial output.
 func TestRunIdenticalAcrossPoolSizes(t *testing.T) {
 	const n = 100
-	mk := func() []func() int {
-		units := make([]func() int, n)
-		for i := range units {
-			i := i
-			units[i] = func() int { return i * i }
-		}
-		return units
+	units := make([]func(w int) int, n)
+	for i := range units {
+		units[i] = func(int) int { return i * i }
 	}
-	ref := Run(mk(), 1)
+	ref := Run(units, 1)
 	for _, workers := range []int{0, 2, 4, 8, 200} {
-		got := Run(mk(), workers)
+		got := Run(units, workers)
 		if len(got) != n {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(got), n)
 		}
@@ -36,23 +32,19 @@ func TestRunEmpty(t *testing.T) {
 	}
 }
 
-// TestRunWithWorkerSlots pins RunWith's two contracts: results are indexed
-// by unit regardless of worker count, and every worker index handed to a
-// unit is within [0, workers) so per-worker scratch slots never collide or
-// go out of bounds.
+// TestRunWithWorkerSlots pins the worker-slot contract of Run: results are
+// indexed by unit regardless of worker count, and every worker index handed
+// to a unit is within [0, workers) so per-worker scratch slots never collide
+// or go out of bounds.
 func TestRunWithWorkerSlots(t *testing.T) {
 	const n = 100
+	units := make([]func(w int) [2]int, n)
+	for i := range units {
+		units[i] = func(w int) [2]int { return [2]int{i * i, w} }
+	}
 	for _, workers := range []int{1, 2, 4, 8, 200} {
-		slots := workers
-		if slots > n {
-			slots = n
-		}
-		units := make([]func(w int) [2]int, n)
-		for i := range units {
-			i := i
-			units[i] = func(w int) [2]int { return [2]int{i * i, w} }
-		}
-		got := RunWith(units, workers)
+		slots := min(workers, n)
+		got := Run(units, workers)
 		if len(got) != n {
 			t.Fatalf("workers=%d: got %d results, want %d", workers, len(got), n)
 		}
@@ -67,11 +59,15 @@ func TestRunWithWorkerSlots(t *testing.T) {
 	}
 }
 
+// TestRunWithSerialUsesSlotZero pins that the serial path (workers <= 1)
+// hands every unit worker slot 0.
 func TestRunWithSerialUsesSlotZero(t *testing.T) {
 	units := []func(w int) int{func(w int) int { return w }, func(w int) int { return w }}
-	for _, w := range RunWith(units, 1) {
-		if w != 0 {
-			t.Fatalf("serial RunWith used worker slot %d, want 0", w)
+	for _, workers := range []int{0, 1} {
+		for _, w := range Run(units, workers) {
+			if w != 0 {
+				t.Fatalf("serial Run (workers=%d) used worker slot %d, want 0", workers, w)
+			}
 		}
 	}
 }

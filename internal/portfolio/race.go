@@ -61,10 +61,10 @@ func Race(strategies []Strategy, parallelism int, attempt func(slot int, s Strat
 	if inner < 1 {
 		inner = 1
 	}
-	units := make([]func() Outcome, k)
+	units := make([]func(int) Outcome, k)
 	for i := range strategies {
 		i, s := i, strategies[i]
-		units[i] = func() Outcome {
+		units[i] = func(int) Outcome {
 			out := attempt(i, s, inner)
 			out.Strategy = s.Name()
 			return out

@@ -298,9 +298,9 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 	}
 
 	// Phase 1: triangulate each layer and pick its access-via links.
-	triangulate := make([]func() layerSlots, len(g.Layers))
+	triangulate := make([]func(int) layerSlots, len(g.Layers))
 	for li := range triangulate {
-		triangulate[li] = func() layerSlots { return g.triangulateLayer(li, rec) }
+		triangulate[li] = func(int) layerSlots { return g.triangulateLayer(li, rec) }
 	}
 	slots := pool.Run(triangulate, workers)
 	nVias := len(plan.Vias)
@@ -333,9 +333,9 @@ func Build(d *design.Design, plan *viaplan.Plan, opt Options) (*Graph, error) {
 		viaNode[i] = Invalid
 	}
 	padNetCount := d.PadNetCount()
-	build := make([]func() struct{}, len(g.Layers))
+	build := make([]func(int) struct{}, len(g.Layers))
 	for li := range build {
-		build[li] = func() struct{} {
+		build[li] = func(int) struct{} {
 			span := obs.StartSpan(rec, "rgraph.nodes")
 			g.addLayerNodes(li, slots[li].firstNode, padNetCount, viaNode)
 			span.End()

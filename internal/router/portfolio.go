@@ -36,24 +36,16 @@ func (o Options) orderingStrategy() (portfolio.Strategy, error) {
 	return s, nil
 }
 
-// portfolioStrategies resolves the Portfolio list into concrete strategies
-// in canonical order. Nil when the portfolio is empty (single-attempt
-// path). Ordering and Portfolio are mutually exclusive: a portfolio already
-// names every strategy it races.
+// portfolioStrategies resolves the Portfolio list, which Validate has
+// deduplicated and put in canonical order, into concrete strategies. Nil
+// when the portfolio is empty (single-attempt path).
 func (o Options) portfolioStrategies() ([]portfolio.Strategy, error) {
 	if len(o.Portfolio) == 0 {
 		return nil, nil
 	}
-	if o.Ordering != "" {
-		return nil, fmt.Errorf("router: Ordering %q and Portfolio %v are mutually exclusive", o.Ordering, o.Portfolio)
-	}
-	names, err := portfolio.NormalizeNames(o.Portfolio)
-	if err != nil {
-		return nil, fmt.Errorf("router: %w", err)
-	}
 	prof := o.orderingProfile()
-	out := make([]portfolio.Strategy, len(names))
-	for i, name := range names {
+	out := make([]portfolio.Strategy, len(o.Portfolio))
+	for i, name := range o.Portfolio {
 		s, err := portfolio.New(name, prof)
 		if err != nil {
 			return nil, fmt.Errorf("router: %w", err)

@@ -155,7 +155,9 @@ type Output struct {
 	Metrics   Metrics
 }
 
-// Route runs the complete any-angle routing pipeline on a design.
+// Route runs the complete any-angle routing pipeline on a design. It first
+// validates its copy of opt (Options.Validate), so an option the service
+// would reject with 400 is an error here too.
 //
 // Deadlines degrade, cancellation aborts: when ctx's deadline (or the
 // TimeBudget) expires mid-run the pipeline finishes with the nets routed so
@@ -165,6 +167,9 @@ type Output struct {
 // the stage-wrapped ctx.Err().
 func Route(ctx context.Context, d *design.Design, opt Options) (*Output, error) {
 	start := time.Now()
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	ctx, cancel := obs.WithBudget(ctx, opt.TimeBudget, ErrTimeout)
 	defer cancel()
 	rec := obs.Or(opt.Rec)

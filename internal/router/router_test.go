@@ -173,6 +173,26 @@ func TestRouteInvalidDesign(t *testing.T) {
 	}
 }
 
+// TestRouteValidatesOptions pins that Route rejects what the service
+// rejects: a negative order-round bound would route nothing, a negative
+// edge share would free capacity, and an unknown verify mode would run as
+// warn, each without an error.
+func TestRouteValidatesOptions(t *testing.T) {
+	d, err := design.GenerateDense("dense1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Options{
+		"negative max order rounds": {Global: global.Options{MaxOrderRounds: -1}},
+		"negative edge use per net": {Global: global.Options{EdgeUsePerNet: -1}},
+		"unknown verify mode":       {Verify: "loud"},
+	} {
+		if out, err := Route(context.Background(), d, opt); err == nil {
+			t.Errorf("%s: Route returned no error (routability %v)", name, out.Metrics.Routability)
+		}
+	}
+}
+
 // TestRouteRejectsHugeLattice checks that the via planner's lattice cap
 // reaches Route's caller: dense1 with every rule ×1e-3 fails with
 // viaplan.ErrLatticeTooLarge.

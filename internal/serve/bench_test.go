@@ -2,65 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
-	"sync"
 	"testing"
 
 	"rdlroute/internal/design"
 	"rdlroute/internal/router"
 )
-
-// benchResults accumulates the last (largest-N) run of every sub-benchmark;
-// TestMain writes them as BENCH_serve.json when BENCH_SERVE_OUT is set
-// (`make bench-serve`), starting the serving-layer perf trajectory.
-var benchResults = struct {
-	mu sync.Mutex
-	m  map[string]benchResult
-}{m: make(map[string]benchResult)}
-
-type benchResult struct {
-	Name       string  `json:"name"`
-	Workers    int     `json:"workers"`
-	Mode       string  `json:"mode"`
-	JobsPerSec float64 `json:"jobs_per_sec"`
-	MsPerJob   float64 `json:"ms_per_job"`
-	N          int     `json:"n"`
-}
-
-func recordBench(r benchResult) {
-	benchResults.mu.Lock()
-	benchResults.m[r.Name] = r
-	benchResults.mu.Unlock()
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if path := os.Getenv("BENCH_SERVE_OUT"); path != "" && code == 0 {
-		benchResults.mu.Lock()
-		out := make([]benchResult, 0, len(benchResults.m))
-		for _, r := range benchResults.m {
-			out = append(out, r)
-		}
-		benchResults.mu.Unlock()
-		// Canonical name order: map iteration would shuffle the file between
-		// runs and bury real regressions in spurious diffs.
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		if len(out) > 0 {
-			b, err := json.MarshalIndent(out, "", " ")
-			if err == nil {
-				err = os.WriteFile(path, append(b, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench json: %v\n", err)
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
 
 // BenchmarkServeThroughput measures end-to-end engine throughput (submit →
 // route → terminal) through the real pipeline on a small design, across
@@ -73,17 +20,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		for _, mode := range []string{"cold", "cachehit"} {
-			name := fmt.Sprintf("pool%d/%s", workers, mode)
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("pool%d/%s", workers, mode), func(b *testing.B) {
 				benchThroughput(b, d, workers, mode)
-				recordBench(benchResult{
-					Name:       name,
-					Workers:    workers,
-					Mode:       mode,
-					JobsPerSec: float64(b.N) / b.Elapsed().Seconds(),
-					MsPerJob:   b.Elapsed().Seconds() * 1000 / float64(b.N),
-					N:          b.N,
-				})
 			})
 		}
 	}

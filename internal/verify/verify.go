@@ -198,19 +198,19 @@ func Check(d *design.Design, routes []*detail.Route, opt Options) *Report {
 		}
 	}
 
-	var units []func() []Problem
+	var units []func(int) []Problem
 	for lo := 0; lo < len(routes); lo += verifyChunk {
 		lo, hi := lo, minInt(lo+verifyChunk, len(routes))
-		units = append(units, func() []Problem {
+		units = append(units, func(int) []Problem {
 			return connectivityUnit(d, routes, lo, hi)
 		})
 	}
 	for lo := 0; lo < len(vias); lo += verifyChunk {
 		lo, hi := lo, minInt(lo+verifyChunk, len(vias))
-		units = append(units, func() []Problem {
+		units = append(units, func(int) []Problem {
 			return viaViaUnit(d, vias, lo, hi)
 		})
-		units = append(units, func() []Problem {
+		units = append(units, func(int) []Problem {
 			return viaWireUnit(d, routes, vias, lo, hi, views)
 		})
 	}
@@ -334,7 +334,7 @@ func viaViaUnit(d *design.Design, vias []viaRef, lo, hi int) []Problem {
 			if vias[i].layer != vias[j].layer {
 				continue // different via layers never touch
 			}
-			if dd := vias[i].pos.Dist(vias[j].pos); dd < viaClear-1e-9 {
+			if dd := vias[i].pos.Dist(vias[j].pos); dd < viaClear-geom.Eps {
 				out = append(out, Problem{
 					Kind: ViaViaSpacing, Net: vias[i].net, Other: vias[j].net,
 					Where: vias[i].pos,
@@ -380,9 +380,9 @@ func wireViews(d *design.Design, routes []*detail.Route, layer int) []wireView {
 // the wire, the closest one included, is at least that far away in one
 // axis, and a distance is at least its larger axis difference, so a
 // skipped pair is at least limit apart and cannot be a finding (which
-// needs dd < limit − 1e-9). The closest point the distance computation
+// needs dd < limit − geom.Eps). The closest point the distance computation
 // interpolates can stray outside the box only by rounding, a few ulps of
-// the coordinates, far below the 1e-9 tolerance.
+// the coordinates, far below the geom.Eps tolerance.
 func viaWireUnit(d *design.Design, routes []*detail.Route, vias []viaRef, lo, hi int,
 	views [][]wireView) []Problem {
 	var out []Problem
@@ -403,7 +403,7 @@ func viaWireUnit(d *design.Design, routes []*detail.Route, vias []viaRef, lo, hi
 					continue
 				}
 				dd, _ := w.pl.DistToPoint(v.pos)
-				if dd < w.limit-1e-9 {
+				if dd < w.limit-geom.Eps {
 					out = append(out, Problem{
 						Kind: ViaWireSpacing, Net: v.net, Other: w.net, Where: v.pos,
 						Msg: fmt.Sprintf("wire %.2f µm from via, need %.2f", dd, w.limit),
@@ -417,7 +417,7 @@ func viaWireUnit(d *design.Design, routes []*detail.Route, vias []viaRef, lo, hi
 
 // runUnits executes the units on the shared deterministic pool and
 // concatenates their outputs in unit order.
-func runUnits(units []func() []Problem, workers int) []Problem {
+func runUnits(units []func(int) []Problem, workers int) []Problem {
 	var out []Problem
 	for _, r := range pool.Run(units, workers) {
 		out = append(out, r...)

@@ -37,7 +37,7 @@ func viaWireReference(d *design.Design, routes []*detail.Route) []verify.Problem
 					}
 					limit := d.Rules.ViaWireClearance(d.WidthOf(rl.Net))
 					dd, _ := rl.Pl.DistToPoint(v.Pos)
-					if dd < limit-1e-9 {
+					if dd < limit-geom.Eps {
 						out = append(out, verify.Problem{
 							Kind: verify.ViaWireSpacing, Net: rt.Net, Other: rl.Net, Where: v.Pos,
 							Msg: fmt.Sprintf("wire %.2f µm from via, need %.2f", dd, limit),
